@@ -31,7 +31,7 @@ from .errors import (
     ZeroA1,
     ZeroA2,
 )
-from .grammar import Grammar, apply_D
+from .grammar import Grammar, iterate_D
 from .polyring import LaurentPoly, Scalar, normalize_scalar
 from .triangles import second_order_eulerian, whitney_eulerian
 
@@ -270,12 +270,6 @@ class TruncatedSeries:
     def map_coefficients(self, fn, ring: CoefficientRing | None = None) -> TruncatedSeries:
         return TruncatedSeries(ring or self.ring, [fn(c) for c in self.coeffs])
 
-    def to_laurent(self) -> TruncatedSeries:
-        """View a rational-coefficient series inside the polynomial ring."""
-        if self.ring is LAURENT:
-            return self
-        return self.map_coefficients(LaurentPoly.constant, LAURENT)
-
 
 def exp_t(scale, order: int, ring: CoefficientRing = RATIONALS) -> TruncatedSeries:
     """The series exp(scale * t)."""
@@ -287,13 +281,8 @@ def exp_t(scale, order: int, ring: CoefficientRing = RATIONALS) -> TruncatedSeri
 
 def gen_series(g: Grammar, x: LaurentPoly, order: int) -> TruncatedSeries:
     """Sum of D^n(x) t^n / n! truncated at the given order."""
-    coeffs = []
-    current = x
-    for n in range(order + 1):
-        if n:
-            current = apply_D(g, current)
-        coeffs.append(current * Fraction(1, factorial(n)))
-    return TruncatedSeries(LAURENT, coeffs)
+    levels = enumerate(iterate_D(g, x, order))
+    return TruncatedSeries(LAURENT, [p * Fraction(1, factorial(n)) for n, p in levels])
 
 
 # -- exact ODE solving ------------------------------------------------------------

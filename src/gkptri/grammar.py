@@ -15,21 +15,29 @@ their exponents: T(n,k) sits on the monomial
 
 `extract_triangle` reads rows back from that lattice and refuses to guess
 when the lattice degenerates (a1 = b1 = 0 makes all k collide).
+
+Derivation packs monomials as exponent vectors over the grammar's ordered
+alphabet (Monagan & Pearce, ISSAC 2009) and precomputes each rule(x) d/dx as
+(exponent shift, coefficient) pairs.  One level of D is one fused pass: a
+term c*m whose letter x has exponent e adds c*e*r at m + s - x for each term
+r*s of rule(x), with no partial, product or sum temporaries.  `LaurentPoly`
+appears only at the boundary.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
+from operator import add
 
 from .errors import NonTriangularExpansion, UnknownVariable
-from .polyring import LaurentPoly, Scalar, parse_poly
+from .polyring import LaurentPoly, Scalar, monomial, parse_poly
 from .triangles import Triangle, TriangleParams
 
 
 class Grammar:
     """Immutable map from alphabet letters to replacement polynomials."""
 
-    __slots__ = ("alphabet", "rules")
+    __slots__ = ("alphabet", "rules", "_steps")
 
     def __init__(self, rules: Mapping[str, LaurentPoly],
                  alphabet: tuple[str, ...] | None = None):
@@ -39,14 +47,12 @@ class Grammar:
             raise ValueError("alphabet and rule keys must coincide")
         if len(set(alphabet)) != len(alphabet):
             raise ValueError("alphabet letters must be distinct")
-        for letter, rhs in rules.items():
-            extra = rhs.variables() - set(alphabet)
-            if extra:
-                raise UnknownVariable(
-                    f"rule for {letter!r} mentions {sorted(extra)} outside the alphabet"
-                )
         self.alphabet = tuple(alphabet)
         self.rules = {x: rules[x] for x in alphabet}
+        # rule(x) d/dx as (index of x, exponent shift, coefficient) triples
+        self._steps = [(i, tuple(e - (j == i) for j, e in enumerate(vec)), rc)
+                       for i, x in enumerate(self.alphabet)
+                       for vec, rc in _pack(self.alphabet, rules[x], f"rule for {x!r}").items()]
 
     @classmethod
     def from_text(cls, text: str) -> Grammar:
@@ -72,11 +78,6 @@ class Grammar:
             raise ValueError("no rules found")
         return cls(rules, tuple(order))
 
-    def rule(self, letter: str) -> LaurentPoly:
-        if letter not in self.rules:
-            raise UnknownVariable(f"{letter!r} is not in the alphabet")
-        return self.rules[letter]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Grammar):
             return NotImplemented
@@ -93,27 +94,51 @@ class Grammar:
         return f"Grammar({body})"
 
 
+def _pack(alphabet, p: LaurentPoly, what="polynomial") -> dict[tuple[int, ...], Scalar]:
+    extra = p.variables() - set(alphabet)
+    if extra:
+        raise UnknownVariable(f"{what} mentions {sorted(extra)} outside the alphabet")
+    zeros = [0] * len(alphabet)
+    return {tuple(map(dict(mono).get, alphabet, zeros)): c for mono, c in p.terms().items()}
+
+
+def _unpack(alphabet, packed: Mapping[tuple[int, ...], Scalar]) -> LaurentPoly:
+    return LaurentPoly({monomial(dict(zip(alphabet, vec))): c for vec, c in packed.items()})
+
+
+def _derive(g: Grammar, seed: LaurentPoly, n: int) -> Iterator[dict[tuple[int, ...], Scalar]]:
+    """Yield the packed levels seed, D(seed), ..., D^n(seed); callers must
+    not change a yielded level, the next one is computed from it."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    level = _pack(g.alphabet, seed)
+    yield level
+    steps = g._steps
+    for _ in range(n):
+        out: dict[tuple[int, ...], Scalar] = {}
+        get = out.get
+        for vec, c in level.items():
+            for i, shift, rc in steps:
+                e = vec[i]
+                if e:
+                    key = tuple(map(add, vec, shift))
+                    s = get(key, 0) + c * e * rc
+                    if s:
+                        out[key] = s
+                    else:
+                        del out[key]
+        level = out
+        yield level
+
+
 def apply_D(g: Grammar, p: LaurentPoly) -> LaurentPoly:
     """One derivation step: sum over letters of rule(x) * dp/dx."""
-    extra = p.variables() - set(g.alphabet)
-    if extra:
-        raise UnknownVariable(f"polynomial mentions {sorted(extra)} outside the alphabet")
-    out = LaurentPoly.zero()
-    for x in g.alphabet:
-        d = p.partial(x)
-        if d:
-            out = out + g.rules[x] * d
-    return out
+    return iterate_D(g, p, 1)[1]
 
 
 def iterate_D(g: Grammar, seed: LaurentPoly, n: int) -> list[LaurentPoly]:
     """[seed, D(seed), ..., D^n(seed)]."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    out = [seed]
-    for _ in range(n):
-        out.append(apply_D(g, out[-1]))
-    return out
+    return [_unpack(g.alphabet, level) for level in _derive(g, seed, n)]
 
 
 def hao_grammar(p: TriangleParams) -> Grammar:
@@ -145,23 +170,13 @@ def extract_triangle(p: TriangleParams, n_max: int) -> Triangle:
             "a1 = b1 = 0: every column lands on the same monomial"
         )
     g = hao_grammar(p)
-    iterates = iterate_D(g, hao_seed(p), n_max)
     rows: list[list[Scalar]] = []
-    for n, poly in enumerate(iterates):
-        terms = poly.terms()
-        row: list[Scalar] = []
-        for k in range(n + 1):
-            mono_exps = {
-                "u": p.b2 * n + p.b1 * k + p.b0 + p.b1 + p.b2,
-                "v": p.a2 * n + p.a1 * k + p.a0 + p.a2,
-            }
-            mono = tuple(sorted((x, e) for x, e in mono_exps.items() if e != 0))
-            row.append(terms.pop(mono, 0))
-        if terms:
-            stray = next(iter(terms))
+    for n, level in enumerate(_derive(g, hao_seed(p), n_max)):
+        u, v = p.b2 * n + p.b0 + p.b1 + p.b2, p.a2 * n + p.a0 + p.a2
+        row = [level.get((u + p.b1 * k, v + p.a1 * k), 0) for k in range(n + 1)]
+        if len(level) + row.count(0) > n + 1:
             raise NonTriangularExpansion(
-                f"D^{n} contains a monomial off the row-{n} lattice: "
-                f"{LaurentPoly({stray: terms[stray]})}"
+                f"D^{n} = {_unpack(g.alphabet, level)} has monomials off the row-{n} lattice"
             )
         rows.append(row)
     return Triangle(params=p, rows=rows, family=None)

@@ -34,6 +34,8 @@ EMPTY_MONOMIAL: Monomial = ()
 
 def normalize_scalar(value) -> Scalar:
     """Coerce an exact rational to canonical int-or-Fraction form."""
+    if type(value) is int:
+        return value
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
@@ -117,9 +119,6 @@ class LaurentPoly:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def is_monomial(self) -> bool:
-        return len(self._terms) == 1
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -261,17 +260,6 @@ class LaurentPoly:
             total += value
         return total
 
-    def substitute(self, assignment: Mapping[str, "LaurentPoly"]) -> LaurentPoly:
-        """Substitute polynomials for variables (used for symbol renaming)."""
-        out = LaurentPoly.zero()
-        for mono, coeff in self._terms.items():
-            term = LaurentPoly.constant(coeff)
-            for var, e in mono:
-                base = assignment.get(var, LaurentPoly.variable(var))
-                term = term * base ** e
-            out = out + term
-        return out
-
     # -- ordering and rendering ---------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
@@ -323,6 +311,9 @@ class LaurentPoly:
         return self._terms == q._terms
 
     def __hash__(self) -> int:
+        # Constants (and zero) compare equal to their scalar, so hash as it.
+        if not self._terms.keys() - {EMPTY_MONOMIAL}:
+            return hash(self._terms.get(EMPTY_MONOMIAL, 0))
         return hash(frozenset(self._terms.items()))
 
 

@@ -89,6 +89,11 @@ class TestDerivation:
     def test_iterate_zero_steps(self):
         assert iterate_D(WHITNEY_32, SEED, 0) == [SEED]
 
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_foreign_letter_in_seed_raises_at_every_n(self, n):
+        with pytest.raises(UnknownVariable):
+            iterate_D(WHITNEY_32, parse_poly("u*w"), n)
+
 
 small_polys = st.lists(
     st.tuples(
@@ -117,6 +122,57 @@ class TestDerivationLaws:
         assert apply_D(WHITNEY_32, p * q) == apply_D(WHITNEY_32, p) * q + p * apply_D(
             WHITNEY_32, q
         )
+
+
+def _laurent_over(letters, coeffs):
+    term = st.tuples(
+        st.dictionaries(st.sampled_from(letters), st.integers(-3, 3), max_size=len(letters)),
+        coeffs,
+    )
+    return st.lists(term, max_size=3).map(
+        lambda items: sum(
+            (LaurentPoly.from_exponents(e, c) for e, c in items), LaurentPoly.zero()
+        )
+    )
+
+
+@st.composite
+def grammar_and_poly(draw):
+    letters = draw(st.sampled_from([("u", "v"), ("v", "u"), ("u", "v", "w")]))
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+    rules = {x: draw(_laurent_over(letters, coeffs)) for x in letters}
+    return Grammar(rules, letters), draw(_laurent_over(letters, coeffs))
+
+
+def reference_D(g, p):
+    """The textbook derivation step, sum of rule(x) * dp/dx over the letters."""
+    return sum((g.rules[x] * p.partial(x) for x in g.alphabet), LaurentPoly.zero())
+
+
+class TestPackedEngineAgainstPartials:
+    @given(grammar_and_poly())
+    @settings(max_examples=150)
+    def test_apply_D_matches_partial_formula(self, case):
+        g, p = case
+        assert apply_D(g, p) == reference_D(g, p)
+
+    @given(grammar_and_poly())
+    @settings(max_examples=50)
+    def test_iterate_D_matches_repeated_partial_formula(self, case):
+        g, p = case
+        expected = [p]
+        for _ in range(3):
+            expected.append(reference_D(g, expected[-1]))
+        assert iterate_D(g, p, 3) == expected
+
+    @given(
+        st.tuples(*[st.integers(-3, 3)] * 6).filter(lambda t: (t[1], t[4]) != (0, 0)),
+        st.integers(0, 10),
+    )
+    @settings(max_examples=120)
+    def test_extract_triangle_matches_recurrence(self, six, n):
+        params = TriangleParams(*six)
+        assert extract_triangle(params, n).rows == recurrence_triangle(params, n).rows
 
 
 class TestExtractTriangle:

@@ -190,6 +190,13 @@ class TestRingLaws:
         assert LaurentPoly(p.terms()) == p
         assert hash(LaurentPoly(p.terms())) == hash(p)
 
+    @pytest.mark.parametrize("value", [3, -1, Fraction(2, 3), Fraction(4, 2), 0])
+    def test_constant_hashes_as_its_scalar(self, value):
+        c = LaurentPoly.constant(value)
+        assert c == value
+        assert hash(c) == hash(value)
+        assert len({c, value}) == 1
+
 
 def test_monomial_helper_drops_zero_exponents():
     assert monomial({"u": 0, "v": 2}) == (("v", 2),)
