@@ -40,12 +40,11 @@ class StructureCensus:
     def as_row(self, length: int, bucket_of_index=lambda k: k) -> list[int]:
         """Read the census as a triangle row: entry k = count in bucket
         bucket_of_index(k).  Raises if any bucket is left unread."""
-        row = [self.counts.get(bucket_of_index(k), 0) for k in range(length)]
-        seen = {bucket_of_index(k) for k in range(length)}
-        missing = set(self.counts) - seen
+        buckets = [bucket_of_index(k) for k in range(length)]
+        missing = set(self.counts) - set(buckets)
         if missing:
             raise ValueError(f"census has buckets outside the row: {sorted(missing)}")
-        return row
+        return [self.counts.get(b, 0) for b in buckets]
 
     def __str__(self):
         lines = [f"{self.statistic}\tcount"]

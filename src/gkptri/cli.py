@@ -1,9 +1,14 @@
 """Command-line surface: generate triangles, expand grammars, print series,
 run verification suites, and diff brute-force censuses against rows.
 
+`oracle KIND` is a thin layer over `verify.ORACLES`, the table that also
+drives the `*-oracle` suites: the kinds, their option, census, reference
+row and buckets all come from it.
+
 Exit codes: 0 everything passed, 1 a check failed, 2 usage or parse error,
-3 an enumeration budget was exceeded.  The enumeration budget defaults to
-the GKPTRI_BUDGET environment variable (or 10**7).
+3 an enumeration budget was exceeded.  The enumeration budget (`--budget`,
+else the GKPTRI_BUDGET environment variable, else 10**7) is a positive
+integer written as `10` or `1e6`; anything else is a usage error.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -31,7 +37,7 @@ from .triangles import (
     stirling2_triangle,
     whitney_eulerian,
 )
-from .verify import SUITES, VerifyOptions, run_suites
+from .verify import ORACLES, SUITES, VerifyOptions, run_suites
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -51,11 +57,20 @@ def dumps_canonical(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+BUDGET_HELP = ("enumeration budget, a positive integer such as 10 or 1e6 "
+               "(default: GKPTRI_BUDGET, else 1e7)")
+
+
 def _default_budget(args) -> int:
-    if args.budget is not None:
-        return int(float(args.budget))
-    env = os.environ.get("GKPTRI_BUDGET")
-    return int(float(env)) if env else census_mod.DEFAULT_BUDGET
+    source, text = "--budget", args.budget
+    if text is None:
+        source, text = "GKPTRI_BUDGET", os.environ.get("GKPTRI_BUDGET")
+        if not text:
+            return census_mod.DEFAULT_BUDGET
+    match = re.fullmatch(r"\s*([0-9]+)(?:[eE]\+?([0-9]{1,4}))?\s*", text)
+    if match and int(match[1]) > 0:
+        return int(match[1]) * 10 ** int(match[2] or 0)
+    raise SystemExit2(f"{source} must be a positive integer such as 10 or 1e6, got {text!r}")
 
 
 def _triangle_from_args(args) -> Triangle:
@@ -155,78 +170,19 @@ def cmd_verify(args) -> int:
     return EXIT_OK if payload["passed"] else EXIT_CHECK_FAILED
 
 
-ORACLE_KINDS = ("descents", "excedances", "partitions", "cadets", "components",
-                "vleaves")
-
-
-def _oracle_census(args, budget):
-    if args.kind == "descents":
-        if args.r is None:
-            raise SystemExit2("oracle descents needs --r")
-        return census_mod.stirling_descent_census(args.n, args.r, budget=budget)
-    if args.kind == "excedances":
-        if args.r is None:
-            raise SystemExit2("oracle excedances needs --r")
-        return census_mod.r_excedance_census(args.n, args.r, budget=budget)
-    if args.kind == "partitions":
-        return census_mod.set_partition_census(args.n, budget=budget)
-    if args.kind == "cadets":
-        if args.r is None:
-            raise SystemExit2("oracle cadets needs --r")
-        return census_mod.cadet_leaf_census(args.n, args.r, budget=budget)
-    if args.kind == "components":
-        if args.params is None:
-            raise SystemExit2("oracle components needs --params a0,a1,a2 "
-                              "(comma-separated)")
-        a0, a1, a2 = (int(p) for p in args.params.split(","))
-        return census_mod.census_components(a0, a1, a2, args.n, budget=budget)
-    if args.hao is None:
-        raise SystemExit2("oracle vleaves needs --hao a0,a1,a2,b0,b1,b2")
-    params = TriangleParams.parse(args.hao)
-    return census_mod.census_vleaves(
-        hao_grammar(params), hao_seed(params), args.n, "v", budget=budget
-    )
-
-
-def _oracle_reference_row(args) -> list[int] | None:
-    """The triangle row each census kind is checked against."""
-    n = args.n
-    if args.kind == "descents":
-        tri = second_order_eulerian(args.r, n)
-        return [tri.entry(n, k) for k in range(n + 1)]
-    if args.kind == "excedances":
-        tri = r_eulerian(args.r, n)
-        return [tri.entry(n, k) for k in range(n + 1)]
-    if args.kind == "partitions":
-        tri = stirling2_triangle(n)
-        return [tri.entry(n, k) for k in range(n + 1)]
-    if args.kind == "cadets":
-        tri = second_order_eulerian(args.r, n)
-        return [tri.entry(n, k) for k in range(n + 1)]
-    if args.kind == "components":
-        a0, a1, a2 = (int(p) for p in args.params.split(","))
-        tri = recurrence_triangle(TriangleParams(a0, a1, a2, 1, 0, 0), n)
-        return [tri.entry(n, k) for k in range(n + 1)]
-    params = TriangleParams.parse(args.hao)
-    tri = recurrence_triangle(params, n)
-    return [tri.entry(n, k) for k in range(n + 1)]
-
-
 def cmd_oracle(args) -> int:
+    oracle = ORACLES[args.kind]
     budget = _default_budget(args)
-    census = _oracle_census(args, budget)
+    text = getattr(args, oracle.option) if oracle.option else ""
+    if text is None:
+        raise SystemExit2(f"oracle {args.kind} needs {oracle.usage or '--' + oracle.option}")
+    arg = oracle.parse(text)
+    census = oracle.census(arg, args.n, budget)
     print(census)
     if not args.diff:
         return EXIT_OK
-    row = _oracle_reference_row(args)
-    if args.kind == "cadets":
-        bucket_of_index = lambda k: k + 1
-    elif args.kind == "vleaves":
-        p = TriangleParams.parse(args.hao)
-        bucket_of_index = lambda k: p.a2 * args.n + p.a1 * k + p.a0 + p.a2
-    else:
-        bucket_of_index = lambda k: k
-    got = census.as_row(len(row), bucket_of_index=bucket_of_index)
+    row = recurrence_triangle(oracle.params(arg), args.n).rows[args.n]
+    got = oracle.census_row(census, arg, args.n)
     if got == row:
         print(f"diff: matches row n={args.n}")
         return EXIT_OK
@@ -277,21 +233,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="family for the sum suites (only whitney is defined)")
     p.add_argument("--max-n", type=int, help="cap every suite's row grid")
     p.add_argument("--order", type=int, help="override series truncation orders")
-    p.add_argument("--budget", help="enumeration budget, e.g. 1e6")
+    p.add_argument("--budget", help=BUDGET_HELP)
     p.add_argument("--y", action="append",
                    help="evaluation point for second-order-egf (repeatable)")
     p.add_argument("--format", choices=("plain", "json"), default="plain")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("oracle", help="brute-force censuses, two-column tables")
-    p.add_argument("kind", choices=ORACLE_KINDS)
+    p.add_argument("kind", choices=tuple(ORACLES))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int)
     p.add_argument("--params", help="a0,a1,a2 for kind=components")
     p.add_argument("--hao", help="six-tuple a0,a1,a2,b0,b1,b2 for kind=vleaves")
     p.add_argument("--diff", action="store_true",
                    help="compare against the matching triangle row")
-    p.add_argument("--budget")
+    p.add_argument("--budget", help=BUDGET_HELP)
     p.set_defaults(fn=cmd_oracle)
 
     return parser
@@ -306,16 +262,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except PolyParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (GkpError, ValueError, OSError) as exc:
+    except (SystemExit2, GkpError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -3,7 +3,8 @@
 Each suite runs one identity battery over a documented default grid and
 returns a list of CheckReport records; the grids can be shrunk with the
 `max_n` / `order` options so CI runs stay deterministic and fast.  Suites
-are registered under kebab-case names and always executed in name order.
+are registered under kebab-case names and always executed in name order;
+the `*-oracle` suites are generated from ORACLES, which `gkptri oracle` reads.
 """
 
 from __future__ import annotations
@@ -12,10 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
+from typing import Callable
 
 from . import census as census_mod
 from . import closedforms as cf
-from .errors import UnknownSuite
+from .errors import NonTriangularExpansion, UnknownSuite
 from .fps import (
     gen_series,
     grammar_ode,
@@ -32,10 +34,10 @@ from .grammar import Grammar, extract_triangle, hao_grammar, hao_seed, iterate_D
 from .polyring import LaurentPoly, parse_poly
 from .triangles import (
     TriangleParams,
+    r_eulerian_params,
     recurrence_triangle,
-    r_eulerian,
-    second_order_eulerian,
-    stirling2_triangle,
+    second_order_params,
+    stirling2_params,
     whitney_eulerian,
     whitney_params,
 )
@@ -387,113 +389,99 @@ def suite_closed_solutions(opts: VerifyOptions) -> list[CheckReport]:
 # -- oracle equivalences -------------------------------------------------------------
 
 
-@suite("descent-oracle")
-def suite_descent_oracle(opts: VerifyOptions) -> list[CheckReport]:
-    """Exhaustive Stirling r-permutation descent counts equal the rows."""
-    n_max = opts.cap_n(4)
-    budget = opts.cap_budget(census_mod.DEFAULT_BUDGET)
-    report = CheckReport(
-        name="descent-oracle",
-        params={"grid": "r in {1,2,3}", "n_max": n_max},
-    )
-    for r in (1, 2, 3):
-        tri = second_order_eulerian(r, n_max)
-        for n in range(n_max + 1):
-            census = census_mod.stirling_descent_census(n, r, budget=budget)
-            if census.as_row(n + 1) != [tri.entry(n, k) for k in range(n + 1)]:
-                report.fail(f"r={r}, n={n}")
-    return [report]
+@dataclass(frozen=True)
+class Oracle:
+    """A brute-force census and the triangle row it must equal: entry k of
+    row n of the triangle with six-tuple `params(arg)` is the count in bucket
+    `bucket(arg, n, k)` of `census(arg, n, budget)`.  `arg` is `parse` of the
+    CLI option `--<option>` (written `usage` when it is missing); the verify
+    suite `suite` runs over `grid`, pairs of (locus prefix, option text), to
+    row `n_max` and reports `report`.
+    """
+
+    census: Callable
+    params: Callable
+    option: str | None
+    suite: str
+    grid: tuple[tuple[str, str], ...]
+    n_max: int
+    report: dict
+    usage: str = ""
+    parse: Callable = int
+    bucket: Callable = lambda arg, n, k: k
+
+    def census_row(self, census, arg, n: int) -> list[int]:
+        """The census read as row n, for comparison with the triangle's."""
+        return census.as_row(n + 1, bucket_of_index=lambda k: self.bucket(arg, n, k))
+
+    def run(self, opts: VerifyOptions) -> list[CheckReport]:
+        """The verify suite: every grid argument, rows 0..n_max."""
+        n_max = opts.cap_n(self.n_max)
+        budget = opts.cap_budget(census_mod.DEFAULT_BUDGET)
+        report = CheckReport(name=self.suite, params={**self.report, "n_max": n_max})
+        for label, text in self.grid:
+            arg = self.parse(text)
+            tri = recurrence_triangle(self.params(arg), n_max)
+            for n in range(n_max + 1):
+                census = self.census(arg, n, budget)
+                if self.census_row(census, arg, n) != tri.rows[n]:
+                    report.fail(f"{label}, n={n}" if label else f"n={n}")
+        return [report]
 
 
-@suite("excedance-oracle")
-def suite_excedance_oracle(opts: VerifyOptions) -> list[CheckReport]:
-    """Exhaustive r-excedance counts equal the (k+r)/(n-k+1-r) rows."""
-    n_max = opts.cap_n(6)
-    budget = opts.cap_budget(census_mod.DEFAULT_BUDGET)
-    report = CheckReport(
-        name="excedance-oracle",
-        params={"grid": "r in {0,1,2}", "n_max": n_max},
-    )
-    for r in (0, 1, 2):
-        tri = r_eulerian(r, n_max)
-        for n in range(n_max + 1):
-            census = census_mod.r_excedance_census(n, r, budget=budget)
-            if census.as_row(n + 1) != [tri.entry(n, k) for k in range(n + 1)]:
-                report.fail(f"r={r}, n={n}")
-    return [report]
+def _parse_a_triple(text: str) -> tuple[int, ...]:
+    if text.count(",") != 2:
+        raise ValueError(f"--params needs three integers a0,a1,a2, got {text!r}")
+    return tuple(int(p) for p in text.split(","))
 
 
-@suite("cadet-oracle")
-def suite_cadet_oracle(opts: VerifyOptions) -> list[CheckReport]:
-    """Cadet-leaf counts of full ternary trees match the r = 2 rows with
-    the bucket shift j = k+1."""
-    n_max = opts.cap_n(4)
-    budget = opts.cap_budget(census_mod.DEFAULT_BUDGET)
-    report = CheckReport(name="cadet-oracle", params={"r": 2, "n_max": n_max})
-    tri = second_order_eulerian(2, n_max)
-    for n in range(n_max + 1):
-        census = census_mod.cadet_leaf_census(n, 2, budget=budget)
-        expected = {k + 1: tri.entry(n, k) for k in range(n + 1) if tri.entry(n, k)}
-        if census.counts != expected:
-            report.fail(f"n={n}")
-    return [report]
+def _vleaf_bucket(p: TriangleParams, n: int, k: int):
+    if p.a1 == 0 and n >= 1:
+        raise NonTriangularExpansion(f"a1 = 0 puts all of row {n} in one v-leaf bucket, "
+                                     "so the census cannot be read as a row")
+    return p.a2 * n + p.a1 * k + p.a0 + p.a2
 
 
-@suite("partition-oracle")
-def suite_partition_oracle(opts: VerifyOptions) -> list[CheckReport]:
-    """Set partitions by block count match the Stirling triangle."""
-    n_max = opts.cap_n(7)
-    budget = opts.cap_budget(census_mod.DEFAULT_BUDGET)
-    report = CheckReport(name="partition-oracle", params={"n_max": n_max})
-    tri = stirling2_triangle(n_max)
-    for n in range(n_max + 1):
-        census = census_mod.set_partition_census(n, budget=budget)
-        if census.as_row(n + 1) != [tri.entry(n, k) for k in range(n + 1)]:
-            report.fail(f"n={n}")
-    return [report]
+ORACLES: dict[str, Oracle] = {
+    # Stirling r-permutations by descents: the second-order rows.
+    "descents": Oracle(
+        lambda r, n, budget: census_mod.stirling_descent_census(n, r, budget=budget),
+        second_order_params, option="r", suite="descent-oracle", n_max=4,
+        grid=tuple((f"r={r}", str(r)) for r in (1, 2, 3)), report={"grid": "r in {1,2,3}"}),
+    # Permutations by r-excedances: the (k+r)/(n-k+1-r) rows (red at r = 2).
+    "excedances": Oracle(
+        lambda r, n, budget: census_mod.r_excedance_census(n, r, budget=budget),
+        r_eulerian_params, option="r", suite="excedance-oracle", n_max=6,
+        grid=tuple((f"r={r}", str(r)) for r in (0, 1, 2)), report={"grid": "r in {0,1,2}"}),
+    # Set partitions by block count: the Stirling subset triangle.
+    "partitions": Oracle(
+        lambda _, n, budget: census_mod.set_partition_census(n, budget=budget),
+        lambda _: stirling2_params(), option=None, parse=str, suite="partition-oracle",
+        n_max=7, grid=(("", ""),), report={}),
+    # Cadet leaves of full (r+1)-ary trees: the second-order rows, shifted by one.
+    "cadets": Oracle(
+        lambda r, n, budget: census_mod.cadet_leaf_census(n, r, budget=budget),
+        second_order_params, option="r", bucket=lambda r, n, k: k + 1,
+        suite="cadet-oracle", n_max=4, grid=(("", "2"),), report={"r": 2}),
+    # Spine points of type-(E) histories: the b = 1 rows.
+    "components": Oracle(
+        lambda a, n, budget: census_mod.census_components(*a, n, budget=budget),
+        lambda a: TriangleParams(*a, 1, 0, 0), option="params", parse=_parse_a_triple,
+        usage="--params a0,a1,a2 (comma-separated)", suite="component-oracle", n_max=4,
+        grid=tuple((f"a=({a0},{a1},{a2})", f"{a0},{a1},{a2}") for a0, a1, a2 in _a_grid()),
+        report={"grid": "a0 in {0,1,2}, a1,a2 in {1,2,3}"}),
+    # Grammar histories by v-leaves: the rows of any integer six-tuple.
+    "vleaves": Oracle(
+        lambda p, n, budget: census_mod.census_vleaves(hao_grammar(p), hao_seed(p), n, "v",
+                                                       budget=budget),
+        lambda p: p, option="hao", parse=TriangleParams.parse, bucket=_vleaf_bucket,
+        usage="--hao a0,a1,a2,b0,b1,b2", suite="vleaf-oracle", n_max=4,
+        grid=tuple((f"m={m}, r={r}", str(whitney_params(m, r))) for m, r in _whitney_grid()),
+        report={"grid": "m in {1,2,3}, 0 <= r <= m"}),
+}
 
 
-@suite("component-oracle")
-def suite_component_oracle(opts: VerifyOptions) -> list[CheckReport]:
-    """Spine-point counts of type-(E) histories match the b = 1 rows."""
-    n_max = opts.cap_n(4)
-    budget = opts.cap_budget(census_mod.DEFAULT_BUDGET)
-    report = CheckReport(
-        name="component-oracle",
-        params={"grid": "a0 in {0,1,2}, a1,a2 in {1,2,3}", "n_max": n_max},
-    )
-    for a0, a1, a2 in _a_grid():
-        tri = recurrence_triangle(TriangleParams(a0, a1, a2, 1, 0, 0), n_max)
-        for n in range(n_max + 1):
-            census = census_mod.census_components(a0, a1, a2, n, budget=budget)
-            if census.as_row(n + 1) != [tri.entry(n, k) for k in range(n + 1)]:
-                report.fail(f"a=({a0},{a1},{a2}), n={n}")
-    return [report]
-
-
-@suite("vleaf-oracle")
-def suite_vleaf_oracle(opts: VerifyOptions) -> list[CheckReport]:
-    """History counts bucketed by v-leaves match the extracted triangle."""
-    n_max = opts.cap_n(4)
-    budget = opts.cap_budget(census_mod.DEFAULT_BUDGET)
-    report = CheckReport(
-        name="vleaf-oracle",
-        params={"grid": "m in {1,2,3}, 0 <= r <= m", "n_max": n_max},
-    )
-    for m, r in _whitney_grid():
-        params = whitney_params(m, r)
-        g = hao_grammar(params)
-        tri = whitney_eulerian(m, r, n_max)
-        for n in range(n_max + 1):
-            census = census_mod.census_vleaves(g, hao_seed(params), n, "v",
-                                               budget=budget)
-            expected = {
-                m * k + r: tri.entry(n, k)
-                for k in range(n + 1) if tri.entry(n, k)
-            }
-            if census.counts != expected:
-                report.fail(f"m={m}, r={r}, n={n}")
-    return [report]
+SUITES.update((oracle.suite, oracle.run) for oracle in ORACLES.values())
 
 
 @suite("history-counts")

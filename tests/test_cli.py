@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from gkptri.cli import dumps_canonical, main
+from gkptri.cli import BUDGET_HELP, dumps_canonical, main
 
 
 def run(capsys, *argv):
@@ -212,3 +212,58 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+class TestOracleRegistry:
+    @pytest.mark.parametrize("hao, n", [("0,0,0,1,0,0", "3"), ("0,0,1,1,1,0", "2")])
+    def test_vleaves_degenerate_lattice_exits_two(self, capsys, hao, n):
+        # With a1 = 0 every entry of the row lands in the same v-leaf
+        # bucket, so the census cannot be compared with the row.
+        code, out, err = run(capsys, "oracle", "vleaves", "--hao", hao, "--n", n,
+                             "--diff")
+        assert code == 2
+        assert out.startswith("v-leaves\tcount") and "diff:" not in out
+        assert err.startswith("error: a1 = 0") and len(err.splitlines()) == 1
+
+    def test_vleaves_degenerate_lattice_row_zero(self, capsys):
+        code, out, _ = run(capsys, "oracle", "vleaves", "--hao", "0,0,0,1,0,0",
+                           "--n", "0", "--diff")
+        assert code == 0
+        assert "matches row n=0" in out
+
+
+BAD_BUDGETS = ("inf", "nan", "abc", "-1", "0", "1.5", "1e-3", "", "1e99999")
+
+
+class TestBudget:
+    # An empty GKPTRI_BUDGET reads as unset, so "" is only bad as a flag.
+    @pytest.mark.parametrize("source, text", [
+        (source, text) for source in ("verify", "oracle", "env")
+        for text in BAD_BUDGETS if text or source != "env"])
+    def test_bad_budget_is_usage_error(self, capsys, monkeypatch, source, text):
+        if source == "verify":
+            argv = ["verify", "partition-oracle", "--max-n", "2", "--budget", text]
+        elif source == "oracle":
+            argv = ["oracle", "partitions", "--n", "2", "--budget", text]
+        else:
+            monkeypatch.setenv("GKPTRI_BUDGET", text)
+            argv = ["oracle", "partitions", "--n", "2"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "positive integer" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text, code", [("10", 3), ("1e1", 3), ("1e6", 0),
+                                            ("1000000", 0), (" 1E6 ", 0)])
+    def test_good_budget_is_accepted(self, capsys, text, code):
+        got, _, _ = run(capsys, "oracle", "partitions", "--n", "7", "--budget", text)
+        assert got == code
+        got, _, _ = run(capsys, "verify", "partition-oracle", "--budget", text)
+        assert got == code
+
+    def test_budget_help_is_shared(self, capsys):
+        for command in ("verify", "oracle"):
+            code, out, _ = run(capsys, command, "--help")
+            assert code == 0
+            assert f"--budget BUDGET {BUDGET_HELP}" in " ".join(out.split())

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from gkptri.cli import main
+from gkptri.verify import ORACLES, SUITES
 
 
 def verify_json(capsys, *argv):
@@ -70,3 +71,38 @@ def test_oracle_suite_plain_line(capsys, record):
     status = "pass" if record["locus"] is None else f"FAIL ({record['locus']})"
     assert line == f"{record['name']} [{extras}]: {status}"
     assert code == (0 if record["locus"] is None else 1)
+
+
+KINDS = ("descents", "excedances", "partitions", "cadets", "components", "vleaves")
+
+
+def oracle_kind_choices(capsys):
+    assert main(["oracle", "--help"]) == 0
+    usage = capsys.readouterr().out
+    choices = usage[usage.index("{") + 1:usage.index("}")]
+    return tuple(choices.split(","))
+
+
+def test_oracle_kinds_unchanged(capsys):
+    assert oracle_kind_choices(capsys) == KINDS
+    assert tuple(ORACLES) == KINDS
+
+
+@pytest.mark.parametrize("kind", ORACLES)
+def test_oracle_registry_parity(capsys, kind):
+    oracle = ORACLES[kind]
+    assert oracle.suite in SUITES
+    assert kind in oracle_kind_choices(capsys)
+    _, text = oracle.grid[0]
+    option = [f"--{oracle.option}", text] if oracle.option else []
+    assert main(["oracle", kind, "--n", "3", *option, "--diff"]) == 0
+    assert "diff: matches row n=3" in capsys.readouterr().out
+    if kind == "excedances":
+        assert main(["oracle", kind, "--n", "3", "--r", "2", "--diff"]) == 1
+        assert "diff: MISMATCH row n=3" in capsys.readouterr().out
+
+
+def test_components_params_needs_three_values(capsys):
+    assert main(["oracle", "components", "--n", "2", "--params", "1,2"]) == 2
+    err = capsys.readouterr().err
+    assert "a0,a1,a2" in err and len(err.splitlines()) == 1
