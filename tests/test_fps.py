@@ -198,6 +198,118 @@ class TestSolveOde:
         for letter in ("u", "v"):
             assert sol[letter] == gen_series(g, LaurentPoly.variable(letter), 6)
 
+    def test_tan_from_zero_initial(self):
+        # x' = 1 + x^2, x(0) = 0: x0 is no unit, so x^2 is a plain product.
+        sys = OdeSystem(variables=("x",), rhs={"x": parse_poly("1 + x^2")},
+                        initial={"x": 0})
+        assert solve_ode(sys, 7)["x"] == series(
+            0, 1, 0, Fraction(1, 3), 0, Fraction(2, 15), 0, Fraction(17, 315)
+        )
+
+    def test_square_from_binomial_initial(self):
+        # x' = x^2, x(0) = u+v: x = (u+v)/(1 - (u+v)t), c_n = (u+v)^(n+1).
+        s = parse_poly("u + v")
+        sys = OdeSystem(variables=("x",), rhs={"x": parse_poly("x^2")},
+                        initial={"x": s})
+        assert solve_ode(sys, 6)["x"] == TruncatedSeries(
+            LAURENT, [s ** (n + 1) for n in range(7)]
+        )
+
+    def test_negative_power_of_binomial_initial(self):
+        sys = OdeSystem(variables=("x",), rhs={"x": parse_poly("x^-1")},
+                        initial={"x": parse_poly("u + v")})
+        with pytest.raises(NonInvertibleConstantTerm):
+            solve_ode(sys, 4)
+
+
+def reference_solve(system: OdeSystem, order: int) -> dict[str, TruncatedSeries]:
+    """c_{n+1} = [t^n] rhs(partial sums) / (n+1), with series products."""
+    ring = RATIONALS
+    if any(isinstance(c, LaurentPoly) for c in system.initial.values()):
+        ring = LAURENT
+    coeffs = {v: [ring.coerce(system.initial[v])] for v in system.variables}
+    for n in range(order):
+        partial = {v: TruncatedSeries(ring, coeffs[v] + [ring.zero] * (n + 1 - len(coeffs[v])))
+                   for v in system.variables}
+        step = {}
+        for v in system.variables:
+            acc = TruncatedSeries.zero(ring, n)
+            for mono, c in system.rhs[v].terms().items():
+                term = TruncatedSeries.constant(ring, c, n)
+                for x, e in mono:
+                    term = term * partial[x].pow_int(e)
+                acc = acc + term
+            step[v] = acc.coefficient(n) * Fraction(1, n + 1)
+        for v in system.variables:
+            coeffs[v].append(step[v])
+    return {v: TruncatedSeries(ring, coeffs[v]) for v in system.variables}
+
+
+exact_coeffs = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool),
+)
+
+
+@st.composite
+def monomial_grammars(draw):
+    """2-3 letter grammars whose rules are single monomials, exponents in
+    [-3, 3], with int or Fraction coefficients."""
+    letters = draw(st.sampled_from([("x", "y"), ("u", "v", "w")]))
+    rules = {
+        x: LaurentPoly.from_exponents(
+            {y: draw(st.integers(-3, 3)) for y in letters}, draw(exact_coeffs)
+        )
+        for x in letters
+    }
+    return Grammar(rules, letters)
+
+
+U_PLUS_V = parse_poly("u + v")
+INITIALS = st.sampled_from([
+    LaurentPoly.variable("u"), parse_poly("2*u^-1*v"), parse_poly("-1/2*v^3"),
+    2, Fraction(-2, 3), 0, U_PLUS_V,
+])
+
+
+@st.composite
+def ode_systems(draw):
+    """Small systems with a mix of unit, scalar, zero and two-term initial
+    values; rhs monomials have exponents in [-2, 2]."""
+    variables = draw(st.sampled_from([("x",), ("x", "y"), ("x", "y", "z")]))
+    initial = {x: draw(INITIALS) for x in variables}
+    terms = st.tuples(
+        st.dictionaries(st.sampled_from(variables), st.integers(-2, 2),
+                        max_size=len(variables)),
+        exact_coeffs,
+    )
+    rhs = {
+        x: sum((LaurentPoly.from_exponents(m, c) for m, c in draw(st.lists(terms, max_size=2))),
+               LaurentPoly.zero())
+        for x in variables
+    }
+    return OdeSystem(variables=variables, rhs=rhs, initial=initial)
+
+
+class TestOdeEngineParity:
+    @given(monomial_grammars())
+    @settings(max_examples=25, deadline=None)
+    def test_solve_ode_equals_gen_series(self, g):
+        sol = solve_ode(grammar_ode(g), 16)
+        for x in g.alphabet:
+            assert sol[x] == gen_series(g, LaurentPoly.variable(x), 16)
+
+    @given(ode_systems())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_recurrence(self, system):
+        try:
+            expected = reference_solve(system, 6)
+        except NonInvertibleConstantTerm:
+            with pytest.raises(NonInvertibleConstantTerm):
+                solve_ode(system, 6)
+            return
+        assert solve_ode(system, 6) == expected
+
 
 class TestTreeFunction:
     def test_first_coefficients(self):
