@@ -255,8 +255,6 @@ def r_excedance_census(n: int, r: int,
     """Permutations of [n] bucketed by the number of j with sigma(j) >= j+r."""
     if n < 0 or r < 0:
         raise ValueError("need n >= 0 and r >= 0")
-    if n > 8:
-        raise BudgetExceeded(f"n = {n} exceeds the permutation cap of 8")
     tracker = _Budget(budget)
     counts: dict[int, int] = {}
     for sigma in permutations(range(1, n + 1)):

@@ -6,9 +6,10 @@ drives the `*-oracle` suites: the kinds, their option, census, reference
 row and buckets all come from it.
 
 Exit codes: 0 everything passed, 1 a check failed, 2 usage or parse error,
-3 an enumeration budget was exceeded.  The enumeration budget (`--budget`,
-else the GKPTRI_BUDGET environment variable, else 10**7) is a positive
-integer written as `10` or `1e6`; anything else is a usage error.
+3 an enumeration budget was exceeded, 4 an internal error (any other
+exception, one `internal error: Type: message` line).  The enumeration
+budget (`--budget`, else the GKPTRI_BUDGET environment variable, else 10**7)
+is a positive integer written as `10` or `1e6`; anything else is a usage error.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 FAMILIES = ("whitney", "r-eulerian", "second-order", "stirling2", "gkp")
 
@@ -271,6 +273,9 @@ def main(argv: list[str] | None = None) -> int:
     except (SystemExit2, GkpError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 from typing import Any, Callable, Iterable, Mapping
 
@@ -31,8 +32,8 @@ from .errors import (
     ZeroA1,
     ZeroA2,
 )
-from .grammar import Grammar, iterate_D
-from .polyring import LaurentPoly, Scalar, normalize_scalar
+from .grammar import Grammar, _pack, iterate_D
+from .polyring import LaurentPoly, Monomial, Scalar, normalize_scalar
 from .triangles import second_order_eulerian, whitney_eulerian
 
 
@@ -292,9 +293,9 @@ def gen_series(g: Grammar, x: LaurentPoly, order: int) -> TruncatedSeries:
 class OdeSystem:
     """y_i' = rhs_i(y), y_i(0) = initial_i, with polynomial right-hand sides.
 
-    Negative exponents in a right-hand side are accepted as long as the
-    corresponding solution series keeps an invertible constant term (true
-    whenever the initial value is a monomial).
+    A negative exponent of y_i in a right-hand side needs y_i(0) to be a
+    single nonzero term (c * monomial, or a nonzero scalar); for any other
+    initial value, such as 0 or u+v, only nonnegative exponents work.
     """
 
     variables: tuple[str, ...]
@@ -320,122 +321,121 @@ def grammar_ode(g: Grammar, initial: Mapping[str, Any] | None = None) -> OdeSyst
     return OdeSystem(variables=g.alphabet, rhs=dict(g.rules), initial=dict(initial))
 
 
-class _Node:
-    """A lazily extended coefficient stream used by the ODE solver."""
-
-    __slots__ = ("coeffs",)
-
-    def extend(self, ring):  # compute the next coefficient
-        raise NotImplementedError
+# A packed polynomial maps keys to coefficients.  A key packs the exponent
+# vector (e_0, e_1, ...) into the int sum e_i * 2**(64 i), |e_i| < 2**63
+# (Monagan & Pearce, ISSAC 2009): multiplying monomials is adding keys.
+Packed = dict[int, Scalar]
 
 
-class _Buffer(_Node):
-    """Solution-variable stream; grown by the solver itself."""
-
-    def __init__(self):
-        self.coeffs: list = []
-
-    def extend(self, ring):
-        pass
-
-
-class _Product(_Node):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: _Node, b: _Node):
-        self.coeffs: list = []
-        self.a = a
-        self.b = b
-
-    def extend(self, ring):
-        n = len(self.coeffs)
-        acc = ring.zero
-        a, b = self.a.coeffs, self.b.coeffs
-        for j in range(n + 1):
-            acc = acc + a[j] * b[n - j]
-        self.coeffs.append(acc)
+def _monomial(names: tuple[str, ...], key: int) -> Monomial:
+    """The monomial of a key over the sorted variable names."""
+    mono = []
+    for name in names:
+        e = ((key + (1 << 63)) & ((1 << 64) - 1)) - (1 << 63)
+        if e:
+            mono.append((name, e))
+        key = (key - e) >> 64
+    return tuple(mono)
 
 
-class _Inverse(_Node):
-    __slots__ = ("a",)
-
-    def __init__(self, a: _Node):
-        self.coeffs: list = []
-        self.a = a
-
-    def extend(self, ring):
-        n = len(self.coeffs)
-        if n == 0:
-            self.coeffs.append(ring.invert(self.a.coeffs[0]))
-            return
-        acc = ring.zero
-        for j in range(1, n + 1):
-            acc = acc + self.a.coeffs[j] * self.coeffs[n - j]
-        self.coeffs.append(-(self.coeffs[0] * acc))
+def _accumulate(out: Packed, a: Packed, b: Packed, w: Scalar) -> None:
+    """out += w * a * b."""
+    get = out.get
+    for ka, ca in a.items():
+        cw = ca * w
+        for kb, cb in b.items():
+            key = ka + kb
+            s = get(key, 0) + cw * cb
+            if s:
+                out[key] = s
+            else:
+                del out[key]
 
 
 def solve_ode(system: OdeSystem, order: int) -> dict[str, TruncatedSeries]:
-    """Unique formal solution to the given order via the degree-by-degree
-    coefficient recurrence c_{n+1} = [t^n] rhs(partial sums) / (n+1)."""
-    ring = RATIONALS
-    for value in system.initial.values():
-        if isinstance(value, LaurentPoly):
-            ring = LAURENT
-            break
+    """Unique formal solution to the given order.
 
-    buffers: dict[str, _Buffer] = {}
-    for v in system.variables:
-        buf = _Buffer()
-        buf.coeffs.append(ring.coerce(system.initial[v]))
-        buffers[v] = buf
+    Coefficients are packed over the sorted variables of the initial values
+    in EGF-normal form Y_n = n! y_n (divided by n! only on the way out):
+    Y_{n+1} is coefficient n of the EGF rhs(Y), and products are binomial
+    convolutions.  Each power y^e in a right-hand side is one shared stream;
+    if y_0 is a single nonzero term, it follows J.C.P. Miller's recurrence
+    (Knuth, TAOCP Vol. 2, 4.7), for either sign of e, in EGF form
 
-    # One product/inverse chain per rhs term; nodes listed in dependency order.
-    nodes: list[_Node] = []
-    inverses: dict[str, _Inverse] = {}
+        y_0 P_n = sum_{k=1..n} [(e+1) C(n-1,k-1) - C(n,k)] Y_k P_{n-k}.
 
-    def power_chain(var: str, e: int) -> _Node:
-        base: _Node = buffers[var]
+    Otherwise (y_0 = 0, u+v, ...) y^e is a chain of convolutions for e >= 2,
+    and e < 0 raises NonInvertibleConstantTerm.
+    """
+    laurent = any(isinstance(c, LaurentPoly) for c in system.initial.values())
+    ring = LAURENT if laurent else RATIONALS
+    initial = {v: _coerce_poly(ring.coerce(system.initial[v])) for v in system.variables}
+    names = tuple(sorted(set().union(*(p.variables() for p in initial.values()))))
+    ys = {v: [{sum(e << 64 * i for i, e in enumerate(vec)): c
+               for vec, c in _pack(names, p).items()}] for v, p in initial.items()}
+    jobs: list[Callable[[int], None]] = []  # job(n) appends entry n of its stream
+
+    def convolution(a: list[Packed], b: list[Packed]) -> list[Packed]:
+        out: list[Packed] = []
+
+        def job(n):
+            entry: Packed = {}
+            for k in range(n + 1):
+                _accumulate(entry, a[k], b[n - k], comb(n, k))
+            out.append(entry)
+        jobs.append(job)
+        return out
+
+    def miller(y: list[Packed], e: int) -> list[Packed]:
+        (shift, c), = y[0].items()
+        out = [{e * shift: normalize_scalar(Fraction(c) ** e)}]
+
+        def job(n):
+            if n:
+                entry: Packed = {}
+                for k in range(1, n + 1):
+                    w = (e + 1) * comb(n - 1, k - 1) - comb(n, k)
+                    if w:
+                        _accumulate(entry, y[k], out[n - k], normalize_scalar(Fraction(w, c)))
+                out.append({k - shift: cy for k, cy in entry.items()})
+        jobs.append(job)
+        return out
+
+    @cache
+    def stream(mono: Monomial) -> list[Packed]:
+        """EGF-normal coefficients of the product of y^e over (y, e) in mono."""
+        if not mono:
+            return [{0: 1}] + [{}] * order
+        if len(mono) > 1:
+            return convolution(stream(mono[:-1]), stream(mono[-1:]))
+        (x, e), = mono
+        if e == 1:
+            return ys[x]
+        if len(ys[x][0]) == 1:
+            return miller(ys[x], e)
         if e < 0:
-            if var not in inverses:
-                inverses[var] = _Inverse(buffers[var])
-                nodes.append(inverses[var])
-            base = inverses[var]
-            e = -e
-        chain = base
-        for _ in range(e - 1):
-            chain = _Product(chain, base)
-            nodes.append(chain)
-        return chain
+            ring.invert(ring.coerce(system.initial[x]))  # raises: y_0 is not a unit
+        return convolution(stream(((x, e - 1),)), ys[x])
 
-    evaluators: dict[str, list[tuple[Scalar, _Node | None]]] = {}
-    for v in system.variables:
-        terms: list[tuple[Scalar, _Node | None]] = []
-        for mono, coeff in system.rhs[v].terms().items():
-            chain: _Node | None = None
-            for var, e in mono:
-                part = power_chain(var, e)
-                if chain is None:
-                    chain = part
-                else:
-                    chain = _Product(chain, part)
-                    nodes.append(chain)
-            terms.append((coeff, chain))
-        evaluators[v] = terms
-
+    rhs = {v: [(stream(mono), c) for mono, c in system.rhs[v].terms().items()]
+           for v in system.variables}
     for n in range(order):
-        for node in nodes:
-            node.extend(ring)
-        inv = Fraction(1, n + 1)
-        for v in system.variables:
-            acc = ring.zero
-            for coeff, node in evaluators[v]:
-                value = node.coeffs[n] if node is not None else (
-                    ring.one if n == 0 else ring.zero
-                )
-                acc = acc + value * coeff
-            buffers[v].coeffs.append(acc * inv)
+        for job in jobs:
+            job(n)
+        for v, terms in rhs.items():
+            entry: Packed = {}
+            for s, c in terms:
+                _accumulate(entry, s[n], {0: 1}, c)
+            ys[v].append(entry)
 
-    return {v: TruncatedSeries(ring, buffers[v].coeffs) for v in system.variables}
+    def unpack(n: int, packed: Packed):
+        f = factorial(n)
+        poly = LaurentPoly({_monomial(names, k): Fraction(c, f) if c % f else c // f
+                            for k, c in packed.items()})
+        return poly if laurent else poly.coefficient(())
+
+    return {v: TruncatedSeries(ring, [unpack(n, p) for n, p in enumerate(ys[v])])
+            for v in system.variables}
 
 
 # -- the tree function -------------------------------------------------------------

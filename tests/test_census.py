@@ -196,7 +196,8 @@ class TestExcedanceCensus:
 
     def test_size_cap(self):
         with pytest.raises(BudgetExceeded):
-            r_excedance_census(9, 1)
+            r_excedance_census(9, 1, budget=362_879)
+        assert r_excedance_census(9, 1).total == factorial(9)
 
 
 class TestPartitionCensus:

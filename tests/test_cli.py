@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from gkptri import cli
 from gkptri.cli import BUDGET_HELP, dumps_canonical, main
 
 
@@ -212,6 +213,16 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    def test_internal_error_exits_four(self, capsys, monkeypatch):
+        def boom(args):
+            raise RuntimeError("solver state lost")
+
+        monkeypatch.setattr(cli, "cmd_triangle", boom)
+        code, out, err = run(capsys, "triangle", "--family", "stirling2", "--rows", "2")
+        assert code == cli.EXIT_INTERNAL == 4
+        assert out == ""
+        assert err == "internal error: RuntimeError: solver state lost\n"
 
 
 class TestOracleRegistry:
