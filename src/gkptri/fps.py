@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Any, Callable, Iterable, Mapping
 
 from .errors import (
@@ -356,19 +356,18 @@ def solve_ode(system: OdeSystem, order: int) -> dict[str, TruncatedSeries]:
     """Unique formal solution to the given order.
 
     Coefficients are packed over the sorted variables of the initial values
-    in EGF-normal form Y_n = n! y_n (divided by n! only on the way out):
-    Y_{n+1} is coefficient n of the EGF rhs(Y), and products are binomial
-    convolutions.  Each power y^e in a right-hand side is one shared stream;
-    if y_0 is a single nonzero term, it follows J.C.P. Miller's recurrence
-    (Knuth, TAOCP Vol. 2, 4.7), for either sign of e, in EGF form
+    in EGF-normal form Y_n = n! d^n y_n (d clears the rhs denominators; n! d^n
+    is divided out at the end): Y_{n+1} is coefficient n of the EGF d rhs(Y).
+    Products are binomial convolutions, and each power y^e in a right-hand
+    side is one shared stream; if y_0 is a single nonzero term, it follows
+    J.C.P. Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7) for either sign of e:
 
         y_0 P_n = sum_{k=1..n} [(e+1) C(n-1,k-1) - C(n,k)] Y_k P_{n-k}.
 
     Otherwise (y_0 = 0, u+v, ...) y^e is a chain of convolutions for e >= 2,
     and e < 0 raises NonInvertibleConstantTerm.
     """
-    laurent = any(isinstance(c, LaurentPoly) for c in system.initial.values())
-    ring = LAURENT if laurent else RATIONALS
+    ring = LAURENT if LaurentPoly in map(type, system.initial.values()) else RATIONALS
     initial = {v: _coerce_poly(ring.coerce(system.initial[v])) for v in system.variables}
     names = tuple(sorted(set().union(*(p.variables() for p in initial.values()))))
     ys = {v: [{sum(e << 64 * i for i, e in enumerate(vec)): c
@@ -417,7 +416,8 @@ def solve_ode(system: OdeSystem, order: int) -> dict[str, TruncatedSeries]:
             ring.invert(ring.coerce(system.initial[x]))  # raises: y_0 is not a unit
         return convolution(stream(((x, e - 1),)), ys[x])
 
-    rhs = {v: [(stream(mono), c) for mono, c in system.rhs[v].terms().items()]
+    d = lcm(*(c.denominator for p in system.rhs.values() for c in p.terms().values()))
+    rhs = {v: [(stream(mono), int(c * d)) for mono, c in system.rhs[v].terms().items()]
            for v in system.variables}
     for n in range(order):
         for job in jobs:
@@ -429,10 +429,10 @@ def solve_ode(system: OdeSystem, order: int) -> dict[str, TruncatedSeries]:
             ys[v].append(entry)
 
     def unpack(n: int, packed: Packed):
-        f = factorial(n)
+        f = factorial(n) * d ** n
         poly = LaurentPoly({_monomial(names, k): Fraction(c, f) if c % f else c // f
                             for k, c in packed.items()})
-        return poly if laurent else poly.coefficient(())
+        return poly if ring is LAURENT else poly.coefficient(())
 
     return {v: TruncatedSeries(ring, [unpack(n, p) for n, p in enumerate(ys[v])])
             for v in system.variables}

@@ -265,10 +265,9 @@ def monomial_grammars(draw):
     return Grammar(rules, letters)
 
 
-U_PLUS_V = parse_poly("u + v")
 INITIALS = st.sampled_from([
     LaurentPoly.variable("u"), parse_poly("2*u^-1*v"), parse_poly("-1/2*v^3"),
-    2, Fraction(-2, 3), 0, U_PLUS_V,
+    2, Fraction(-2, 3), 0, parse_poly("u + v"),
 ])
 
 
