@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, lcm
+from math import comb, factorial
+from operator import add, sub
 from typing import Any, Callable, Iterable, Mapping
 
 from .errors import (
@@ -32,7 +33,7 @@ from .errors import (
     ZeroA1,
     ZeroA2,
 )
-from .grammar import Grammar, _pack, iterate_D
+from .grammar import Grammar, _pack, _unpack, iterate_D
 from .polyring import LaurentPoly, Monomial, Scalar, normalize_scalar
 from .triangles import second_order_eulerian, whitney_eulerian
 
@@ -321,21 +322,9 @@ def grammar_ode(g: Grammar, initial: Mapping[str, Any] | None = None) -> OdeSyst
     return OdeSystem(variables=g.alphabet, rhs=dict(g.rules), initial=dict(initial))
 
 
-# A packed polynomial maps keys to coefficients.  A key packs the exponent
-# vector (e_0, e_1, ...) into the int sum e_i * 2**(64 i), |e_i| < 2**63
-# (Monagan & Pearce, ISSAC 2009): multiplying monomials is adding keys.
-Packed = dict[int, Scalar]
-
-
-def _monomial(names: tuple[str, ...], key: int) -> Monomial:
-    """The monomial of a key over the sorted variable names."""
-    mono = []
-    for name in names:
-        e = ((key + (1 << 63)) & ((1 << 64) - 1)) - (1 << 63)
-        if e:
-            mono.append((name, e))
-        key = (key - e) >> 64
-    return tuple(mono)
+# A packed polynomial maps exponent vectors over a fixed tuple of variable
+# names to coefficients, as in grammar._derive.
+Packed = dict[tuple[int, ...], Scalar]
 
 
 def _accumulate(out: Packed, a: Packed, b: Packed, w: Scalar) -> None:
@@ -344,7 +333,7 @@ def _accumulate(out: Packed, a: Packed, b: Packed, w: Scalar) -> None:
     for ka, ca in a.items():
         cw = ca * w
         for kb, cb in b.items():
-            key = ka + kb
+            key = tuple(map(add, ka, kb))
             s = get(key, 0) + cw * cb
             if s:
                 out[key] = s
@@ -356,11 +345,11 @@ def solve_ode(system: OdeSystem, order: int) -> dict[str, TruncatedSeries]:
     """Unique formal solution to the given order.
 
     Coefficients are packed over the sorted variables of the initial values
-    in EGF-normal form Y_n = n! d^n y_n (d clears the rhs denominators; n! d^n
-    is divided out at the end): Y_{n+1} is coefficient n of the EGF d rhs(Y).
-    Products are binomial convolutions, and each power y^e in a right-hand
-    side is one shared stream; if y_0 is a single nonzero term, it follows
-    J.C.P. Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7) for either sign of e:
+    in EGF-normal form Y_n = n! y_n (n! is divided out at the end): Y_{n+1}
+    is coefficient n of the EGF rhs(Y).  Products are binomial convolutions,
+    and each power y^e in a right-hand side is one shared stream; if y_0 is
+    a single nonzero term, it follows J.C.P. Miller's recurrence (Knuth,
+    TAOCP Vol. 2, 4.7) for either sign of e:
 
         y_0 P_n = sum_{k=1..n} [(e+1) C(n-1,k-1) - C(n,k)] Y_k P_{n-k}.
 
@@ -370,8 +359,8 @@ def solve_ode(system: OdeSystem, order: int) -> dict[str, TruncatedSeries]:
     ring = LAURENT if LaurentPoly in map(type, system.initial.values()) else RATIONALS
     initial = {v: _coerce_poly(ring.coerce(system.initial[v])) for v in system.variables}
     names = tuple(sorted(set().union(*(p.variables() for p in initial.values()))))
-    ys = {v: [{sum(e << 64 * i for i, e in enumerate(vec)): c
-               for vec, c in _pack(names, p).items()}] for v, p in initial.items()}
+    ys = {v: [_pack(names, p)] for v, p in initial.items()}
+    unit: Packed = {(0,) * len(names): 1}
     jobs: list[Callable[[int], None]] = []  # job(n) appends entry n of its stream
 
     def convolution(a: list[Packed], b: list[Packed]) -> list[Packed]:
@@ -387,7 +376,7 @@ def solve_ode(system: OdeSystem, order: int) -> dict[str, TruncatedSeries]:
 
     def miller(y: list[Packed], e: int) -> list[Packed]:
         (shift, c), = y[0].items()
-        out = [{e * shift: normalize_scalar(Fraction(c) ** e)}]
+        out = [{tuple(e * s for s in shift): normalize_scalar(Fraction(c) ** e)}]
 
         def job(n):
             if n:
@@ -396,7 +385,7 @@ def solve_ode(system: OdeSystem, order: int) -> dict[str, TruncatedSeries]:
                     w = (e + 1) * comb(n - 1, k - 1) - comb(n, k)
                     if w:
                         _accumulate(entry, y[k], out[n - k], normalize_scalar(Fraction(w, c)))
-                out.append({k - shift: cy for k, cy in entry.items()})
+                out.append({tuple(map(sub, k, shift)): cy for k, cy in entry.items()})
         jobs.append(job)
         return out
 
@@ -404,7 +393,7 @@ def solve_ode(system: OdeSystem, order: int) -> dict[str, TruncatedSeries]:
     def stream(mono: Monomial) -> list[Packed]:
         """EGF-normal coefficients of the product of y^e over (y, e) in mono."""
         if not mono:
-            return [{0: 1}] + [{}] * order
+            return [unit] + [{}] * order
         if len(mono) > 1:
             return convolution(stream(mono[:-1]), stream(mono[-1:]))
         (x, e), = mono
@@ -413,11 +402,12 @@ def solve_ode(system: OdeSystem, order: int) -> dict[str, TruncatedSeries]:
         if len(ys[x][0]) == 1:
             return miller(ys[x], e)
         if e < 0:
-            ring.invert(ring.coerce(system.initial[x]))  # raises: y_0 is not a unit
+            raise NonInvertibleConstantTerm(
+                f"constant term {system.initial[x]} of {x!r} is not invertible"
+            )
         return convolution(stream(((x, e - 1),)), ys[x])
 
-    d = lcm(*(c.denominator for p in system.rhs.values() for c in p.terms().values()))
-    rhs = {v: [(stream(mono), int(c * d)) for mono, c in system.rhs[v].terms().items()]
+    rhs = {v: [(stream(mono), c) for mono, c in system.rhs[v].terms().items()]
            for v in system.variables}
     for n in range(order):
         for job in jobs:
@@ -425,13 +415,13 @@ def solve_ode(system: OdeSystem, order: int) -> dict[str, TruncatedSeries]:
         for v, terms in rhs.items():
             entry: Packed = {}
             for s, c in terms:
-                _accumulate(entry, s[n], {0: 1}, c)
+                _accumulate(entry, s[n], unit, c)
             ys[v].append(entry)
 
     def unpack(n: int, packed: Packed):
-        f = factorial(n) * d ** n
-        poly = LaurentPoly({_monomial(names, k): Fraction(c, f) if c % f else c // f
-                            for k, c in packed.items()})
+        f = factorial(n)
+        poly = _unpack(names, {k: Fraction(c, f) if c % f else c // f
+                               for k, c in packed.items()})
         return poly if ring is LAURENT else poly.coefficient(())
 
     return {v: TruncatedSeries(ring, [unpack(n, p) for n, p in enumerate(ys[v])])

@@ -63,6 +63,10 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
+def monomial_degree(m: Monomial) -> int:
+    return sum(e for _, e in m)
+
+
 class LaurentPoly:
     """Immutable sparse Laurent polynomial with rational coefficients."""
 
@@ -269,7 +273,7 @@ class LaurentPoly:
             vec = [0] * len(names)
             for v, e in mono:
                 vec[index[v]] = e
-            return (-sum(vec), tuple(vec))
+            return (-monomial_degree(mono), tuple(vec))
 
         return sorted(self._terms.items(), key=key)
 
