@@ -322,9 +322,19 @@ def grammar_ode(g: Grammar, initial: Mapping[str, Any] | None = None) -> OdeSyst
     return OdeSystem(variables=g.alphabet, rhs=dict(g.rules), initial=dict(initial))
 
 
-# A packed polynomial maps exponent vectors over a fixed tuple of variable
-# names to coefficients, as in grammar._derive.
+# A packed polynomial maps exponent vectors to coefficients, as in grammar._derive.
 Packed = dict[tuple[int, ...], Scalar]
+
+
+def _add_scaled(out: Packed, a: Packed, w: Scalar) -> None:
+    """out += w * a."""
+    get = out.get
+    for k, c in a.items():
+        s = get(k, 0) + w * c
+        if s:
+            out[k] = s
+        else:
+            del out[k]
 
 
 def _accumulate(out: Packed, a: Packed, b: Packed, w: Scalar) -> None:
@@ -345,11 +355,11 @@ def solve_ode(system: OdeSystem, order: int) -> dict[str, TruncatedSeries]:
     """Unique formal solution to the given order.
 
     Coefficients are packed over the sorted variables of the initial values
-    in EGF-normal form Y_n = n! y_n (n! is divided out at the end): Y_{n+1}
-    is coefficient n of the EGF rhs(Y).  Products are binomial convolutions,
-    and each power y^e in a right-hand side is one shared stream; if y_0 is
-    a single nonzero term, it follows J.C.P. Miller's recurrence (Knuth,
-    TAOCP Vol. 2, 4.7) for either sign of e:
+    in EGF-normal form Y_n = n! y_n, so Y_{n+1} is coefficient n of the EGF
+    rhs(Y).  Products are binomial convolutions, and each power y^e in a
+    right-hand side is one shared stream; if y_0 is a single nonzero term,
+    it follows J.C.P. Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7) for
+    either sign of e:
 
         y_0 P_n = sum_{k=1..n} [(e+1) C(n-1,k-1) - C(n,k)] Y_k P_{n-k}.
 
@@ -360,7 +370,6 @@ def solve_ode(system: OdeSystem, order: int) -> dict[str, TruncatedSeries]:
     initial = {v: _coerce_poly(ring.coerce(system.initial[v])) for v in system.variables}
     names = tuple(sorted(set().union(*(p.variables() for p in initial.values()))))
     ys = {v: [_pack(names, p)] for v, p in initial.items()}
-    unit: Packed = {(0,) * len(names): 1}
     jobs: list[Callable[[int], None]] = []  # job(n) appends entry n of its stream
 
     def convolution(a: list[Packed], b: list[Packed]) -> list[Packed]:
@@ -377,6 +386,7 @@ def solve_ode(system: OdeSystem, order: int) -> dict[str, TruncatedSeries]:
     def miller(y: list[Packed], e: int) -> list[Packed]:
         (shift, c), = y[0].items()
         out = [{tuple(e * s for s in shift): normalize_scalar(Fraction(c) ** e)}]
+        inv = normalize_scalar(Fraction(1, c))  # an int for c = +-1, so no Fraction per k
 
         def job(n):
             if n:
@@ -384,7 +394,7 @@ def solve_ode(system: OdeSystem, order: int) -> dict[str, TruncatedSeries]:
                 for k in range(1, n + 1):
                     w = (e + 1) * comb(n - 1, k - 1) - comb(n, k)
                     if w:
-                        _accumulate(entry, y[k], out[n - k], normalize_scalar(Fraction(w, c)))
+                        _accumulate(entry, y[k], out[n - k], w * inv)
                 out.append({tuple(map(sub, k, shift)): cy for k, cy in entry.items()})
         jobs.append(job)
         return out
@@ -393,7 +403,7 @@ def solve_ode(system: OdeSystem, order: int) -> dict[str, TruncatedSeries]:
     def stream(mono: Monomial) -> list[Packed]:
         """EGF-normal coefficients of the product of y^e over (y, e) in mono."""
         if not mono:
-            return [unit] + [{}] * order
+            return [{(0,) * len(names): 1}] + [{}] * order
         if len(mono) > 1:
             return convolution(stream(mono[:-1]), stream(mono[-1:]))
         (x, e), = mono
@@ -402,9 +412,7 @@ def solve_ode(system: OdeSystem, order: int) -> dict[str, TruncatedSeries]:
         if len(ys[x][0]) == 1:
             return miller(ys[x], e)
         if e < 0:
-            raise NonInvertibleConstantTerm(
-                f"constant term {system.initial[x]} of {x!r} is not invertible"
-            )
+            raise NonInvertibleConstantTerm(f"constant term {system.initial[x]} is not invertible")
         return convolution(stream(((x, e - 1),)), ys[x])
 
     rhs = {v: [(stream(mono), c) for mono, c in system.rhs[v].terms().items()]
@@ -413,15 +421,13 @@ def solve_ode(system: OdeSystem, order: int) -> dict[str, TruncatedSeries]:
         for job in jobs:
             job(n)
         for v, terms in rhs.items():
-            entry: Packed = {}
+            ys[v].append({})
             for s, c in terms:
-                _accumulate(entry, s[n], unit, c)
-            ys[v].append(entry)
+                _add_scaled(ys[v][-1], s[n], c)
 
     def unpack(n: int, packed: Packed):
         f = factorial(n)
-        poly = _unpack(names, {k: Fraction(c, f) if c % f else c // f
-                               for k, c in packed.items()})
+        poly = _unpack(names, {k: Fraction(c, f) for k, c in packed.items()})
         return poly if ring is LAURENT else poly.coefficient(())
 
     return {v: TruncatedSeries(ring, [unpack(n, p) for n, p in enumerate(ys[v])])
