@@ -35,6 +35,25 @@ from gkptri.triangles import (
 WHITNEY_32 = hao_grammar(whitney_params(3, 2))
 
 
+def filtered_stirling_words(n, r):
+    """Reference for the insertion census: every word on the multiset
+    {1^r, ..., n^r}, kept when it is a Stirling word."""
+    def extend(word, left):
+        if not any(left.values()):
+            yield tuple(word)
+            return
+        for value in sorted(left):
+            if left[value]:
+                left[value] -= 1
+                word.append(value)
+                yield from extend(word, left)
+                word.pop()
+                left[value] += 1
+
+    words = extend([], {i: r for i in range(1, n + 1)})
+    return [word for word in words if is_stirling_word(word)]
+
+
 class TestVLeafCensus:
     def test_matches_displayed_coefficients(self):
         census = census_vleaves(WHITNEY_32, {"u": 1, "v": 2}, 2, "v")
@@ -163,6 +182,17 @@ class TestStirlingWords:
             for n in range(5):
                 census = stirling_descent_census(n, r)
                 assert census.as_row(n + 1) == [tri.entry(n, k) for k in range(n + 1)]
+
+    @pytest.mark.parametrize("r", (1, 2, 3))
+    def test_matches_filtered_multiset_words(self, r):
+        for n in range(5):
+            words = filtered_stirling_words(n, r)
+            expected = {}
+            for word in words:
+                expected[descent_count(word)] = expected.get(descent_count(word), 0) + 1
+            census = stirling_descent_census(n, r)
+            assert census.counts == expected
+            assert census.total == len(words)
 
     def test_word_length_cap(self):
         with pytest.raises(BudgetExceeded):
