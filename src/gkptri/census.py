@@ -4,15 +4,20 @@ Stirling r-permutations by descents, set partitions, and cadet-leaf trees.
 
 These enumerators exist to cross-check the algebra at desk scale.  They are
 deliberately independent of the recurrence and grammar machinery: each one
-walks raw objects (leaf sequences, words, permutations) and buckets them by
-the statistic.  Every operation aborts with BudgetExceeded once it has
-touched more than `budget` objects (default 10**7).
+walks raw objects (leaf sequences, words, permutations) and reads the
+statistic off each finished object.  The walks generate objects rather than
+filter them: Stirling words grow by inserting the block i^r into a gap,
+histories by rewriting a leaf, partitions by placing the next element.
+Every operation aborts with BudgetExceeded once it has touched more than
+`budget` objects (default 10**7); the Stirling walk counts the words of
+every size, and has no other size cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from operator import gt
 from typing import Mapping
 
 from .errors import (
@@ -140,7 +145,7 @@ def census_vleaves(g: Grammar, seed, n: int, leaf_letter: str,
     def walk(leaves: tuple[str, ...], steps_left: int):
         if steps_left == 0:
             tracker.spend()
-            count = sum(1 for leaf in leaves if leaf == leaf_letter)
+            count = leaves.count(leaf_letter)
             counts[count] = counts.get(count, 0) + 1
             return
         for i, letter in enumerate(leaves):
@@ -193,61 +198,72 @@ def census_components(a0: int, a1: int, a2: int, n: int,
     )
 
 
-def _multiset_words(counts: dict[int, int]):
-    """All distinct words over a multiset, lexicographically."""
-    word: list[int] = []
-    total = sum(counts.values())
-    values = sorted(counts)
-
-    def extend():
-        if len(word) == total:
-            yield tuple(word)
-            return
-        for value in values:
-            if counts[value]:
-                counts[value] -= 1
-                word.append(value)
-                yield from extend()
-                word.pop()
-                counts[value] += 1
-
-    yield from extend()
-
-
 def is_stirling_word(word: tuple[int, ...]) -> bool:
     """True iff between any two occurrences of i every letter exceeds i."""
-    last_seen: dict[int, int] = {}
-    for pos, value in enumerate(word):
-        prev = last_seen.get(value)
-        if prev is not None and any(word[j] < value for j in range(prev + 1, pos)):
+    # `open_` increases upward and holds the letters no smaller letter has
+    # followed yet; a letter that reappears after being closed fails.
+    open_: list[int] = []
+    seen: set[int] = set()
+    for value in word:
+        while open_ and open_[-1] > value:
+            open_.pop()
+        if open_ and open_[-1] == value:
+            continue
+        if value in seen:
             return False
-        last_seen[value] = pos
+        seen.add(value)
+        open_.append(value)
     return True
 
 
 def descent_count(word: tuple[int, ...]) -> int:
     """Strict internal descents: positions i with word[i] > word[i+1]."""
-    return sum(1 for i in range(len(word) - 1) if word[i] > word[i + 1])
+    return sum(map(gt, word, word[1:]))
+
+
+def _stirling_children(word: tuple[int, ...], i: int, r: int):
+    """The r(i-1)+1 words made by inserting the block i^r into each gap of
+    `word`, a Stirling r-permutation of [i-1]."""
+    block = (i,) * r
+    return (word[:gap] + block + word[gap:] for gap in range(len(word) + 1))
 
 
 def stirling_descent_census(n: int, r: int,
                             budget: int = DEFAULT_BUDGET) -> StructureCensus:
-    """All words using each of 1..n exactly r times with the betweenness
-    property, bucketed by descent count."""
+    """Stirling r-permutations of [n] (each of 1..n r times, every letter
+    between two copies of i larger than i), bucketed by descent count.
+
+    The words are built by insertion (Gessel & Stanley, JCTA 24, 1978): a
+    word on [i] is a word on [i-1] with the block i^r put into one of its
+    r(i-1)+1 gaps, so a depth-first walk makes each word once and discards
+    none.  Every word the walk makes, at every size from 0 to n, counts
+    against the budget; since the number of words of each size is known in
+    advance, a census that would pass the budget raises before it starts.
+    The descents are read off each finished word, which is also checked to
+    be a Stirling word.
+    """
     if n < 0 or r < 1:
         raise ValueError("need n >= 0 and r >= 1")
-    if r * n > 14:
-        raise BudgetExceeded(f"r*n = {r * n} exceeds the word-length cap of 14")
     tracker = _Budget(budget)
+    words = 1
+    tracker.spend(words)
+    for i in range(1, n + 1):
+        words *= r * (i - 1) + 1
+        tracker.spend(words)
     counts: dict[int, int] = {}
-    total = 0
-    for word in _multiset_words({i: r for i in range(1, n + 1)}):
-        tracker.spend()
-        if is_stirling_word(word):
+
+    def grow(word: tuple[int, ...], i: int):
+        if i == n:
+            if not is_stirling_word(word):
+                raise AssertionError(f"insertion made {word}, which is not a Stirling word")
             d = descent_count(word)
             counts[d] = counts.get(d, 0) + 1
-            total += 1
-    return StructureCensus(statistic="descents", counts=counts, total=total)
+            return
+        for child in _stirling_children(word, i + 1, r):
+            grow(child, i + 1)
+
+    grow((), 0)
+    return StructureCensus(statistic="descents", counts=counts, total=sum(counts.values()))
 
 
 def r_excedance_census(n: int, r: int,

@@ -4,8 +4,11 @@ from itertools import product
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkptri.census import (
+    _stirling_children,
     cadet_leaf_census,
     census_components,
     census_vleaves,
@@ -28,11 +31,24 @@ from gkptri.triangles import (
     r_eulerian,
     recurrence_triangle,
     second_order_eulerian,
+    second_order_params,
     stirling2_triangle,
     whitney_params,
 )
 
 WHITNEY_32 = hao_grammar(whitney_params(3, 2))
+
+
+def filtered_is_stirling_word(word):
+    """Reference predicate: each pair of consecutive copies of a letter
+    checked by a scan of the letters between them."""
+    last_seen = {}
+    for pos, value in enumerate(word):
+        prev = last_seen.get(value)
+        if prev is not None and any(word[j] < value for j in range(prev + 1, pos)):
+            return False
+        last_seen[value] = pos
+    return True
 
 
 def filtered_stirling_words(n, r):
@@ -51,7 +67,16 @@ def filtered_stirling_words(n, r):
                 left[value] += 1
 
     words = extend([], {i: r for i in range(1, n + 1)})
-    return [word for word in words if is_stirling_word(word)]
+    return [word for word in words if filtered_is_stirling_word(word)]
+
+
+def insertion_levels(n, r):
+    """The words of sizes 0..n made by inserting i^r into every gap."""
+    levels = [[()]]
+    for i in range(1, n + 1):
+        levels.append([child for word in levels[-1]
+                       for child in _stirling_children(word, i, r)])
+    return levels
 
 
 class TestVLeafCensus:
@@ -183,9 +208,15 @@ class TestStirlingWords:
                 census = stirling_descent_census(n, r)
                 assert census.as_row(n + 1) == [tri.entry(n, k) for k in range(n + 1)]
 
+    @given(st.lists(st.integers(1, 4), max_size=9))
+    @settings(max_examples=300)
+    def test_word_predicate_matches_scan(self, word):
+        word = tuple(word)
+        assert is_stirling_word(word) == filtered_is_stirling_word(word)
+
     @pytest.mark.parametrize("r", (1, 2, 3))
     def test_matches_filtered_multiset_words(self, r):
-        for n in range(5):
+        for n, made in enumerate(insertion_levels(4, r)):
             words = filtered_stirling_words(n, r)
             expected = {}
             for word in words:
@@ -193,10 +224,37 @@ class TestStirlingWords:
             census = stirling_descent_census(n, r)
             assert census.counts == expected
             assert census.total == len(words)
+            assert len(made) == len(set(made))
+            assert set(made) == set(words)
+
+    @pytest.mark.parametrize("r", (1, 2, 3))
+    def test_children_split_by_the_recurrence(self, r):
+        # Each word of size n-1 with k descents has coeff_a(n, k) children
+        # with k descents and coeff_b(n, k+1) with k+1: the recurrence of
+        # the second-order triangle, word by word.
+        p = second_order_params(r)
+        for n, words in enumerate(insertion_levels(4, r), start=1):
+            for word in words:
+                k = descent_count(word)
+                split = {}
+                for child in _stirling_children(word, n, r):
+                    d = descent_count(child)
+                    split[d] = split.get(d, 0) + 1
+                got = (split.pop(k, 0), split.pop(k + 1, 0), split)
+                want = (p.coeff_a(n, k), p.coeff_b(n, k + 1), {})
+                assert got == want, f"word {word} ({k} descents) splits {got}, not {want}"
+
+    def test_budget_counts_every_size(self):
+        # (4, 3) makes 1 + 1 + 4 + 28 + 280 words on the way to row 4.
+        with pytest.raises(BudgetExceeded):
+            stirling_descent_census(4, 3, budget=313)
+        assert stirling_descent_census(4, 3, budget=314).total == 280
 
     def test_word_length_cap(self):
         with pytest.raises(BudgetExceeded):
-            stirling_descent_census(8, 2)
+            stirling_descent_census(8, 2, budget=1_000)
+        row = second_order_eulerian(3, 5).rows[5]
+        assert stirling_descent_census(5, 3).as_row(6) == row
 
 
 class TestExcedanceCensus:
