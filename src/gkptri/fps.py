@@ -33,7 +33,7 @@ from .errors import (
     ZeroA1,
     ZeroA2,
 )
-from .grammar import Grammar, _pack, _unpack, iterate_D
+from .grammar import Grammar, _derive, _pack, _unpack
 from .polyring import LaurentPoly, Monomial, Scalar, normalize_scalar
 from .triangles import second_order_eulerian, whitney_eulerian
 
@@ -283,8 +283,8 @@ def exp_t(scale, order: int, ring: CoefficientRing = RATIONALS) -> TruncatedSeri
 
 def gen_series(g: Grammar, x: LaurentPoly, order: int) -> TruncatedSeries:
     """Sum of D^n(x) t^n / n! truncated at the given order."""
-    levels = enumerate(iterate_D(g, x, order))
-    return TruncatedSeries(LAURENT, [p * Fraction(1, factorial(n)) for n, p in levels])
+    levels = enumerate(_derive(g, x, order))
+    return TruncatedSeries(LAURENT, [_unpack(g.alphabet, p, factorial(n)) for n, p in levels])
 
 
 # -- exact ODE solving ------------------------------------------------------------
@@ -426,8 +426,7 @@ def solve_ode(system: OdeSystem, order: int) -> dict[str, TruncatedSeries]:
                 _add_scaled(ys[v][-1], s[n], c)
 
     def unpack(n: int, packed: Packed):
-        f = factorial(n)
-        poly = _unpack(names, {k: Fraction(c, f) for k, c in packed.items()})
+        poly = _unpack(names, packed, factorial(n))
         return poly if ring is LAURENT else poly.coefficient(())
 
     return {v: TruncatedSeries(ring, [unpack(n, p) for n, p in enumerate(ys[v])])

@@ -27,6 +27,7 @@ appears only at the boundary.
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
+from fractions import Fraction
 from operator import add
 
 from .errors import NonTriangularExpansion, UnknownVariable
@@ -102,7 +103,10 @@ def _pack(alphabet, p: LaurentPoly, what="polynomial") -> dict[tuple[int, ...], 
     return {tuple(map(dict(mono).get, alphabet, zeros)): c for mono, c in p.terms().items()}
 
 
-def _unpack(alphabet, packed: Mapping[tuple[int, ...], Scalar]) -> LaurentPoly:
+def _unpack(alphabet, packed: Mapping[tuple[int, ...], Scalar], divisor: int = 1) -> LaurentPoly:
+    """The packed polynomial with every coefficient divided by `divisor`."""
+    if divisor != 1:
+        packed = {vec: Fraction(c, divisor) for vec, c in packed.items()}
     return LaurentPoly({monomial(dict(zip(alphabet, vec))): c for vec, c in packed.items()})
 
 

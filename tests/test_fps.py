@@ -32,7 +32,7 @@ from gkptri.fps import (
     verify_sol_a1zero,
     verify_sol_a2zero,
 )
-from gkptri.grammar import Grammar, apply_D, hao_grammar
+from gkptri.grammar import Grammar, apply_D, hao_grammar, iterate_D
 from gkptri.polyring import LaurentPoly, parse_poly
 from gkptri.triangles import whitney_params
 
@@ -138,6 +138,14 @@ class TestGenSeries:
         assert g.coefficient(0) == parse_poly("u*v^2")
         assert g.coefficient(1) == parse_poly("u*v^5 + 2*u^4*v^2")
         assert g.coefficient(2) == parse_poly("1/2*u*v^8 + 13/2*u^4*v^5 + 2*u^7*v^2")
+
+    def test_levels_are_iterates_over_factorials(self):
+        x = parse_poly("2/3*u*v^-1 + 5*v^2")
+        g = gen_series(WHITNEY_32, x, 6)
+        for n, level in enumerate(iterate_D(WHITNEY_32, x, 6)):
+            want = level * Fraction(1, factorial(n))
+            assert g.coefficient(n) == want
+            assert str(g.coefficient(n)) == str(want)
 
     def test_constant_argument(self):
         g = gen_series(WHITNEY_32, LaurentPoly.one(), 4)
