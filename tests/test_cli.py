@@ -1,6 +1,7 @@
 """Command-line surface: output formats, exit codes, and report shape."""
 
 import json
+import runpy
 
 import pytest
 
@@ -223,6 +224,16 @@ class TestUsage:
         assert code == cli.EXIT_INTERNAL == 4
         assert out == ""
         assert err == "internal error: RuntimeError: solver state lost\n"
+
+    @pytest.mark.parametrize("argv, code", [(["verify", "row-sums"], 0),
+                                            (["verify", "no-such-suite"], 2)])
+    def test_module_entry_point(self, capsys, monkeypatch, argv, code):
+        monkeypatch.setattr("sys.argv", ["gkptri", *argv])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("gkptri", run_name="__main__")
+        assert exc.value.code == code
+        out = capsys.readouterr().out
+        assert ("row-sums" in out) == (code == 0)
 
 
 class TestOracleRegistry:
