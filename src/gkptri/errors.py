@@ -55,16 +55,8 @@ class ZeroA2(GkpError):
     """Closed form requires the linear-in-n coefficient a2 to be nonzero."""
 
 
-class NonUnitConstantTerm(GkpError):
-    """log / rational powers need a series with constant coefficient 1."""
-
-
 class NonZeroConstantTerm(GkpError):
     """exp needs a series with constant coefficient 0."""
-
-
-class NonZeroInnerConstant(GkpError):
-    """Series composition needs an inner series with zero constant term."""
 
 
 class NonInvertibleConstantTerm(GkpError):

@@ -7,9 +7,8 @@ coefficients; factorial weights appear only when a series is built from or
 compared against exponential generating functions.
 
 Binary operations truncate to the smaller order and never read beyond it.
-exp requires a zero constant term, log and rational powers a unit constant
-term, and inversion an invertible constant term (for polynomial
-coefficients that means a single monomial).
+exp requires a zero constant term and inversion an invertible constant term
+(for polynomial coefficients that means a single monomial).
 """
 
 from __future__ import annotations
@@ -26,9 +25,7 @@ from .errors import (
     DegenerateY,
     NonInvertibleConstantTerm,
     NonInvertibleElement,
-    NonUnitConstantTerm,
     NonZeroConstantTerm,
-    NonZeroInnerConstant,
     UnknownVariable,
     ZeroA1,
     ZeroA2,
@@ -238,34 +235,6 @@ class TruncatedSeries:
                 acc = acc + (self.coeffs[j] * j) * out[n - j]
             out.append(acc * Fraction(1, n))
         return TruncatedSeries(self.ring, out)
-
-    def log(self) -> TruncatedSeries:
-        """log of a series with unit constant term (zero series if N = 0)."""
-        if self.coeffs[0] != self.ring.one:
-            raise NonUnitConstantTerm("log needs constant coefficient 1")
-        if self.order == 0:
-            return TruncatedSeries.zero(self.ring, 0)
-        inv = self.truncate(self.order - 1).inverse()
-        return (self.differentiate() * inv).integrate()
-
-    def pow_rational(self, q) -> TruncatedSeries:
-        """Rational power exp(q*log(.)) of a unit-constant series."""
-        q = normalize_scalar(q if isinstance(q, (int, Fraction)) else Fraction(q))
-        return self.log().scalar_mul(q).exp()
-
-    def compose(self, inner: TruncatedSeries) -> TruncatedSeries:
-        """self(inner(t)); the inner series must have zero constant term."""
-        n = self._common(inner)
-        if inner.coeffs[0] != self.ring.zero:
-            raise NonZeroInnerConstant("composition needs inner constant term 0")
-        inner_n = inner.truncate(n)
-        result = TruncatedSeries.constant(self.ring, self.coeffs[n], n)
-        for k in range(n - 1, -1, -1):
-            result = result * inner_n
-            result = TruncatedSeries(
-                self.ring, (result.coeffs[0] + self.coeffs[k],) + result.coeffs[1:]
-            )
-        return result
 
     # -- coefficient transforms ---------------------------------------------------
 
