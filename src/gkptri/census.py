@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from operator import gt
 from typing import Mapping
 
 from .errors import (
@@ -200,25 +199,18 @@ def census_components(a0: int, a1: int, a2: int, n: int,
 
 def is_stirling_word(word: tuple[int, ...]) -> bool:
     """True iff between any two occurrences of i every letter exceeds i."""
-    # `open_` increases upward and holds the letters no smaller letter has
-    # followed yet; a letter that reappears after being closed fails.
-    open_: list[int] = []
-    seen: set[int] = set()
-    for value in word:
-        while open_ and open_[-1] > value:
-            open_.pop()
-        if open_ and open_[-1] == value:
-            continue
-        if value in seen:
+    last_seen: dict[int, int] = {}
+    for pos, value in enumerate(word):
+        prev = last_seen.get(value)
+        if prev is not None and any(word[j] < value for j in range(prev + 1, pos)):
             return False
-        seen.add(value)
-        open_.append(value)
+        last_seen[value] = pos
     return True
 
 
 def descent_count(word: tuple[int, ...]) -> int:
     """Strict internal descents: positions i with word[i] > word[i+1]."""
-    return sum(map(gt, word, word[1:]))
+    return sum(1 for i in range(len(word) - 1) if word[i] > word[i + 1])
 
 
 def _stirling_children(word: tuple[int, ...], i: int, r: int):

