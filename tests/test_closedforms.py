@@ -2,8 +2,11 @@
 
 from fractions import Fraction
 from itertools import product
+from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkptri.closedforms import (
     a_mr_explicit,
@@ -18,7 +21,7 @@ from gkptri.closedforms import (
     a1zero_rowsum,
 )
 from gkptri.errors import ZeroA1, ZeroA2
-from gkptri.polyring import LaurentPoly, parse_poly
+from gkptri.polyring import LaurentPoly, normalize_scalar, parse_poly
 from gkptri.triangles import (
     TriangleParams,
     recurrence_triangle,
@@ -26,6 +29,77 @@ from gkptri.triangles import (
 )
 
 A_GRID = list(product((0, 1, 2), (1, 2, 3), (1, 2, 3)))
+
+
+# Fraction-only references for the closed forms.
+
+def rising_step_fraction(x, a, k):
+    x, a = Fraction(x), Fraction(a)
+    result = Fraction(1)
+    for i in range(k):
+        result *= x + i * a
+    return normalize_scalar(result)
+
+
+def f_gram_fraction(a0, a1, a2, n, k):
+    total = Fraction(0)
+    for j in range(k + 1):
+        prod = Fraction(1)
+        for r in range(1, n + 1):
+            prod *= a0 + a1 * j + r * a2
+        total += (-1) ** (k - j) * comb(k, j) * prod
+    return normalize_scalar(total / (Fraction(a1) ** k * factorial(k)))
+
+
+def t_b2zero_fraction(a0, a1, a2, b0, b1, n, k):
+    prefactor = rising_step_fraction(b0 + b1, b1, k)
+    return normalize_scalar(Fraction(prefactor) * f_gram_fraction(a0, a1, a2, n, k))
+
+
+scalars = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5),
+)
+nonzero = scalars.filter(lambda v: v != 0)
+
+
+@st.composite
+def entries(draw):
+    n = draw(st.integers(0, 8))
+    return n, draw(st.integers(0, n))
+
+
+def same(value, expected):
+    return value == expected and type(value) is type(expected)
+
+
+class TestFractionParity:
+    @given(scalars, scalars, st.integers(0, 8))
+    @settings(max_examples=200)
+    def test_rising_step(self, x, a, k):
+        assert same(rising_step(x, a, k), rising_step_fraction(x, a, k))
+
+    @given(scalars, nonzero, scalars, entries())
+    @settings(max_examples=200)
+    def test_f_gram_explicit(self, a0, a1, a2, nk):
+        n, k = nk
+        assert same(f_gram_explicit(a0, a1, a2, n, k), f_gram_fraction(a0, a1, a2, n, k))
+
+    @given(scalars, nonzero, nonzero, scalars, scalars, entries())
+    @settings(max_examples=200)
+    def test_t_b2zero_explicit(self, a0, a1, a2, b0, b1, nk):
+        n, k = nk
+        assert same(t_b2zero_explicit(a0, a1, a2, b0, b1, n, k),
+                    t_b2zero_fraction(a0, a1, a2, b0, b1, n, k))
+
+    @given(st.tuples(*[st.integers(-4, 4)] * 5).filter(lambda t: t[1] and t[2]), entries())
+    @settings(max_examples=100)
+    def test_int_arguments(self, args, nk):
+        a0, a1, a2, b0, b1 = args
+        n, k = nk
+        assert type(rising_step(b0 + b1, b1, k)) is int
+        value = t_b2zero_explicit(a0, a1, a2, b0, b1, n, k)
+        assert same(value, t_b2zero_fraction(a0, a1, a2, b0, b1, n, k))
 
 
 class TestSpecialNumbers:

@@ -2,11 +2,13 @@
 
 from itertools import product
 from math import factorial
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gkptri import grammar as grammar_module
 from gkptri.errors import (
     NonIntegerParams,
     NonTriangularExpansion,
@@ -14,6 +16,7 @@ from gkptri.errors import (
 )
 from gkptri.grammar import (
     Grammar,
+    _pack,
     apply_D,
     extract_triangle,
     hao_grammar,
@@ -176,6 +179,24 @@ class TestPackedEngineAgainstPartials:
 
 
 class TestExtractTriangle:
+    @given(st.tuples(*[st.integers(-3, 3)] * 6), st.integers(0, 3))
+    @settings(max_examples=300)
+    def test_derives_the_hao_steps_and_seed(self, six, n):
+        # The steps and seed vector handed to the derivation engine are
+        # those the Grammar built by hao_grammar/hao_seed would give.
+        assume(n == 0 or (six[1], six[4]) != (0, 0))
+        params = TriangleParams(*six)
+        seen = []
+        derive = grammar_module._derive
+
+        def spy(g, seed, levels):
+            seen.append((g._steps, _pack(g.alphabet, seed)))
+            return derive(g, seed, levels)
+
+        with mock.patch.object(grammar_module, "_derive", spy):
+            extract_triangle(params, n)
+        assert seen == [(hao_grammar(params)._steps, _pack(("u", "v"), hao_seed(params)))]
+
     def test_whitney_32_row_2(self):
         tri = extract_triangle(whitney_params(3, 2), 2)
         assert tri.rows[2] == [4, 13, 1]

@@ -5,8 +5,11 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkptri.errors import RowOutOfRange
+from gkptri.polyring import normalize_scalar
 from gkptri.triangles import (
     Triangle,
     TriangleParams,
@@ -74,6 +77,51 @@ class TestRecurrence:
                     n, k
                 ) * tri.entry(n - 1, k - 1)
                 assert tri.entry(n, k) == expected
+
+
+def entrywise_rows(params, n_max):
+    """The recurrence filled one entry at a time, each entry normalized."""
+    rows = [[1]]
+    for n in range(1, n_max + 1):
+        prev = rows[-1]
+        row = []
+        for k in range(n + 1):
+            value = 0
+            if k <= n - 1:
+                value += params.coeff_a(n, k) * prev[k]
+            if k >= 1:
+                value += params.coeff_b(n, k) * prev[k - 1]
+            row.append(normalize_scalar(value))
+        rows.append(row)
+    return rows
+
+
+scalars = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5),
+)
+
+
+class TestRecurrenceParity:
+    @given(st.tuples(*[scalars] * 6), st.integers(0, 12))
+    @settings(max_examples=200)
+    def test_matches_entrywise_fill(self, six, n_max):
+        params = TriangleParams(*six)
+        rows = recurrence_triangle(params, n_max).rows
+        expected = entrywise_rows(params, n_max)
+        assert rows == expected
+        assert [list(map(type, row)) for row in rows] == [
+            list(map(type, row)) for row in expected
+        ]
+        for row in rows:
+            for v in row:
+                assert type(v) is int or v.denominator != 1
+
+    @given(st.tuples(*[st.integers(-4, 4)] * 6), st.integers(0, 12))
+    @settings(max_examples=100)
+    def test_integer_params_give_int_entries(self, six, n_max):
+        rows = recurrence_triangle(TriangleParams(*six), n_max).rows
+        assert all(type(v) is int for row in rows for v in row)
 
 
 class TestFamilies:
