@@ -2,9 +2,11 @@
 numbers they lean on (Stirling subset numbers, Bell polynomials, rising
 step factorials, Euler values at 0).
 
-Every evaluator returns exact rationals and never rounds; when a formula
-divides by a1^k k! the integrality of the result is a statement to test,
-not an assumption, so callers that expect integers should assert them.
+Every evaluator returns exact rationals and never rounds.  Sums and
+products run in the type of the arguments, so integer arguments stay on
+int; a formula that divides by a1^k k! divides once, at the end, and the
+integrality of its result is a statement to test, not an assumption, so
+callers that expect integers should assert them.
 Empty products are 1 throughout, and 0^0 = 1 (forced by row 0 of every
 triangle).
 """
@@ -43,8 +45,7 @@ def rising_step(x, a, k: int) -> Scalar:
     """x (x+a) (x+2a) ... (x+(k-1)a), with the empty product equal to 1."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    x, a = Fraction(x), Fraction(a)
-    result = Fraction(1)
+    result = 1
     for i in range(k):
         result *= x + i * a
     return normalize_scalar(result)
@@ -87,13 +88,13 @@ def f_gram_explicit(a0, a1, a2, n: int, k: int) -> Scalar:
         raise ZeroA1("the explicit formula needs a1 != 0")
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    total = Fraction(0)
+    total = 0
     for j in range(k + 1):
-        prod = Fraction(1)
+        prod = 1
         for r in range(1, n + 1):
             prod *= a0 + a1 * j + r * a2
         total += (-1) ** (k - j) * comb(k, j) * prod
-    return normalize_scalar(total / (Fraction(a1) ** k * factorial(k)))
+    return normalize_scalar(Fraction(total, a1 ** k * factorial(k)))
 
 
 def t_b2zero_explicit(a0, a1, a2, b0, b1, n: int, k: int) -> Scalar:
@@ -104,8 +105,7 @@ def t_b2zero_explicit(a0, a1, a2, b0, b1, n: int, k: int) -> Scalar:
         raise ZeroA1("the explicit formula needs a1 != 0")
     if a2 == 0:
         raise ZeroA2("the explicit formula needs a2 != 0")
-    prefactor = rising_step(b0 + b1, b1, k)
-    return normalize_scalar(Fraction(prefactor) * f_gram_explicit(a0, a1, a2, n, k))
+    return normalize_scalar(rising_step(b0 + b1, b1, k) * f_gram_explicit(a0, a1, a2, n, k))
 
 
 def f_a2zero_explicit(a0, a1, n: int, k: int) -> Scalar:

@@ -252,7 +252,7 @@ def exp_t(scale, order: int, ring: CoefficientRing = RATIONALS) -> TruncatedSeri
 
 def gen_series(g: Grammar, x: LaurentPoly, order: int) -> TruncatedSeries:
     """Sum of D^n(x) t^n / n! truncated at the given order."""
-    levels = enumerate(_derive(g, x, order))
+    levels = enumerate(_derive(g._steps, _pack(g.alphabet, x), order))
     return TruncatedSeries(LAURENT, [_unpack(g.alphabet, p, factorial(n)) for n, p in levels])
 
 

@@ -21,7 +21,10 @@ alphabet (Monagan & Pearce, ISSAC 2009) and precomputes each rule(x) d/dx as
 (exponent shift, coefficient) pairs.  One level of D is one fused pass: a
 term c*m whose letter x has exponent e adds c*e*r at m + s - x for each term
 r*s of rule(x), with no partial, product or sum temporaries.  `LaurentPoly`
-appears only at the boundary.
+appears only at the boundary.  `extract_triangle` builds its two steps,
+(b1+b2, a1+a2) for u and (b2, a2) for v, and its seed vector
+(b0+b1+b2, a0+a2) straight from the six-tuple, so each triangle costs
+only the derivation itself.
 """
 
 from __future__ import annotations
@@ -110,14 +113,17 @@ def _unpack(alphabet, packed: Mapping[tuple[int, ...], Scalar], divisor: int = 1
     return LaurentPoly({monomial(dict(zip(alphabet, vec))): c for vec, c in packed.items()})
 
 
-def _derive(g: Grammar, seed: LaurentPoly, n: int) -> Iterator[dict[tuple[int, ...], Scalar]]:
-    """Yield the packed levels seed, D(seed), ..., D^n(seed); callers must
-    not change a yielded level, the next one is computed from it."""
+def _derive(steps, level: dict[tuple[int, ...], Scalar],
+            n: int) -> Iterator[dict[tuple[int, ...], Scalar]]:
+    """Yield the packed levels seed, D(seed), ..., D^n(seed) of the
+    derivation given by `steps`, as in `Grammar._steps`, from the packed
+    seed `level`; callers must not change a yielded level, the next one is
+    computed from it."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    level = _pack(g.alphabet, seed)
     yield level
-    steps = g._steps
+    # Two-letter vectors, as in every hao grammar, are added without map().
+    pairs = all(len(shift) == 2 for _, shift, _ in steps)
     for _ in range(n):
         out: dict[tuple[int, ...], Scalar] = {}
         get = out.get
@@ -125,7 +131,8 @@ def _derive(g: Grammar, seed: LaurentPoly, n: int) -> Iterator[dict[tuple[int, .
             for i, shift, rc in steps:
                 e = vec[i]
                 if e:
-                    key = tuple(map(add, vec, shift))
+                    key = ((vec[0] + shift[0], vec[1] + shift[1]) if pairs
+                           else tuple(map(add, vec, shift)))
                     s = get(key, 0) + c * e * rc
                     if s:
                         out[key] = s
@@ -142,7 +149,8 @@ def apply_D(g: Grammar, p: LaurentPoly) -> LaurentPoly:
 
 def iterate_D(g: Grammar, seed: LaurentPoly, n: int) -> list[LaurentPoly]:
     """[seed, D(seed), ..., D^n(seed)]."""
-    return [_unpack(g.alphabet, level) for level in _derive(g, seed, n)]
+    levels = _derive(g._steps, _pack(g.alphabet, seed), n)
+    return [_unpack(g.alphabet, level) for level in levels]
 
 
 def hao_grammar(p: TriangleParams) -> Grammar:
@@ -162,6 +170,10 @@ def hao_seed(p: TriangleParams) -> LaurentPoly:
 def extract_triangle(p: TriangleParams, n_max: int) -> Triangle:
     """Read rows 0..n_max off the iterated derivatives of the seed monomial.
 
+    The two derivation steps and the packed seed come straight from the
+    six-tuple, with the same values as `hao_grammar(p)._steps` and the
+    packed `hao_seed(p)`, so no `Grammar` or `LaurentPoly` is built.
+
     Raises NonTriangularExpansion when distinct k would land on the same
     monomial (a1 = b1 = 0) or when an iterate contains a monomial outside
     the expected lattice.
@@ -169,19 +181,24 @@ def extract_triangle(p: TriangleParams, n_max: int) -> Triangle:
     p.require_integral()
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    if n_max >= 1 and p.a1 == 0 and p.b1 == 0:
+    a0, a1, a2, b0, b1, b2 = p.as_tuple()
+    if n_max >= 1 and a1 == 0 and b1 == 0:
         raise NonTriangularExpansion(
             "a1 = b1 = 0: every column lands on the same monomial"
         )
-    g = hao_grammar(p)
+    steps = [(0, (b1 + b2, a1 + a2), 1), (1, (b2, a2), 1)]
     rows: list[list[Scalar]] = []
-    for n, level in enumerate(_derive(g, hao_seed(p), n_max)):
-        u, v = p.b2 * n + p.b0 + p.b1 + p.b2, p.a2 * n + p.a0 + p.a2
-        row = [level.get((u + p.b1 * k, v + p.a1 * k), 0) for k in range(n + 1)]
-        if len(level) + row.count(0) > n + 1:
-            raise NonTriangularExpansion(
-                f"D^{n} = {_unpack(g.alphabet, level)} has monomials off the row-{n} lattice"
-            )
+    for n, level in enumerate(_derive(steps, {(b0 + b1 + b2, a0 + a2): 1}, n_max)):
+        u, v = b2 * n + b0 + b1 + b2, a2 * n + a0 + a2
+        row: list[Scalar] = [0] * (n + 1)
+        for (x, y), c in level.items():
+            # a1 = b1 = 0 only gets here at n = 0, where k must be 0
+            k = (x - u) // b1 if b1 else (y - v) // (a1 or 1)
+            if not 0 <= k <= n or x != u + b1 * k or y != v + a1 * k:
+                raise NonTriangularExpansion(
+                    f"D^{n} = {_unpack(('u', 'v'), level)} has monomials off the row-{n} lattice"
+                )
+            row[k] = c
         rows.append(row)
     return Triangle(params=p, rows=rows, family=None)
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
+from operator import add, mul
 
 from .errors import NonIntegerParams, RowOutOfRange
 from .polyring import Scalar, normalize_scalar
@@ -107,12 +109,11 @@ class Triangle:
         return self.row(n)[k]
 
     def row_sum(self, n: int) -> Scalar:
-        return normalize_scalar(sum(Fraction(v) for v in self.row(n)))
+        return normalize_scalar(sum(self.row(n)))
 
     def alternating_row_sum(self, n: int) -> Scalar:
-        total = sum(Fraction(v) if k % 2 == 0 else -Fraction(v)
-                    for k, v in enumerate(self.row(n)))
-        return normalize_scalar(total)
+        row = self.row(n)
+        return normalize_scalar(sum(row[::2]) - sum(row[1::2]))
 
     def assert_integral(self) -> None:
         for n, row in enumerate(self.rows):
@@ -128,21 +129,24 @@ class Triangle:
 
 def recurrence_triangle(params: TriangleParams, n_max: int,
                         family: str | None = None) -> Triangle:
-    """Fill rows 0..n_max directly from the recurrence."""
+    """Fill rows 0..n_max directly from the recurrence.
+
+    Row n is one pass over the pairs (T(n-1,k), T(n-1,k-1)), with the
+    boundary zeros padded on, times the coefficients a2 n + a0 + a1 k and
+    b2 n + b0 + b1 k.  Integer six-tuples stay on int throughout; only
+    rational ones normalize each entry.
+    """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    a0, a1, a2, b0, b1, b2 = params.as_tuple()
+    integral = params.is_integral()
     rows: list[list[Scalar]] = [[1]]
     for n in range(1, n_max + 1):
         prev = rows[-1]
-        row: list[Scalar] = []
-        for k in range(n + 1):
-            value = 0
-            if k <= n - 1:
-                value += params.coeff_a(n, k) * prev[k]
-            if k >= 1:
-                value += params.coeff_b(n, k) * prev[k - 1]
-            row.append(normalize_scalar(value))
-        rows.append(row)
+        # coefficient streams a2 n + a0 + a1 k and b2 n + b0 + b1 k, k = 0..n
+        row = list(map(add, map(mul, count(a2 * n + a0, a1), prev + [0]),
+                       map(mul, count(b2 * n + b0, b1), [0] + prev)))
+        rows.append(row if integral else list(map(normalize_scalar, row)))
     return Triangle(params=params, rows=rows, family=family)
 
 

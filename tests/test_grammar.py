@@ -189,9 +189,9 @@ class TestExtractTriangle:
         seen = []
         derive = grammar_module._derive
 
-        def spy(g, seed, levels):
-            seen.append((g._steps, _pack(g.alphabet, seed)))
-            return derive(g, seed, levels)
+        def spy(steps, seed, levels):
+            seen.append((steps, seed))
+            return derive(steps, seed, levels)
 
         with mock.patch.object(grammar_module, "_derive", spy):
             extract_triangle(params, n)
