@@ -4,6 +4,8 @@ from itertools import product
 from math import factorial
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gkptri.census import (
     _stirling_children,
@@ -24,6 +26,7 @@ from gkptri.errors import (
     NegativeLeafMultiplicity,
 )
 from gkptri.grammar import Grammar, hao_grammar, hao_seed, iterate_D
+from gkptri.polyring import LaurentPoly
 from gkptri.triangles import (
     TriangleParams,
     r_eulerian,
@@ -35,6 +38,93 @@ from gkptri.triangles import (
 )
 
 WHITNEY_32 = hao_grammar(whitney_params(3, 2))
+
+
+def recursive_components(a0, a1, a2, n):
+    """Reference for census_components: the history walk by recursion."""
+    counts = {}
+
+    def walk(v_count, u_rewrites, steps_left):
+        if steps_left == 0:
+            counts[u_rewrites] = counts.get(u_rewrites, 0) + 1
+            return
+        walk(v_count + a1 + a2, u_rewrites + 1, steps_left - 1)
+        for _ in range(v_count):
+            walk(v_count + a2, u_rewrites, steps_left - 1)
+
+    walk(a0 + a2, 0, n)
+    return counts
+
+
+def recursive_partitions(n):
+    """Reference for set_partition_census: the restricted-growth walk by
+    recursion."""
+    counts = {}
+
+    def place(i, blocks):
+        if i == n:
+            counts[blocks] = counts.get(blocks, 0) + 1
+            return
+        for _ in range(blocks):
+            place(i + 1, blocks)
+        place(i + 1, blocks + 1)
+
+    place(0, 0)
+    return counts
+
+
+def history_buckets(g, seed, n, letter):
+    """Reference for census_vleaves: bucket every materialised history."""
+    counts = {}
+    for _steps, leaves in iter_histories(g, seed, n):
+        k = leaves.count(letter)
+        counts[k] = counts.get(k, 0) + 1
+    return counts
+
+
+def assert_budget_is_total(census, total):
+    """The census passes with budget = total and raises with total - 1."""
+    assert census(total).total == total
+    if total:
+        with pytest.raises(BudgetExceeded):
+            census(total - 1)
+
+
+@st.composite
+def monomial_grammars(draw):
+    exps = st.integers(0, 2)
+    rules = {x: LaurentPoly.from_exponents({"u": draw(exps), "v": draw(exps)})
+             for x in ("u", "v")}
+    seed = {"u": draw(exps), "v": draw(exps)}
+    return Grammar(rules, ("u", "v")), seed, draw(st.integers(0, 4)), draw(st.sampled_from("uv"))
+
+
+class TestWalkParity:
+    @given(monomial_grammars())
+    @settings(max_examples=60, deadline=None)
+    def test_vleaves_match_materialised_histories(self, case):
+        g, seed, n, letter = case
+        expected = history_buckets(g, seed, n, letter)
+        census = census_vleaves(g, seed, n, letter)
+        assert census.counts == expected
+        assert_budget_is_total(
+            lambda budget: census_vleaves(g, seed, n, letter, budget=budget), census.total)
+
+    @given(st.integers(0, 2), st.integers(-1, 3), st.integers(-1, 2), st.integers(0, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_components_match_recursion(self, a0, a1, a2, n):
+        assume(a1 + a2 >= 0 and a0 + a2 >= 0)
+        census = census_components(a0, a1, a2, n)
+        assert census.counts == recursive_components(a0, a1, a2, n)
+        assert_budget_is_total(
+            lambda budget: census_components(a0, a1, a2, n, budget=budget), census.total)
+
+    def test_partitions_match_recursion(self):
+        for n in range(1, 9):
+            census = set_partition_census(n)
+            assert census.counts == recursive_partitions(n)
+            assert_budget_is_total(
+                lambda budget: set_partition_census(n, budget=budget), census.total)
 
 
 def filtered_stirling_words(n, r):
