@@ -8,15 +8,17 @@ walks raw objects (leaf sequences, words, permutations) and reads the
 statistic off each finished object.  The walks generate objects rather than
 filter them: Stirling words grow by inserting the block i^r into a gap,
 histories by rewriting a leaf, partitions by placing the next element.
-Every operation aborts with BudgetExceeded once it has touched more than
-`budget` objects (default 10**7); the Stirling walk counts the words of
-every size, and has no other size cap.
+The walks keep an explicit stack, not Python's call stack, so any n is
+safe; each node one step short of size n has its children, the finished
+objects, read off in one go.  Every operation aborts with BudgetExceeded
+once it has touched more than `budget` objects (default 10**7); the
+Stirling walk counts the words of every size, and has no other size cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, permutations, repeat
 from typing import Mapping
 
 from .errors import (
@@ -36,7 +38,10 @@ class StructureCensus:
 
     statistic: str
     counts: dict[int, int]
-    total: int
+
+    @property
+    def total(self) -> int:
+        return sum(self.counts.values())
 
     def bucket(self, value: int) -> int:
         return self.counts.get(value, 0)
@@ -68,6 +73,22 @@ class _Budget:
         self.used += amount
         if self.used > self.limit:
             raise BudgetExceeded(f"enumeration passed the budget of {self.limit} objects")
+
+
+def _walk(root, depth: int, children, tally) -> None:
+    """Walk the tree below `root` depth first on a stack of child iterators;
+    each node `depth` - 1 levels down goes to `tally`, which reads off its
+    children, the finished objects, in one go.  Depth 0 walks nothing."""
+    stack = [iter((root,))] if depth else []
+    while stack:
+        for node in stack[-1]:
+            if len(stack) == depth:
+                tally(node)
+            else:
+                stack.append(children(node))
+                break
+        else:
+            stack.pop()
 
 
 def _monomial_replacements(g: Grammar) -> dict[str, tuple[str, ...]]:
@@ -139,21 +160,21 @@ def census_vleaves(g: Grammar, seed, n: int, leaf_letter: str,
         raise ValueError("n must be nonnegative")
     replacements = _monomial_replacements(g)
     tracker = _Budget(budget)
-    counts: dict[int, int] = {}
+    leaves = _seed_leaves(seed)
+    counts = {leaves.count(leaf_letter): 1} if n == 0 else {}
+    tracker.spend(n == 0)
+    # the last rewrite, of an x-leaf, changes the leaf_letter count by delta[x]
+    delta = {x: r.count(leaf_letter) - (x == leaf_letter) for x, r in replacements.items()}
 
-    def walk(leaves: tuple[str, ...], steps_left: int):
-        if steps_left == 0:
-            tracker.spend()
-            count = leaves.count(leaf_letter)
-            counts[count] = counts.get(count, 0) + 1
-            return
-        for i, letter in enumerate(leaves):
-            walk(leaves[:i] + replacements[letter] + leaves[i + 1:], steps_left - 1)
+    def tally(leaves: tuple[str, ...]):
+        tracker.spend(len(leaves))
+        count = leaves.count(leaf_letter)
+        for x in set(leaves):
+            counts[count + delta[x]] = counts.get(count + delta[x], 0) + leaves.count(x)
 
-    walk(_seed_leaves(seed), n)
-    return StructureCensus(
-        statistic=f"{leaf_letter}-leaves", counts=counts, total=sum(counts.values())
-    )
+    _walk(leaves, n, lambda leaves: (leaves[:i] + replacements[x] + leaves[i + 1:]
+                                     for i, x in enumerate(leaves)), tally)
+    return StructureCensus(f"{leaf_letter}-leaves", counts)
 
 
 def history_leaf_profile(g: Grammar, seed, n: int) -> list[int]:
@@ -180,21 +201,24 @@ def census_components(a0: int, a1: int, a2: int, n: int,
             f"need a1+a2, a2+1 and a0+a2 nonnegative, got {(a0, a1, a2)}"
         )
     tracker = _Budget(budget)
-    counts: dict[int, int] = {}
+    counts = {0: 1} if n == 0 else {}
+    tracker.spend(n == 0)
 
-    def walk(v_count: int, u_rewrites: int, steps_left: int):
-        if steps_left == 0:
-            tracker.spend()
-            counts[u_rewrites] = counts.get(u_rewrites, 0) + 1
-            return
-        walk(v_count + a1 + a2, u_rewrites + 1, steps_left - 1)
-        for _ in range(v_count):
-            walk(v_count + a2, u_rewrites, steps_left - 1)
+    def children(node: tuple[int, int]):
+        # (v-leaves, u-rewrites): rewrite the u-leaf, or one of the v-leaves
+        v_count, u_rewrites = node
+        return chain(((v_count + a1 + a2, u_rewrites + 1),),
+                     repeat((v_count + a2, u_rewrites), v_count))
 
-    walk(a0 + a2, 0, n)
-    return StructureCensus(
-        statistic="u-components", counts=counts, total=sum(counts.values())
-    )
+    def tally(node: tuple[int, int]):
+        v_count, u_rewrites = node
+        tracker.spend(v_count + 1)
+        counts[u_rewrites + 1] = counts.get(u_rewrites + 1, 0) + 1
+        if v_count:
+            counts[u_rewrites] = counts.get(u_rewrites, 0) + v_count
+
+    _walk((a0 + a2, 0), n, children, tally)
+    return StructureCensus("u-components", counts)
 
 
 def is_stirling_word(word: tuple[int, ...]) -> bool:
@@ -242,20 +266,17 @@ def stirling_descent_census(n: int, r: int,
     for i in range(1, n + 1):
         words *= r * (i - 1) + 1
         tracker.spend(words)
-    counts: dict[int, int] = {}
+    counts = {0: 1} if n == 0 else {}
 
-    def grow(word: tuple[int, ...], i: int):
-        if i == n:
-            if not is_stirling_word(word):
-                raise AssertionError(f"insertion made {word}, which is not a Stirling word")
-            d = descent_count(word)
+    def tally(word: tuple[int, ...]):
+        for child in _stirling_children(word, n, r):
+            if not is_stirling_word(child):
+                raise AssertionError(f"insertion made {child}, which is not a Stirling word")
+            d = descent_count(child)
             counts[d] = counts.get(d, 0) + 1
-            return
-        for child in _stirling_children(word, i + 1, r):
-            grow(child, i + 1)
 
-    grow((), 0)
-    return StructureCensus(statistic="descents", counts=counts, total=sum(counts.values()))
+    _walk((), n, lambda word: _stirling_children(word, len(word) // r + 1, r), tally)
+    return StructureCensus("descents", counts)
 
 
 def r_excedance_census(n: int, r: int,
@@ -269,9 +290,7 @@ def r_excedance_census(n: int, r: int,
         tracker.spend()
         k = sum(1 for j in range(1, n + 1) if sigma[j - 1] >= j + r)
         counts[k] = counts.get(k, 0) + 1
-    return StructureCensus(
-        statistic=f"{r}-excedances", counts=counts, total=sum(counts.values())
-    )
+    return StructureCensus(f"{r}-excedances", counts)
 
 
 def set_partition_census(n: int, budget: int = DEFAULT_BUDGET) -> StructureCensus:
@@ -279,24 +298,18 @@ def set_partition_census(n: int, budget: int = DEFAULT_BUDGET) -> StructureCensu
     if n < 0:
         raise ValueError("n must be nonnegative")
     tracker = _Budget(budget)
-    counts: dict[int, int] = {}
+    counts = {0: 1} if n == 0 else {}
 
-    def place(i: int, blocks: int):
-        # Restricted-growth walk: element i joins one of `blocks` blocks or
-        # opens a new one.
-        if i == n:
-            tracker.spend()
-            counts[blocks] = counts.get(blocks, 0) + 1
-            return
-        for _ in range(blocks):
-            place(i + 1, blocks)
-        place(i + 1, blocks + 1)
+    def tally(blocks: int):
+        tracker.spend(blocks + 1)
+        if blocks:
+            counts[blocks] = counts.get(blocks, 0) + blocks
+        counts[blocks + 1] = counts.get(blocks + 1, 0) + 1
 
-    if n == 0:
-        counts[0] = 1
-    else:
-        place(1, 1)
-    return StructureCensus(statistic="blocks", counts=counts, total=sum(counts.values()))
+    # Restricted-growth walk from the empty partition: the next element
+    # opens a new block or joins one of the `blocks` blocks.
+    _walk(0, n, lambda blocks: chain((blocks + 1,), repeat(blocks, blocks)), tally)
+    return StructureCensus("blocks", counts)
 
 
 def cadet_leaf_census(n: int, r: int, budget: int = DEFAULT_BUDGET) -> StructureCensus:
@@ -309,5 +322,4 @@ def cadet_leaf_census(n: int, r: int, budget: int = DEFAULT_BUDGET) -> Structure
         "y": LaurentPoly.from_exponents({"x": r, "y": 1}),
     }, ("x", "y"))
     census = census_vleaves(g, {"y": 1}, n, "y", budget=budget)
-    return StructureCensus(statistic="cadet-leaves", counts=census.counts,
-                           total=census.total)
+    return StructureCensus("cadet-leaves", census.counts)

@@ -284,6 +284,17 @@ class TestBudget:
         got, _, _ = run(capsys, "verify", "partition-oracle", "--budget", text)
         assert got == code
 
+    @pytest.mark.parametrize("argv", [
+        ("partitions",), ("components", "--params", "0,1,1"), ("cadets", "--r", "2")])
+    def test_deep_walk_reaches_the_budget(self, capsys, monkeypatch, argv):
+        # n = 1500 is deeper than Python's recursion limit; the walk must
+        # still end at the default budget, exit 3, not in a RecursionError.
+        monkeypatch.delenv("GKPTRI_BUDGET", raising=False)
+        code, out, err = run(capsys, "oracle", *argv, "--n", "1500")
+        assert code == 3
+        assert out == ""
+        assert err == "budget exceeded: enumeration passed the budget of 10000000 objects\n"
+
     def test_budget_help_is_shared(self, capsys):
         for command in ("verify", "oracle"):
             code, out, _ = run(capsys, command, "--help")
