@@ -2,11 +2,10 @@
 numbers they lean on (Stirling subset numbers, Bell polynomials, rising
 step factorials, Euler values at 0).
 
-Every evaluator returns exact rationals and never rounds.  Sums and
-products run in the type of the arguments, so integer arguments stay on
-int; a formula that divides by a1^k k! divides once, at the end, and the
-integrality of its result is a statement to test, not an assumption, so
-callers that expect integers should assert them.
+Every evaluator returns exact rationals and never rounds; integer
+arguments stay on int, and a formula that divides by a1^k k! divides once,
+at the end.  The integrality of its result is a statement to test, not an
+assumption, so callers that expect integers should assert them.
 Empty products are 1 throughout, and 0^0 = 1 (forced by row 0 of every
 triangle).
 """
@@ -37,7 +36,6 @@ def stirling2(n: int, k: int) -> int:
 
 def bell_polynomial(n: int, lam) -> Scalar:
     """B_n(lam) = sum_k S(n,k) lam^k."""
-    lam = Fraction(lam)
     return normalize_scalar(sum(stirling2(n, k) * lam ** k for k in range(n + 1)))
 
 
@@ -113,7 +111,6 @@ def f_a2zero_explicit(a0, a1, n: int, k: int) -> Scalar:
     sum_{j=k..n} C(n,j) a0^(n-j) a1^(j-k) S(j,k)."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    a0, a1 = Fraction(a0), Fraction(a1)
     total = sum(
         comb(n, j) * a0 ** (n - j) * a1 ** (j - k) * stirling2(j, k)
         for j in range(k, n + 1)
@@ -135,9 +132,8 @@ def touchard_check(a0, a1, n: int) -> tuple[LaurentPoly, LaurentPoly]:
     for k in range(n + 1):
         lhs = lhs + LaurentPoly.from_exponents({"alpha": k}, tri.entry(n, k))
     rhs = LaurentPoly.zero()
-    a0f, a1f = Fraction(a0), Fraction(a1)
     for k in range(n + 1):
-        weight = comb(n, k) * a1f ** k * a0f ** (n - k)
+        weight = comb(n, k) * a1 ** k * a0 ** (n - k)
         if weight == 0:
             continue
         for j in range(k + 1):
@@ -149,8 +145,8 @@ def touchard_check(a0, a1, n: int) -> tuple[LaurentPoly, LaurentPoly]:
 
 def a1zero_rowsum(a0, a2, n: int) -> Scalar:
     """Row sum of the b = 1, a1 = 0 triangle: the rising factorial of
-    (1 + a0 + a2)/a2 over n steps, times a2^n."""
+    (1 + a0 + a2)/a2 over n steps, times a2^n, that is
+    (1 + a0 + a2) (1 + a0 + 2 a2) ... (1 + a0 + n a2)."""
     if a2 == 0:
         raise ZeroA2("the row-sum formula needs a2 != 0")
-    alpha = Fraction(1 + a0 + a2, 1) / Fraction(a2)
-    return normalize_scalar(rising_step(alpha, 1, n) * Fraction(a2) ** n)
+    return rising_step(1 + a0 + a2, a2, n)

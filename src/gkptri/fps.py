@@ -181,12 +181,6 @@ class TruncatedSeries:
             self.ring, [self.coeffs[n] * n for n in range(1, self.order + 1)]
         )
 
-    def integrate(self) -> TruncatedSeries:
-        """Antiderivative with constant term 0, order N+1."""
-        out = [self.ring.zero]
-        out.extend(self.coeffs[n] * Fraction(1, n + 1) for n in range(self.order + 1))
-        return TruncatedSeries(self.ring, out)
-
     # -- multiplicative operations -------------------------------------------------
 
     def __mul__(self, other) -> TruncatedSeries:

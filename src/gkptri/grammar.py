@@ -21,10 +21,8 @@ alphabet (Monagan & Pearce, ISSAC 2009) and precomputes each rule(x) d/dx as
 (exponent shift, coefficient) pairs.  One level of D is one fused pass: a
 term c*m whose letter x has exponent e adds c*e*r at m + s - x for each term
 r*s of rule(x), with no partial, product or sum temporaries.  `LaurentPoly`
-appears only at the boundary.  `extract_triangle` builds its two steps,
-(b1+b2, a1+a2) for u and (b2, a2) for v, and its seed vector
-(b0+b1+b2, a0+a2) straight from the six-tuple, so each triangle costs
-only the derivation itself.
+appears only at the boundary; `extract_triangle` builds its steps and seed
+vector straight from the six-tuple, with no `Grammar` or `LaurentPoly`.
 """
 
 from __future__ import annotations
@@ -113,17 +111,14 @@ def _unpack(alphabet, packed: Mapping[tuple[int, ...], Scalar], divisor: int = 1
     return LaurentPoly({monomial(dict(zip(alphabet, vec))): c for vec, c in packed.items()})
 
 
-def _derive(steps, level: dict[tuple[int, ...], Scalar],
-            n: int) -> Iterator[dict[tuple[int, ...], Scalar]]:
-    """Yield the packed levels seed, D(seed), ..., D^n(seed) of the
-    derivation given by `steps`, as in `Grammar._steps`, from the packed
-    seed `level`; callers must not change a yielded level, the next one is
-    computed from it."""
+def _derive(steps, level: dict[tuple[int, ...], Scalar], n: int) -> Iterator[dict]:
+    """Yield the packed levels seed, D(seed), ..., D^n(seed) for `steps` as in
+    `Grammar._steps` and the packed seed `level`; callers must not change a
+    yielded level, the next one is computed from it."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     yield level
-    # Two-letter vectors, as in every hao grammar, are added without map().
-    pairs = all(len(shift) == 2 for _, shift, _ in steps)
+    pairs = all(len(shift) == 2 for _, shift, _ in steps)  # add these without map()
     for _ in range(n):
         out: dict[tuple[int, ...], Scalar] = {}
         get = out.get
@@ -170,9 +165,8 @@ def hao_seed(p: TriangleParams) -> LaurentPoly:
 def extract_triangle(p: TriangleParams, n_max: int) -> Triangle:
     """Read rows 0..n_max off the iterated derivatives of the seed monomial.
 
-    The two derivation steps and the packed seed come straight from the
-    six-tuple, with the same values as `hao_grammar(p)._steps` and the
-    packed `hao_seed(p)`, so no `Grammar` or `LaurentPoly` is built.
+    The steps and packed seed equal `hao_grammar(p)._steps` and the packed
+    `hao_seed(p)`, built straight from the six-tuple.
 
     Raises NonTriangularExpansion when distinct k would land on the same
     monomial (a1 = b1 = 0) or when an iterate contains a monomial outside
@@ -192,8 +186,7 @@ def extract_triangle(p: TriangleParams, n_max: int) -> Triangle:
         u, v = b2 * n + b0 + b1 + b2, a2 * n + a0 + a2
         row: list[Scalar] = [0] * (n + 1)
         for (x, y), c in level.items():
-            # a1 = b1 = 0 only gets here at n = 0, where k must be 0
-            k = (x - u) // b1 if b1 else (y - v) // (a1 or 1)
+            k = (x - u) // b1 if b1 else (y - v) // (a1 or 1)  # a1 = b1 = 0 needs n = 0
             if not 0 <= k <= n or x != u + b1 * k or y != v + a1 * k:
                 raise NonTriangularExpansion(
                     f"D^{n} = {_unpack(('u', 'v'), level)} has monomials off the row-{n} lattice"

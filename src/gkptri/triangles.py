@@ -19,8 +19,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
-from operator import add, mul
 
 from .errors import NonIntegerParams, RowOutOfRange
 from .polyring import Scalar, normalize_scalar
@@ -129,13 +127,9 @@ class Triangle:
 
 def recurrence_triangle(params: TriangleParams, n_max: int,
                         family: str | None = None) -> Triangle:
-    """Fill rows 0..n_max directly from the recurrence.
-
-    Row n is one pass over the pairs (T(n-1,k), T(n-1,k-1)), with the
-    boundary zeros padded on, times the coefficients a2 n + a0 + a1 k and
-    b2 n + b0 + b1 k.  Integer six-tuples stay on int throughout; only
-    rational ones normalize each entry.
-    """
+    """Fill rows 0..n_max directly from the recurrence, each row in one
+    pass over the zero-padded pairs (T(n-1,k), T(n-1,k-1)); integer
+    six-tuples stay on int, only rational ones normalize each entry."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     a0, a1, a2, b0, b1, b2 = params.as_tuple()
@@ -143,9 +137,9 @@ def recurrence_triangle(params: TriangleParams, n_max: int,
     rows: list[list[Scalar]] = [[1]]
     for n in range(1, n_max + 1):
         prev = rows[-1]
-        # coefficient streams a2 n + a0 + a1 k and b2 n + b0 + b1 k, k = 0..n
-        row = list(map(add, map(mul, count(a2 * n + a0, a1), prev + [0]),
-                       map(mul, count(b2 * n + b0, b1), [0] + prev)))
+        a, b = a2 * n + a0, b2 * n + b0
+        row = [(a + a1 * k) * x + (b + b1 * k) * y
+               for k, (x, y) in enumerate(zip(prev + [0], [0] + prev))]
         rows.append(row if integral else list(map(normalize_scalar, row)))
     return Triangle(params=params, rows=rows, family=family)
 

@@ -221,16 +221,12 @@ def suite_b2zero_explicit(opts: VerifyOptions) -> list[CheckReport]:
         params={"grid": "a0 in {0,1,2}, a1,a2 in {1,2,3}, b0,b1 in {0,1,2}",
                 "n_max": n_max},
     )
-    for a0, a1, a2 in _a_grid():
-        for b0, b1 in product((0, 1, 2), (0, 1, 2)):
-            tri = recurrence_triangle(TriangleParams(a0, a1, a2, b0, b1, 0), n_max)
-            for n in range(n_max + 1):
-                for k in range(n + 1):
-                    value = cf.t_b2zero_explicit(a0, a1, a2, b0, b1, n, k)
-                    if value != tri.entry(n, k):
-                        report.fail(
-                            f"a=({a0},{a1},{a2}), b=({b0},{b1}), n={n}, k={k}"
-                        )
+    for (a0, a1, a2), b0, b1 in product(_a_grid(), (0, 1, 2), (0, 1, 2)):
+        tri = recurrence_triangle(TriangleParams(a0, a1, a2, b0, b1, 0), n_max)
+        for n in range(n_max + 1):
+            for k in range(n + 1):
+                if cf.t_b2zero_explicit(a0, a1, a2, b0, b1, n, k) != tri.entry(n, k):
+                    report.fail(f"a=({a0},{a1},{a2}), b=({b0},{b1}), n={n}, k={k}")
     return [report]
 
 
@@ -242,12 +238,10 @@ def suite_touchard(opts: VerifyOptions) -> list[CheckReport]:
         name="touchard",
         params={"grid": "a0 in {0,1,2}, a1 in {1,2,3}", "n_max": n_max},
     )
-    for a0 in (0, 1, 2):
-        for a1 in (1, 2, 3):
-            for n in range(n_max + 1):
-                lhs, rhs = cf.touchard_check(a0, a1, n)
-                if lhs != rhs:
-                    report.fail(f"a0={a0}, a1={a1}, n={n}")
+    for a0, a1, n in product((0, 1, 2), (1, 2, 3), range(n_max + 1)):
+        lhs, rhs = cf.touchard_check(a0, a1, n)
+        if lhs != rhs:
+            report.fail(f"a0={a0}, a1={a1}, n={n}")
     return [report]
 
 
@@ -259,13 +253,12 @@ def suite_a2zero_explicit(opts: VerifyOptions) -> list[CheckReport]:
         name="a2zero-explicit",
         params={"grid": "a0 in {0,1,2}, a1 in {1,2,3}", "n_max": n_max},
     )
-    for a0 in (0, 1, 2):
-        for a1 in (1, 2, 3):
-            tri = recurrence_triangle(TriangleParams(a0, a1, 0, 1, 0, 0), n_max)
-            for n in range(n_max + 1):
-                for k in range(n + 1):
-                    if cf.f_a2zero_explicit(a0, a1, n, k) != tri.entry(n, k):
-                        report.fail(f"a0={a0}, a1={a1}, n={n}, k={k}")
+    for a0, a1 in product((0, 1, 2), (1, 2, 3)):
+        tri = recurrence_triangle(TriangleParams(a0, a1, 0, 1, 0, 0), n_max)
+        for n in range(n_max + 1):
+            for k in range(n + 1):
+                if cf.f_a2zero_explicit(a0, a1, n, k) != tri.entry(n, k):
+                    report.fail(f"a0={a0}, a1={a1}, n={n}, k={k}")
     return [report]
 
 
@@ -277,12 +270,11 @@ def suite_a1zero_rowsum(opts: VerifyOptions) -> list[CheckReport]:
         name="a1zero-rowsum",
         params={"grid": "a0 in {0,1,2}, a2 in {1,2,3}", "n_max": n_max},
     )
-    for a0 in (0, 1, 2):
-        for a2 in (1, 2, 3):
-            tri = recurrence_triangle(TriangleParams(a0, 0, a2, 1, 0, 0), n_max)
-            for n in range(n_max + 1):
-                if cf.a1zero_rowsum(a0, a2, n) != tri.row_sum(n):
-                    report.fail(f"a0={a0}, a2={a2}, n={n}")
+    for a0, a2 in product((0, 1, 2), (1, 2, 3)):
+        tri = recurrence_triangle(TriangleParams(a0, 0, a2, 1, 0, 0), n_max)
+        for n in range(n_max + 1):
+            if cf.a1zero_rowsum(a0, a2, n) != tri.row_sum(n):
+                report.fail(f"a0={a0}, a2={a2}, n={n}")
     return [report]
 
 
@@ -368,13 +360,9 @@ def suite_second_order_egf(opts: VerifyOptions) -> list[CheckReport]:
 def suite_closed_solutions(opts: VerifyOptions) -> list[CheckReport]:
     """Closed solutions of the two one-parameter systems."""
     order = opts.cap_order(5)
-    reports = []
-    for a0 in (0, 1, 2):
-        for a1 in (1, 2, 3):
-            reports.append(verify_sol_a2zero(a0, a1, order))
-    for a0 in (0, 1, 2):
-        for a2 in (1, 2, 3):
-            reports.append(verify_sol_a1zero(a0, a2, order))
+    grid = list(product((0, 1, 2), (1, 2, 3)))
+    reports = [verify_sol_a2zero(a0, a1, order) for a0, a1 in grid]
+    reports += [verify_sol_a1zero(a0, a2, order) for a0, a2 in grid]
     failed = [r for r in reports if not r.passed]
     merged = CheckReport(
         name="closed-solutions",
