@@ -162,7 +162,7 @@ def census_vleaves(g: Grammar, seed, n: int, leaf_letter: str,
     tracker = _Budget(budget)
     leaves = _seed_leaves(seed)
     counts = {leaves.count(leaf_letter): 1} if n == 0 else {}
-    tracker.spend(n == 0)
+    tracker.spend(n == 0)  # at n = 0 the seed is the one history
     # the last rewrite, of an x-leaf, changes the leaf_letter count by delta[x]
     delta = {x: r.count(leaf_letter) - (x == leaf_letter) for x, r in replacements.items()}
 
@@ -202,7 +202,7 @@ def census_components(a0: int, a1: int, a2: int, n: int,
         )
     tracker = _Budget(budget)
     counts = {0: 1} if n == 0 else {}
-    tracker.spend(n == 0)
+    tracker.spend(n == 0)  # at n = 0 the seed is the one history
 
     def children(node: tuple[int, int]):
         # (v-leaves, u-rewrites): rewrite the u-leaf, or one of the v-leaves

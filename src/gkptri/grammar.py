@@ -118,7 +118,7 @@ def _derive(steps, level: dict[tuple[int, ...], Scalar], n: int) -> Iterator[dic
     if n < 0:
         raise ValueError("n must be nonnegative")
     yield level
-    pairs = all(len(shift) == 2 for _, shift, _ in steps)  # add these without map()
+    pairs = all(len(shift) == 2 for _, shift, _ in steps)  # two letters: add without map()
     for _ in range(n):
         out: dict[tuple[int, ...], Scalar] = {}
         get = out.get
