@@ -172,8 +172,8 @@ def census_vleaves(g: Grammar, seed, n: int, leaf_letter: str,
         for x in set(leaves):
             counts[count + delta[x]] = counts.get(count + delta[x], 0) + leaves.count(x)
 
-    _walk(leaves, n, lambda leaves: (leaves[:i] + replacements[x] + leaves[i + 1:]
-                                     for i, x in enumerate(leaves)), tally)
+    _walk(leaves, n, lambda node: (node[:i] + replacements[x] + node[i + 1:]
+                                   for i, x in enumerate(node)), tally)
     return StructureCensus(f"{leaf_letter}-leaves", counts)
 
 

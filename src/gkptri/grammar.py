@@ -163,10 +163,9 @@ def hao_seed(p: TriangleParams) -> LaurentPoly:
 
 
 def extract_triangle(p: TriangleParams, n_max: int) -> Triangle:
-    """Read rows 0..n_max off the iterated derivatives of the seed monomial.
-
-    The steps and packed seed equal `hao_grammar(p)._steps` and the packed
-    `hao_seed(p)`, built straight from the six-tuple.
+    """Read rows 0..n_max off the iterated derivatives of the seed monomial,
+    deriving with the steps and packed seed of `hao_grammar(p)` and
+    `hao_seed(p)` built straight from the six-tuple.
 
     Raises NonTriangularExpansion when distinct k would land on the same
     monomial (a1 = b1 = 0) or when an iterate contains a monomial outside

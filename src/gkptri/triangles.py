@@ -37,7 +37,9 @@ class TriangleParams:
 
     def __post_init__(self):
         for name in ("a0", "a1", "a2", "b0", "b1", "b2"):
-            object.__setattr__(self, name, normalize_scalar(getattr(self, name)))
+            value = getattr(self, name)
+            if type(value) is not int:
+                object.__setattr__(self, name, normalize_scalar(value))
 
     @classmethod
     def parse(cls, text: str) -> TriangleParams:
@@ -51,7 +53,7 @@ class TriangleParams:
         return (self.a0, self.a1, self.a2, self.b0, self.b1, self.b2)
 
     def is_integral(self) -> bool:
-        return all(isinstance(v, int) for v in self.as_tuple())
+        return Fraction not in map(type, self.as_tuple())
 
     def require_integral(self) -> None:
         if not self.is_integral():
@@ -128,7 +130,7 @@ class Triangle:
 def recurrence_triangle(params: TriangleParams, n_max: int,
                         family: str | None = None) -> Triangle:
     """Fill rows 0..n_max directly from the recurrence, each row in one
-    pass over the zero-padded pairs (T(n-1,k), T(n-1,k-1)); integer
+    pass over row n-1 with the coefficients stepped in k; integer
     six-tuples stay on int, only rational ones normalize each entry."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -136,10 +138,11 @@ def recurrence_triangle(params: TriangleParams, n_max: int,
     integral = params.is_integral()
     rows: list[list[Scalar]] = [[1]]
     for n in range(1, n_max + 1):
-        prev = rows[-1]
-        a, b = a2 * n + a0, b2 * n + b0
-        row = [(a + a1 * k) * x + (b + b1 * k) * y
-               for k, (x, y) in enumerate(zip(prev + [0], [0] + prev))]
+        prev, a, b = rows[-1], a2 * n + a0, b2 * n + b0
+        row = [a * prev[0]]
+        for k in range(1, n):
+            row.append((a + a1 * k) * prev[k] + (b + b1 * k) * prev[k - 1])
+        row.append((b + b1 * n) * prev[n - 1])
         rows.append(row if integral else list(map(normalize_scalar, row)))
     return Triangle(params=params, rows=rows, family=family)
 
