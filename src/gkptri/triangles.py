@@ -129,9 +129,9 @@ class Triangle:
 
 def recurrence_triangle(params: TriangleParams, n_max: int,
                         family: str | None = None) -> Triangle:
-    """Fill rows 0..n_max directly from the recurrence, each row in one
-    pass over row n-1 with the coefficients stepped in k; integer
-    six-tuples stay on int, only rational ones normalize each entry."""
+    """Fill rows 0..n_max directly from the recurrence, one loop over row
+    n-1 per row; integer six-tuples stay on int, and only rational ones
+    normalize each entry."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     a0, a1, a2, b0, b1, b2 = params.as_tuple()
