@@ -31,7 +31,6 @@ from .closedforms import (
 )
 from .errors import GkpError
 from .fps import (
-    CheckReport,
     LAURENT,
     OdeSystem,
     RATIONALS,
@@ -40,10 +39,6 @@ from .fps import (
     grammar_ode,
     solve_ode,
     tree_function,
-    verify_closed_form_whitney,
-    verify_secondorder_egf,
-    verify_sol_a1zero,
-    verify_sol_a2zero,
 )
 from .grammar import (
     Grammar,
@@ -65,6 +60,13 @@ from .triangles import (
     stirling2_triangle,
     whitney_eulerian,
     whitney_params,
+)
+from .verify import (
+    CheckReport,
+    verify_closed_form_whitney,
+    verify_secondorder_egf,
+    verify_sol_a1zero,
+    verify_sol_a2zero,
 )
 
 __version__ = "0.1.0"

@@ -25,6 +25,7 @@ from .errors import (
     BudgetExceeded,
     GrammarNotEnumerable,
     NegativeLeafMultiplicity,
+    UnknownVariable,
 )
 from .grammar import Grammar
 from .polyring import LaurentPoly
@@ -75,15 +76,15 @@ class _Budget:
             raise BudgetExceeded(f"enumeration passed the budget of {self.limit} objects")
 
 
-def _walk(root, depth: int, children, tally) -> None:
-    """Walk the tree below `root` depth first on a stack of child iterators;
-    each node `depth` - 1 levels down goes to `tally`, which reads off its
-    children, the finished objects, in one go.  Depth 0 walks nothing."""
+def _walk(root, depth: int, children):
+    """Walk the tree below `root` depth first on a stack of child iterators,
+    yielding each node `depth` - 1 levels down; the caller reads off its
+    children, the finished objects, in one go.  Depth 0 yields nothing."""
     stack = [iter((root,))] if depth else []
     while stack:
         for node in stack[-1]:
             if len(stack) == depth:
-                tally(node)
+                yield node
             else:
                 stack.append(children(node))
                 break
@@ -108,7 +109,7 @@ def _monomial_replacements(g: Grammar) -> dict[str, tuple[str, ...]]:
     return table
 
 
-def _seed_leaves(seed) -> tuple[str, ...]:
+def _seed_leaves(g: Grammar, seed) -> tuple[str, ...]:
     if isinstance(seed, LaurentPoly):
         terms = seed.terms()
         if len(terms) != 1:
@@ -122,7 +123,11 @@ def _seed_leaves(seed) -> tuple[str, ...]:
         exponents = seed
     if any(e < 0 for e in exponents.values()):
         raise GrammarNotEnumerable("seed exponents must be nonnegative")
-    return tuple(v for v, e in sorted(exponents.items()) for _ in range(e))
+    leaves = tuple(v for v, e in sorted(exponents.items()) for _ in range(e))
+    extra = set(leaves) - set(g.alphabet)
+    if extra:
+        raise UnknownVariable(f"seed mentions {sorted(extra)} outside the alphabet")
+    return leaves
 
 
 def iter_histories(g: Grammar, seed, n: int):
@@ -137,15 +142,12 @@ def iter_histories(g: Grammar, seed, n: int):
         raise ValueError("n must be nonnegative")
     replacements = _monomial_replacements(g)
 
-    def walk(leaves: tuple[str, ...], steps: tuple[int, ...]):
-        if len(steps) == n:
-            yield steps, leaves
-            return
-        for i, letter in enumerate(leaves):
-            yield from walk(leaves[:i] + replacements[letter] + leaves[i + 1:],
-                            steps + (i,))
+    def children(node: tuple[tuple[int, ...], tuple[str, ...]]):
+        steps, leaves = node
+        return ((steps + (i,), leaves[:i] + replacements[x] + leaves[i + 1:])
+                for i, x in enumerate(leaves))
 
-    yield from walk(_seed_leaves(seed), ())
+    yield from _walk(((), _seed_leaves(g, seed)), n + 1, children)
 
 
 def census_vleaves(g: Grammar, seed, n: int, leaf_letter: str,
@@ -160,20 +162,20 @@ def census_vleaves(g: Grammar, seed, n: int, leaf_letter: str,
         raise ValueError("n must be nonnegative")
     replacements = _monomial_replacements(g)
     tracker = _Budget(budget)
-    leaves = _seed_leaves(seed)
-    counts = {leaves.count(leaf_letter): 1} if n == 0 else {}
+    seed_leaves = _seed_leaves(g, seed)
+    counts = {seed_leaves.count(leaf_letter): 1} if n == 0 else {}
     tracker.spend(n == 0)  # at n = 0 the seed is the one history
     # the last rewrite, of an x-leaf, changes the leaf_letter count by delta[x]
     delta = {x: r.count(leaf_letter) - (x == leaf_letter) for x, r in replacements.items()}
 
-    def tally(leaves: tuple[str, ...]):
+    def children(node: tuple[str, ...]):
+        return (node[:i] + replacements[x] + node[i + 1:] for i, x in enumerate(node))
+
+    for leaves in _walk(seed_leaves, n, children):
         tracker.spend(len(leaves))
         count = leaves.count(leaf_letter)
         for x in set(leaves):
             counts[count + delta[x]] = counts.get(count + delta[x], 0) + leaves.count(x)
-
-    _walk(leaves, n, lambda node: (node[:i] + replacements[x] + node[i + 1:]
-                                   for i, x in enumerate(node)), tally)
     return StructureCensus(f"{leaf_letter}-leaves", counts)
 
 
@@ -185,7 +187,7 @@ def history_leaf_profile(g: Grammar, seed, n: int) -> list[int]:
     if len(sizes) != 1:
         raise GrammarNotEnumerable("leaf growth is path-dependent for this grammar")
     step = sizes.pop() - 1
-    start = len(_seed_leaves(seed))
+    start = len(_seed_leaves(g, seed))
     return [start + step * i for i in range(n + 1)]
 
 
@@ -210,14 +212,11 @@ def census_components(a0: int, a1: int, a2: int, n: int,
         return chain(((v_count + a1 + a2, u_rewrites + 1),),
                      repeat((v_count + a2, u_rewrites), v_count))
 
-    def tally(node: tuple[int, int]):
-        v_count, u_rewrites = node
+    for v_count, u_rewrites in _walk((a0 + a2, 0), n, children):
         tracker.spend(v_count + 1)
         counts[u_rewrites + 1] = counts.get(u_rewrites + 1, 0) + 1
         if v_count:
             counts[u_rewrites] = counts.get(u_rewrites, 0) + v_count
-
-    _walk((a0 + a2, 0), n, children, tally)
     return StructureCensus("u-components", counts)
 
 
@@ -268,14 +267,12 @@ def stirling_descent_census(n: int, r: int,
         tracker.spend(words)
     counts = {0: 1} if n == 0 else {}
 
-    def tally(word: tuple[int, ...]):
+    for word in _walk((), n, lambda word: _stirling_children(word, len(word) // r + 1, r)):
         for child in _stirling_children(word, n, r):
             if not is_stirling_word(child):
                 raise AssertionError(f"insertion made {child}, which is not a Stirling word")
             d = descent_count(child)
             counts[d] = counts.get(d, 0) + 1
-
-    _walk((), n, lambda word: _stirling_children(word, len(word) // r + 1, r), tally)
     return StructureCensus("descents", counts)
 
 
@@ -300,15 +297,13 @@ def set_partition_census(n: int, budget: int = DEFAULT_BUDGET) -> StructureCensu
     tracker = _Budget(budget)
     counts = {0: 1} if n == 0 else {}
 
-    def tally(blocks: int):
+    # Restricted-growth walk from the empty partition: the next element
+    # opens a new block or joins one of the `blocks` blocks.
+    for blocks in _walk(0, n, lambda blocks: chain((blocks + 1,), repeat(blocks, blocks))):
         tracker.spend(blocks + 1)
         if blocks:
             counts[blocks] = counts.get(blocks, 0) + blocks
         counts[blocks + 1] = counts.get(blocks + 1, 0) + 1
-
-    # Restricted-growth walk from the empty partition: the next element
-    # opens a new block or joins one of the `blocks` blocks.
-    _walk(0, n, lambda blocks: chain((blocks + 1,), repeat(blocks, blocks)), tally)
     return StructureCensus("blocks", counts)
 
 

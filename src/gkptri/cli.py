@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import census as census_mod
 from .errors import BudgetExceeded, GkpError, PolyParseError
-from .fps import CheckReport, gen_series, tree_function
+from .fps import gen_series, tree_function
 from .grammar import Grammar, hao_grammar, hao_seed, iterate_D
 from .polyring import LaurentPoly, parse_poly
 from .triangles import (
@@ -135,16 +135,6 @@ def cmd_series(args) -> int:
     return EXIT_OK
 
 
-def _report_record(r: CheckReport) -> dict:
-    return {
-        "name": r.name,
-        "params": {k: str(v) for k, v in sorted(r.params.items())},
-        "order": r.order,
-        "status": "pass" if r.passed else "fail",
-        "locus": r.failure,
-    }
-
-
 def cmd_verify(args) -> int:
     opts = VerifyOptions(
         max_n=args.max_n,
@@ -158,7 +148,7 @@ def cmd_verify(args) -> int:
     wall_ms = int((time.monotonic() - start) * 1000)
     payload = {
         "command": ["verify"] + args.suites,
-        "checks": [_report_record(r) for r in reports],
+        "checks": [r.record() for r in reports],
         "passed": all(r.passed for r in reports),
         "wall_ms": wall_ms,
     }
@@ -231,8 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run identity/oracle suites")
     p.add_argument("suites", nargs="+",
                    help=f"suite names or 'all'; available: {', '.join(sorted(SUITES))}")
-    p.add_argument("--family", choices=("whitney",), default="whitney",
-                   help="family for the sum suites (only whitney is defined)")
     p.add_argument("--max-n", type=int, help="cap every suite's row grid")
     p.add_argument("--order", type=int, help="override series truncation orders")
     p.add_argument("--budget", help=BUDGET_HELP)

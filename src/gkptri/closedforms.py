@@ -18,7 +18,7 @@ from math import comb, factorial
 
 from .errors import ZeroA1, ZeroA2
 from .fps import RATIONALS, TruncatedSeries, exp_t
-from .polyring import LaurentPoly, Scalar, normalize_scalar
+from .polyring import LaurentPoly, Scalar, monomial, normalize_scalar
 from .triangles import TriangleParams, recurrence_triangle
 
 
@@ -118,6 +118,19 @@ def f_a2zero_explicit(a0, a1, n: int, k: int) -> Scalar:
     return normalize_scalar(total)
 
 
+def touchard_row(a0, a1, n: int) -> list[Scalar]:
+    """Coefficients of alpha^0..alpha^n in
+    sum_k C(n,k) a1^k a0^(n-k) B_k(alpha/a1), the Bell-polynomial form of
+    row n of the b = 1, a2 = 0 triangle."""
+    if a1 == 0:
+        raise ZeroA1("the identity needs a1 != 0")
+    return [
+        normalize_scalar(Fraction(1, a1) ** j * sum(
+            comb(n, k) * a1 ** k * a0 ** (n - k) * stirling2(k, j) for k in range(j, n + 1)))
+        for j in range(n + 1)
+    ]
+
+
 def touchard_check(a0, a1, n: int) -> tuple[LaurentPoly, LaurentPoly]:
     """Both sides of the Bell-polynomial row identity, as polynomials in a
     formal symbol `alpha`:
@@ -125,22 +138,10 @@ def touchard_check(a0, a1, n: int) -> tuple[LaurentPoly, LaurentPoly]:
         LHS = sum_k F(n,k) alpha^k          (F from the b = 1, a2 = 0 recurrence)
         RHS = sum_k C(n,k) a1^k a0^(n-k) B_k(alpha/a1)
     """
-    if a1 == 0:
-        raise ZeroA1("the identity needs a1 != 0")
-    tri = recurrence_triangle(TriangleParams(a0, a1, 0, 1, 0, 0), n)
-    lhs = LaurentPoly.zero()
-    for k in range(n + 1):
-        lhs = lhs + LaurentPoly.from_exponents({"alpha": k}, tri.entry(n, k))
-    rhs = LaurentPoly.zero()
-    for k in range(n + 1):
-        weight = comb(n, k) * a1 ** k * a0 ** (n - k)
-        if weight == 0:
-            continue
-        for j in range(k + 1):
-            rhs = rhs + LaurentPoly.from_exponents(
-                {"alpha": j}, weight * stirling2(k, j) * Fraction(1, a1) ** j
-            )
-    return lhs, rhs
+    rhs = touchard_row(a0, a1, n)
+    lhs = recurrence_triangle(TriangleParams(a0, a1, 0, 1, 0, 0), n).row(n)
+    return tuple(LaurentPoly({monomial({"alpha": k}): c for k, c in enumerate(side)})
+                 for side in (lhs, rhs))
 
 
 def a1zero_rowsum(a0, a2, n: int) -> Scalar:

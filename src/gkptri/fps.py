@@ -1,4 +1,7 @@
-"""Truncated formal power series in t with exact coefficients.
+"""Truncated formal power series in t with exact coefficients, the
+generating series of a grammar (`gen_series`) and the exact ODE engine
+(`solve_ode`).  The identity checks built on them live in `verify`; this
+module imports nothing above the grammar layer.
 
 Coefficients live either in the rationals or in the Laurent-polynomial ring
 (for series whose coefficients still carry the letters u, v).  A series of
@@ -13,7 +16,7 @@ exp requires a zero constant term and inversion an invertible constant term
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
@@ -21,18 +24,13 @@ from operator import add, sub
 from typing import Any, Callable, Iterable, Mapping
 
 from .errors import (
-    DegeneratePoint,
-    DegenerateY,
     NonInvertibleConstantTerm,
     NonInvertibleElement,
     NonZeroConstantTerm,
     UnknownVariable,
-    ZeroA1,
-    ZeroA2,
 )
 from .grammar import Grammar, _derive, _pack, _unpack
 from .polyring import LaurentPoly, Monomial, Scalar, normalize_scalar
-from .triangles import second_order_eulerian, whitney_eulerian
 
 
 @dataclass(frozen=True)
@@ -406,196 +404,3 @@ def tree_function(order: int) -> TruncatedSeries:
     coeffs = [Fraction(0)]
     coeffs.extend(Fraction(n ** (n - 1), factorial(n)) for n in range(1, order + 1))
     return TruncatedSeries(RATIONALS, coeffs)
-
-
-# -- verification reports ------------------------------------------------------------
-
-
-@dataclass
-class CheckReport:
-    """Outcome of one exact identity check."""
-
-    name: str
-    params: dict = field(default_factory=dict)
-    order: int | None = None
-    passed: bool = True
-    failure: str | None = None
-
-    def fail(self, locus: str) -> "CheckReport":
-        self.passed = False
-        if self.failure is None:
-            self.failure = locus
-        return self
-
-    def __str__(self):
-        status = "pass" if self.passed else f"FAIL ({self.failure})"
-        extras = ", ".join(f"{k}={v}" for k, v in self.params.items())
-        order = f" order<={self.order}" if self.order is not None else ""
-        return f"{self.name} [{extras}]{order}: {status}"
-
-
-def _egf_from_rows(values: list, order: int, ring=RATIONALS) -> TruncatedSeries:
-    """Series whose t^n coefficient is values[n] / n!."""
-    return TruncatedSeries(
-        ring, [values[n] * Fraction(1, factorial(n)) for n in range(order + 1)]
-    )
-
-
-def verify_closed_form_whitney(m: int, r: int, order: int,
-                               points=((2, 1), (1, 2), (3, 2))) -> CheckReport:
-    """Check, at exact rational points, that the bivariate EGF of the
-    (mk+r)/(mn-mk+m-r) triangle equals
-    (u^m - v^m) e^((u^m - v^m) r t) / (u^m - v^m e^((u^m - v^m) m t))."""
-    report = CheckReport(
-        name="whitney-egf",
-        params={"m": m, "r": r, "points": tuple(points)},
-        order=order,
-    )
-    tri = whitney_eulerian(m, r, order)
-    for point in points:
-        u, v = (Fraction(c) for c in point)
-        um, vm = u ** m, v ** m
-        if um == vm:
-            raise DegeneratePoint(f"u^m = v^m at point {point}")
-        c = um - vm
-        rows = [
-            sum(Fraction(tri.entry(n, k)) * u ** (m * (n - k)) * v ** (m * k)
-                for k in range(n + 1))
-            for n in range(order + 1)
-        ]
-        lhs = _egf_from_rows(rows, order)
-        denom = TruncatedSeries.constant(RATIONALS, um, order) - exp_t(c * m, order).scalar_mul(vm)
-        rhs = exp_t(c * r, order).scalar_mul(c) * denom.inverse()
-        diff = lhs.first_difference(rhs)
-        if diff is not None:
-            report.fail(f"point {point}: first mismatch at order {diff}")
-    return report
-
-
-def verify_sol_a2zero(a0: int, a1: int, order: int) -> CheckReport:
-    """Check the closed solution of U' = U V^a1, V' = V (symbolic initial
-    values) and that U V^a0 reproduces the Bell-polynomial expansion."""
-    if a1 == 0:
-        raise ZeroA1("the check needs a1 != 0")
-    report = CheckReport(name="a2zero-solution", params={"a0": a0, "a1": a1}, order=order)
-    g = Grammar({
-        "u": LaurentPoly.from_exponents({"u": 1, "v": a1}),
-        "v": LaurentPoly.variable("v"),
-    }, ("u", "v"))
-    sol = solve_ode(grammar_ode(g), order)
-    u = LaurentPoly.variable("u")
-    v_a1 = LaurentPoly.from_exponents({"v": a1})
-
-    arg = (exp_t(a1, order) - TruncatedSeries.one(RATIONALS, order)).map_coefficients(
-        lambda q: v_a1 * (q * Fraction(1, a1)), LAURENT
-    )
-    u_closed = arg.exp().scalar_mul(u)
-    if sol["u"] != u_closed:
-        report.fail(f"U: first mismatch at order {sol['u'].first_difference(u_closed)}")
-    v_closed = exp_t(1, order).map_coefficients(
-        lambda q: LaurentPoly.from_exponents({"v": 1}) * q, LAURENT
-    )
-    if sol["v"] != v_closed:
-        report.fail(f"V: first mismatch at order {sol['v'].first_difference(v_closed)}")
-
-    # Product against the Bell-polynomial form of the row generating function.
-    from .closedforms import stirling2
-
-    product = sol["u"] * sol["v"].pow_int(a0)
-    rows = []
-    for n in range(order + 1):
-        total = LaurentPoly.zero()
-        for k in range(n + 1):
-            bell = LaurentPoly.zero()
-            for j in range(k + 1):
-                bell = bell + LaurentPoly.from_exponents(
-                    {"v": a1 * j}, stirling2(k, j) * Fraction(1, a1) ** j
-                )
-            total = total + bell * (comb(n, k) * Fraction(a1) ** k * Fraction(a0) ** (n - k))
-        rows.append(LaurentPoly.from_exponents({"u": 1, "v": a0}) * total)
-    bell_series = _egf_from_rows(rows, order, LAURENT)
-    if product != bell_series:
-        report.fail(
-            f"U*V^a0: first mismatch at order {product.first_difference(bell_series)}"
-        )
-    return report
-
-
-def verify_sol_a1zero(a0: int, a2: int, order: int) -> CheckReport:
-    """Check the closed solution of U' = U V^a2, V' = V^(a2+1) through the
-    fraction-power-free relations V^a2 (1 - a2 t v^a2) = v^a2 and U v = u V,
-    plus the rising-factorial row sums of U V^(a0+a2)."""
-    if a2 == 0:
-        raise ZeroA2("the check needs a2 != 0")
-    report = CheckReport(name="a1zero-solution", params={"a0": a0, "a2": a2}, order=order)
-    g = Grammar({
-        "u": LaurentPoly.from_exponents({"u": 1, "v": a2}),
-        "v": LaurentPoly.from_exponents({"v": a2 + 1}),
-    }, ("u", "v"))
-    sol = solve_ode(grammar_ode(g), order)
-    v_a2 = LaurentPoly.from_exponents({"v": a2})
-
-    linear = TruncatedSeries.one(LAURENT, order) - TruncatedSeries.t_term(
-        LAURENT, v_a2 * a2, order
-    )
-    lhs = sol["v"].pow_int(a2) * linear
-    rhs = TruncatedSeries.constant(LAURENT, v_a2, order)
-    if lhs != rhs:
-        report.fail(f"V-relation: first mismatch at order {lhs.first_difference(rhs)}")
-
-    left = sol["u"].scalar_mul(LaurentPoly.variable("v"))
-    right = sol["v"].scalar_mul(LaurentPoly.variable("u"))
-    if left != right:
-        report.fail(f"U*v = u*V: first mismatch at order {left.first_difference(right)}")
-
-    from .closedforms import a1zero_rowsum
-
-    product = sol["u"] * sol["v"].pow_int(a0 + a2)
-    expected = TruncatedSeries(LAURENT, [
-        LaurentPoly.from_exponents(
-            {"u": 1, "v": a0 + a2 + a2 * n},
-            a1zero_rowsum(a0, a2, n) * Fraction(1, factorial(n)),
-        )
-        for n in range(order + 1)
-    ])
-    if product != expected:
-        report.fail(
-            f"row sums: first mismatch at order {product.first_difference(expected)}"
-        )
-    return report
-
-
-def verify_secondorder_egf(y, order: int) -> CheckReport:
-    """Check that sum_n sum_k B(n,k) y^(k+1) t^n/n! (second-order rows, r=2)
-    equals (1-y) W / (1 - W) where W solves W' = (1-y)^2 W/(1-W), W(0) = y.
-
-    W(t) stands in for the tree function evaluated at y e^(-y + (1-y)^2 t);
-    the first-order equation is the formal content of that composition.
-    """
-    y = Fraction(y)
-    if y in (0, 1):
-        raise DegenerateY("the identity needs y outside {0, 1}")
-    report = CheckReport(name="second-order-egf", params={"y": str(y)}, order=order)
-
-    one_minus_y = 1 - y
-    w = [y]
-    for n in range(order):
-        acc = one_minus_y ** 2 * w[n]
-        for i in range(1, n + 1):
-            acc += w[i] * (n - i + 1) * w[n - i + 1]
-        w.append(acc / ((n + 1) * one_minus_y))
-    W = TruncatedSeries(RATIONALS, w)
-
-    rhs = W * (TruncatedSeries.one(RATIONALS, order) - W).inverse()
-    rhs = rhs.scalar_mul(one_minus_y)
-
-    tri = second_order_eulerian(2, order)
-    rows = [
-        sum(Fraction(tri.entry(n, k)) * y ** (k + 1) for k in range(n + 1))
-        for n in range(order + 1)
-    ]
-    lhs = _egf_from_rows(rows, order)
-    diff = lhs.first_difference(rhs)
-    if diff is not None:
-        report.fail(f"first mismatch at order {diff}")
-    return report

@@ -1,4 +1,9 @@
-"""Registry of named verification suites.
+"""Registry of named verification suites, and the checks they are made of.
+
+A CheckReport is one check's outcome; its `record()` is the entry that
+`verify --format json` prints.  The series identity checks (`verify_*`:
+the Whitney EGF, the two closed ODE solutions, the second-order EGF) are
+defined here on top of `fps`, next to the suites that run them.
 
 Each suite runs one identity battery over a documented default grid and
 returns a list of CheckReport records; the grids can be shrunk with the
@@ -9,7 +14,7 @@ the `*-oracle` suites are generated from ORACLES, which `gkptri oracle` reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
@@ -17,30 +22,69 @@ from typing import Callable
 
 from . import census as census_mod
 from . import closedforms as cf
-from .errors import NonTriangularExpansion, UnknownSuite
+from .errors import (
+    DegeneratePoint,
+    DegenerateY,
+    NonTriangularExpansion,
+    UnknownSuite,
+    ZeroA1,
+    ZeroA2,
+)
 from .fps import (
+    LAURENT,
+    RATIONALS,
+    TruncatedSeries,
+    exp_t,
     gen_series,
     grammar_ode,
     solve_ode,
     tree_function,
-    verify_closed_form_whitney,
-    verify_secondorder_egf,
-    verify_sol_a1zero,
-    verify_sol_a2zero,
-    CheckReport,
-    TruncatedSeries,
 )
 from .grammar import Grammar, extract_triangle, hao_grammar, hao_seed, iterate_D
-from .polyring import LaurentPoly, parse_poly
+from .polyring import LaurentPoly, monomial, parse_poly
 from .triangles import (
     TriangleParams,
     r_eulerian_params,
     recurrence_triangle,
+    second_order_eulerian,
     second_order_params,
     stirling2_params,
     whitney_eulerian,
     whitney_params,
 )
+
+
+@dataclass
+class CheckReport:
+    """Outcome of one exact identity check."""
+
+    name: str
+    params: dict = field(default_factory=dict)
+    order: int | None = None
+    passed: bool = True
+    failure: str | None = None
+
+    def fail(self, locus: str) -> "CheckReport":
+        self.passed = False
+        if self.failure is None:
+            self.failure = locus
+        return self
+
+    def record(self) -> dict:
+        """The report as one entry of `verify --format json`."""
+        return {
+            "name": self.name,
+            "params": {k: str(v) for k, v in sorted(self.params.items())},
+            "order": self.order,
+            "status": "pass" if self.passed else "fail",
+            "locus": self.failure,
+        }
+
+    def __str__(self):
+        status = "pass" if self.passed else f"FAIL ({self.failure})"
+        extras = ", ".join(f"{k}={v}" for k, v in self.params.items())
+        order = f" order<={self.order}" if self.order is not None else ""
+        return f"{self.name} [{extras}]{order}: {status}"
 
 
 @dataclass
@@ -51,7 +95,6 @@ class VerifyOptions:
     order: int | None = None
     budget: int | None = None
     y_values: tuple[Fraction, ...] = (Fraction(1, 2), Fraction(2))
-    points: tuple[tuple[int, int], ...] = ((2, 1), (1, 2), (3, 2))
 
     def cap_n(self, default: int) -> int:
         return default if self.max_n is None else min(default, self.max_n)
@@ -281,14 +324,159 @@ def suite_a1zero_rowsum(opts: VerifyOptions) -> list[CheckReport]:
 # -- generating functions ---------------------------------------------------------
 
 
+def _egf_from_rows(values: list, order: int, ring=RATIONALS) -> TruncatedSeries:
+    """Series whose t^n coefficient is values[n] / n!."""
+    return TruncatedSeries(
+        ring, [values[n] * Fraction(1, factorial(n)) for n in range(order + 1)]
+    )
+
+
+def verify_closed_form_whitney(m: int, r: int, order: int,
+                               points=((2, 1), (1, 2), (3, 2))) -> CheckReport:
+    """Check, at exact rational points, that the bivariate EGF of the
+    (mk+r)/(mn-mk+m-r) triangle equals
+    (u^m - v^m) e^((u^m - v^m) r t) / (u^m - v^m e^((u^m - v^m) m t))."""
+    report = CheckReport(
+        name="whitney-egf",
+        params={"m": m, "r": r, "points": tuple(points)},
+        order=order,
+    )
+    tri = whitney_eulerian(m, r, order)
+    for point in points:
+        u, v = (Fraction(c) for c in point)
+        um, vm = u ** m, v ** m
+        if um == vm:
+            raise DegeneratePoint(f"u^m = v^m at point {point}")
+        c = um - vm
+        rows = [
+            sum(Fraction(tri.entry(n, k)) * u ** (m * (n - k)) * v ** (m * k)
+                for k in range(n + 1))
+            for n in range(order + 1)
+        ]
+        lhs = _egf_from_rows(rows, order)
+        denom = TruncatedSeries.constant(RATIONALS, um, order) - exp_t(c * m, order).scalar_mul(vm)
+        rhs = exp_t(c * r, order).scalar_mul(c) * denom.inverse()
+        diff = lhs.first_difference(rhs)
+        if diff is not None:
+            report.fail(f"point {point}: first mismatch at order {diff}")
+    return report
+
+
+def verify_sol_a2zero(a0: int, a1: int, order: int) -> CheckReport:
+    """Check the closed solution of U' = U V^a1, V' = V (symbolic initial
+    values) and that U V^a0 reproduces the Bell-polynomial expansion."""
+    if a1 == 0:
+        raise ZeroA1("the check needs a1 != 0")
+    report = CheckReport(name="a2zero-solution", params={"a0": a0, "a1": a1}, order=order)
+    g = Grammar({
+        "u": LaurentPoly.from_exponents({"u": 1, "v": a1}),
+        "v": LaurentPoly.variable("v"),
+    }, ("u", "v"))
+    sol = solve_ode(grammar_ode(g), order)
+    u = LaurentPoly.variable("u")
+    v_a1 = LaurentPoly.from_exponents({"v": a1})
+
+    arg = (exp_t(a1, order) - TruncatedSeries.one(RATIONALS, order)).map_coefficients(
+        lambda q: v_a1 * (q * Fraction(1, a1)), LAURENT
+    )
+    u_closed = arg.exp().scalar_mul(u)
+    if sol["u"] != u_closed:
+        report.fail(f"U: first mismatch at order {sol['u'].first_difference(u_closed)}")
+    v_closed = exp_t(1, order).map_coefficients(
+        lambda q: LaurentPoly.from_exponents({"v": 1}) * q, LAURENT
+    )
+    if sol["v"] != v_closed:
+        report.fail(f"V: first mismatch at order {sol['v'].first_difference(v_closed)}")
+
+    # Row n of U V^a0 is u v^a0 times the Bell-polynomial row at alpha = v^a1.
+    uv = sol["u"] * sol["v"].pow_int(a0)
+    rows = [LaurentPoly({monomial({"u": 1, "v": a0 + a1 * j}): c
+                         for j, c in enumerate(cf.touchard_row(a0, a1, n))})
+            for n in range(order + 1)]
+    bell_series = _egf_from_rows(rows, order, LAURENT)
+    if uv != bell_series:
+        report.fail(f"U*V^a0: first mismatch at order {uv.first_difference(bell_series)}")
+    return report
+
+
+def verify_sol_a1zero(a0: int, a2: int, order: int) -> CheckReport:
+    """Check the closed solution of U' = U V^a2, V' = V^(a2+1) through the
+    fraction-power-free relations V^a2 (1 - a2 t v^a2) = v^a2 and U v = u V,
+    plus the rising-factorial row sums of U V^(a0+a2)."""
+    if a2 == 0:
+        raise ZeroA2("the check needs a2 != 0")
+    report = CheckReport(name="a1zero-solution", params={"a0": a0, "a2": a2}, order=order)
+    g = Grammar({
+        "u": LaurentPoly.from_exponents({"u": 1, "v": a2}),
+        "v": LaurentPoly.from_exponents({"v": a2 + 1}),
+    }, ("u", "v"))
+    sol = solve_ode(grammar_ode(g), order)
+    v_a2 = LaurentPoly.from_exponents({"v": a2})
+
+    linear = TruncatedSeries.one(LAURENT, order) - TruncatedSeries.t_term(
+        LAURENT, v_a2 * a2, order
+    )
+    lhs = sol["v"].pow_int(a2) * linear
+    rhs = TruncatedSeries.constant(LAURENT, v_a2, order)
+    if lhs != rhs:
+        report.fail(f"V-relation: first mismatch at order {lhs.first_difference(rhs)}")
+
+    left = sol["u"].scalar_mul(LaurentPoly.variable("v"))
+    right = sol["v"].scalar_mul(LaurentPoly.variable("u"))
+    if left != right:
+        report.fail(f"U*v = u*V: first mismatch at order {left.first_difference(right)}")
+
+    uv = sol["u"] * sol["v"].pow_int(a0 + a2)
+    rows = [LaurentPoly.from_exponents({"u": 1, "v": a0 + a2 + a2 * n},
+                                       cf.a1zero_rowsum(a0, a2, n))
+            for n in range(order + 1)]
+    expected = _egf_from_rows(rows, order, LAURENT)
+    if uv != expected:
+        report.fail(f"row sums: first mismatch at order {uv.first_difference(expected)}")
+    return report
+
+
+def verify_secondorder_egf(y, order: int) -> CheckReport:
+    """Check that sum_n sum_k B(n,k) y^(k+1) t^n/n! (second-order rows, r=2)
+    equals (1-y) W / (1 - W) where W solves W' = (1-y)^2 W/(1-W), W(0) = y.
+
+    W(t) stands in for the tree function evaluated at y e^(-y + (1-y)^2 t);
+    the first-order equation is the formal content of that composition.
+    """
+    y = Fraction(y)
+    if y in (0, 1):
+        raise DegenerateY("the identity needs y outside {0, 1}")
+    report = CheckReport(name="second-order-egf", params={"y": str(y)}, order=order)
+
+    one_minus_y = 1 - y
+    w = [y]
+    for n in range(order):
+        acc = one_minus_y ** 2 * w[n]
+        for i in range(1, n + 1):
+            acc += w[i] * (n - i + 1) * w[n - i + 1]
+        w.append(acc / ((n + 1) * one_minus_y))
+    W = TruncatedSeries(RATIONALS, w)
+
+    rhs = W * (TruncatedSeries.one(RATIONALS, order) - W).inverse()
+    rhs = rhs.scalar_mul(one_minus_y)
+
+    tri = second_order_eulerian(2, order)
+    rows = [
+        sum(Fraction(tri.entry(n, k)) * y ** (k + 1) for k in range(n + 1))
+        for n in range(order + 1)
+    ]
+    lhs = _egf_from_rows(rows, order)
+    diff = lhs.first_difference(rhs)
+    if diff is not None:
+        report.fail(f"first mismatch at order {diff}")
+    return report
+
+
 @suite("whitney-egf")
 def suite_whitney_egf(opts: VerifyOptions) -> list[CheckReport]:
     """Closed bivariate EGF at exact rational points."""
     order = opts.cap_order(6)
-    return [
-        verify_closed_form_whitney(m, r, order, points=opts.points)
-        for m, r in _whitney_grid()
-    ]
+    return [verify_closed_form_whitney(m, r, order) for m, r in _whitney_grid()]
 
 
 @suite("ode-gen")

@@ -27,8 +27,6 @@ from gkptri.fps import (
     grammar_ode,
     solve_ode,
     tree_function,
-    verify_closed_form_whitney,
-    verify_secondorder_egf,
 )
 from gkptri.grammar import (
     Grammar,
@@ -47,6 +45,7 @@ from gkptri.triangles import (
     whitney_eulerian,
     whitney_params,
 )
+from gkptri.verify import verify_closed_form_whitney, verify_secondorder_egf
 
 WHITNEY_GRID = [(m, r) for m in (1, 2, 3) for r in range(m + 1)]
 A_GRID = list(product((0, 1, 2), (1, 2, 3), (1, 2, 3)))

@@ -8,6 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gkptri.census import (
+    _monomial_replacements,
+    _seed_leaves,
     _stirling_children,
     cadet_leaf_census,
     census_components,
@@ -24,6 +26,7 @@ from gkptri.errors import (
     BudgetExceeded,
     GrammarNotEnumerable,
     NegativeLeafMultiplicity,
+    UnknownVariable,
 )
 from gkptri.grammar import Grammar, hao_grammar, hao_seed, iterate_D
 from gkptri.polyring import LaurentPoly
@@ -71,6 +74,20 @@ def recursive_partitions(n):
 
     place(0, 0)
     return counts
+
+
+def recursive_histories(g, seed, n):
+    """Reference for iter_histories: the history walk by recursion."""
+    replacements = _monomial_replacements(g)
+
+    def walk(leaves, steps):
+        if len(steps) == n:
+            yield steps, leaves
+            return
+        for i, letter in enumerate(leaves):
+            yield from walk(leaves[:i] + replacements[letter] + leaves[i + 1:], steps + (i,))
+
+    yield from walk(_seed_leaves(g, seed), ())
 
 
 def history_buckets(g, seed, n, letter):
@@ -196,6 +213,12 @@ class TestVLeafCensus:
         with pytest.raises(GrammarNotEnumerable):
             census_vleaves(g, {"u": 1}, 1, "v")
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_rejects_seed_letter_outside_alphabet(self, n):
+        g = Grammar.from_text("u -> u*v\nv -> v")
+        with pytest.raises(UnknownVariable, match="'w'"):
+            census_vleaves(g, {"u": 1, "w": 1}, n, "v")
+
     def test_leaf_profile(self):
         for m in (1, 2, 3):
             params = whitney_params(m, min(1, m))
@@ -229,6 +252,17 @@ class TestHistories:
 
     def test_zero_steps(self):
         assert list(iter_histories(WHITNEY_32, {"u": 1}, 0)) == [((), ("u",))]
+
+    def test_deep_walk_needs_no_recursion(self):
+        g = Grammar.from_text("u -> u\nv -> v")
+        assert list(iter_histories(g, {"u": 1}, 1500)) == [((0,) * 1500, ("u",))]
+
+    @pytest.mark.parametrize("m, r", [(m, r) for m in (1, 2, 3) for r in range(m + 1)])
+    def test_matches_recursive_walk(self, m, r):
+        params = whitney_params(m, r)
+        g, seed = hao_grammar(params), hao_seed(params)
+        for n in range(6):
+            assert list(iter_histories(g, seed, n)) == list(recursive_histories(g, seed, n))
 
 
 class TestComponentCensus:

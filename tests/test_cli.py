@@ -151,8 +151,11 @@ class TestVerifyCommand:
         assert code == 0
 
     def test_row_sums_with_family_flag(self, capsys):
-        code, out, _ = run(capsys, "verify", "row-sums", "--family", "whitney",
-                           "--max-n", "7")
+        # verify has no --family option: whitney is the only sum family
+        code, _, _ = run(capsys, "verify", "row-sums", "--family", "whitney",
+                         "--max-n", "7")
+        assert code == 2
+        code, out, _ = run(capsys, "verify", "row-sums", "--max-n", "7")
         assert code == 0
         assert "row-sums" in out and "pass" in out
 

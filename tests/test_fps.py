@@ -25,14 +25,16 @@ from gkptri.fps import (
     grammar_ode,
     solve_ode,
     tree_function,
+)
+from gkptri.grammar import Grammar, apply_D, hao_grammar, iterate_D
+from gkptri.polyring import LaurentPoly, parse_poly
+from gkptri.triangles import whitney_params
+from gkptri.verify import (
     verify_closed_form_whitney,
     verify_secondorder_egf,
     verify_sol_a1zero,
     verify_sol_a2zero,
 )
-from gkptri.grammar import Grammar, apply_D, hao_grammar, iterate_D
-from gkptri.polyring import LaurentPoly, parse_poly
-from gkptri.triangles import whitney_params
 
 
 def series(*coeffs):

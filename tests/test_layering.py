@@ -1,0 +1,53 @@
+"""Import layering of the package, read from its source with ast: no module
+imports inside a function body, and the series layer (fps) imports nothing
+from the layers built on it."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "gkptri"
+ABOVE_FPS = {"closedforms", "triangles", "verify", "cli"}
+
+
+def function_level_imports(source: str) -> list[str]:
+    """`function:line` for each import statement inside a function body."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [f"{func.name}:{node.lineno}" for node in ast.walk(func)
+                      if isinstance(node, (ast.Import, ast.ImportFrom))]
+    return found
+
+
+def package_imports(source: str) -> set[str]:
+    """The gkptri modules an import statement anywhere in the source names."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[1] for a in node.names if a.name.startswith("gkptri.")}
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] != "gkptri":
+                continue
+            inner = parts if node.level else parts[1:]
+            names |= {inner[0]} if inner and inner[0] else {a.name for a in node.names}
+    return names
+
+
+def test_checkers_see_every_import_form():
+    source = ("import gkptri.cli\nfrom gkptri import verify\nfrom gkptri.triangles import T\n"
+              "def f():\n    from .closedforms import stirling2\n    from . import census\n")
+    assert function_level_imports(source) == ["f:5", "f:6"]
+    assert package_imports(source) == {"cli", "verify", "triangles", "closedforms", "census"}
+    assert package_imports("import json\nfrom math import comb\n") == set()
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_level_imports(path):
+    assert function_level_imports(path.read_text()) == []
+
+
+def test_fps_imports_nothing_above_it():
+    assert package_imports((SRC / "fps.py").read_text()) & ABOVE_FPS == set()
