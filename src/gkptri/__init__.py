@@ -31,9 +31,7 @@ from .closedforms import (
 )
 from .errors import GkpError
 from .fps import (
-    LAURENT,
     OdeSystem,
-    RATIONALS,
     TruncatedSeries,
     gen_series,
     grammar_ode,
@@ -75,11 +73,9 @@ __all__ = [
     "CheckReport",
     "GkpError",
     "Grammar",
-    "LAURENT",
     "LaurentPoly",
     "Monomial",
     "OdeSystem",
-    "RATIONALS",
     "StructureCensus",
     "Triangle",
     "TriangleParams",

@@ -15,18 +15,18 @@ is a positive integer written as `10` or `1e6`; anything else is a usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
 import sys
 import time
-from fractions import Fraction
 
 from . import census as census_mod
 from .errors import BudgetExceeded, GkpError, PolyParseError
 from .fps import gen_series, tree_function
 from .grammar import Grammar, hao_grammar, hao_seed, iterate_D
-from .polyring import LaurentPoly, parse_poly
+from .polyring import LaurentPoly, parse_poly, parse_rational
 from .triangles import (
     FORMATS,
     Triangle,
@@ -136,13 +136,16 @@ def cmd_series(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for flag, value in (("--max-n", args.max_n), ("--order", args.order)):
+        if value is not None and value < 0:
+            raise SystemExit2(f"{flag} must be nonnegative, got {value}")
     opts = VerifyOptions(
         max_n=args.max_n,
         order=args.order,
         budget=_default_budget(args),
     )
     if args.y:
-        opts.y_values = tuple(Fraction(y) for y in args.y)
+        opts.y_values = tuple(map(parse_rational, args.y))
     start = time.monotonic()
     reports = run_suites(args.suites, opts)
     wall_ms = int((time.monotonic() - start) * 1000)
@@ -243,6 +246,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift CPython's cap on int-to-text conversion (4300 digits by default,
+    Python 3.10.7 and later) for the duration of one command."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -251,7 +269,8 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits with its own code; normalise usage errors to 2
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.fn(args)
+        with _unlimited_int_digits():
+            return args.fn(args)
     except PolyParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .errors import ZeroA1, ZeroA2
-from .fps import RATIONALS, TruncatedSeries, exp_t
+from .fps import TruncatedSeries, exp_t
 from .polyring import LaurentPoly, Scalar, monomial, normalize_scalar
 from .triangles import TriangleParams, recurrence_triangle
 
@@ -58,8 +58,8 @@ def euler_at_zero(k: int) -> Scalar:
         raise ValueError("k must be nonnegative")
     if k >= len(_euler_cache):
         order = max(2 * k, 8)
-        two = TruncatedSeries.constant(RATIONALS, 2, order)
-        series = two * (exp_t(1, order) + TruncatedSeries.one(RATIONALS, order)).inverse()
+        two = TruncatedSeries.constant(2, order)
+        series = two * (exp_t(1, order) + TruncatedSeries.one(order)).inverse()
         _euler_cache[:] = [
             Fraction(series.coefficient(i)) * factorial(i) for i in range(order + 1)
         ]

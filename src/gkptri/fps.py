@@ -3,15 +3,18 @@ generating series of a grammar (`gen_series`) and the exact ODE engine
 (`solve_ode`).  The identity checks built on them live in `verify`; this
 module imports nothing above the grammar layer.
 
-Coefficients live either in the rationals or in the Laurent-polynomial ring
-(for series whose coefficients still carry the letters u, v).  A series of
-order N stores the N+1 coefficients of t^0..t^N as plain t-power
+Coefficients are exact rationals (int or Fraction) or Laurent polynomials
+(for series whose coefficients still carry the letters u, v), mixed freely:
+a LaurentPoly adds, multiplies and compares with a scalar, so the series
+arithmetic needs no coefficient ring.  Floats are rejected with TypeError.
+A series of order N stores the N+1 coefficients of t^0..t^N as plain t-power
 coefficients; factorial weights appear only when a series is built from or
 compared against exponential generating functions.
 
 Binary operations truncate to the smaller order and never read beyond it.
 exp requires a zero constant term and inversion an invertible constant term
-(for polynomial coefficients that means a single monomial).
+(a nonzero rational, or a polynomial with a single term).  Truncation orders
+are nonnegative.
 """
 
 from __future__ import annotations
@@ -33,77 +36,55 @@ from .grammar import Grammar, _derive, _pack, _unpack
 from .polyring import LaurentPoly, Monomial, Scalar, normalize_scalar
 
 
-@dataclass(frozen=True)
-class CoefficientRing:
-    """Just enough ring structure for series arithmetic."""
-
-    name: str
-    zero: Any
-    one: Any
-    coerce: Callable[[Any], Any]
-    invert: Callable[[Any], Any]
-
-    def __repr__(self):
-        return f"CoefficientRing({self.name})"
+def _coerce(c):
+    """A LaurentPoly stays as it is; anything else must be an exact rational."""
+    return c if isinstance(c, LaurentPoly) else normalize_scalar(c)
 
 
-def _invert_rational(c):
+def _invert(c):
+    if isinstance(c, LaurentPoly):
+        try:
+            return c.inv()
+        except NonInvertibleElement as exc:
+            raise NonInvertibleConstantTerm(str(exc)) from exc
     if c == 0:
         raise NonInvertibleConstantTerm("constant term 0 is not invertible")
     return normalize_scalar(Fraction(1, 1) / c)
 
 
-def _invert_poly(c: LaurentPoly):
-    try:
-        return c.inv()
-    except NonInvertibleElement as exc:
-        raise NonInvertibleConstantTerm(str(exc)) from exc
-
-
-def _coerce_poly(c):
-    if isinstance(c, LaurentPoly):
-        return c
-    return LaurentPoly.constant(c)
-
-
-RATIONALS = CoefficientRing("rationals", 0, 1, normalize_scalar, _invert_rational)
-LAURENT = CoefficientRing(
-    "laurent", LaurentPoly.zero(), LaurentPoly.one(), _coerce_poly, _invert_poly
-)
-
-
 class TruncatedSeries:
     """Power series in t truncated at a fixed order, exact coefficients."""
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, ring: CoefficientRing, coeffs: Iterable):
-        cs = tuple(ring.coerce(c) for c in coeffs)
+    def __init__(self, coeffs: Iterable):
+        cs = tuple(map(_coerce, coeffs))
         if not cs:
             raise ValueError("a series needs at least the t^0 coefficient")
-        self.ring = ring
         self.coeffs = cs
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def constant(cls, ring: CoefficientRing, value, order: int) -> TruncatedSeries:
-        return cls(ring, [value] + [ring.zero] * order)
+    def constant(cls, value, order: int) -> TruncatedSeries:
+        if order < 0:
+            raise ValueError("order must be nonnegative")
+        return cls([value] + [0] * order)
 
     @classmethod
-    def zero(cls, ring: CoefficientRing, order: int) -> TruncatedSeries:
-        return cls.constant(ring, ring.zero, order)
+    def zero(cls, order: int) -> TruncatedSeries:
+        return cls.constant(0, order)
 
     @classmethod
-    def one(cls, ring: CoefficientRing, order: int) -> TruncatedSeries:
-        return cls.constant(ring, ring.one, order)
+    def one(cls, order: int) -> TruncatedSeries:
+        return cls.constant(1, order)
 
     @classmethod
-    def t_term(cls, ring: CoefficientRing, scale, order: int) -> TruncatedSeries:
+    def t_term(cls, scale, order: int) -> TruncatedSeries:
         """The series scale * t."""
         if order < 1:
-            return cls.zero(ring, order)
-        return cls(ring, [ring.zero, scale] + [ring.zero] * (order - 1))
+            return cls.zero(order)
+        return cls([0, scale] + [0] * (order - 1))
 
     # -- basics ----------------------------------------------------------------
 
@@ -119,23 +100,20 @@ class TruncatedSeries:
     def truncate(self, order: int) -> TruncatedSeries:
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.ring, self.coeffs[: order + 1])
+        return TruncatedSeries(self.coeffs[: order + 1])
 
     def _common(self, other: TruncatedSeries) -> int:
         if not isinstance(other, TruncatedSeries):
             raise TypeError("expected a TruncatedSeries")
-        if other.ring is not self.ring:
-            raise ValueError(f"ring mismatch: {self.ring.name} vs {other.ring.name}")
         return min(self.order, other.order)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return (self.ring is other.ring and len(self.coeffs) == len(other.coeffs)
-                and all(a == b for a, b in zip(self.coeffs, other.coeffs)))
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.ring.name, self.coeffs))
+        return hash(self.coeffs)
 
     def first_difference(self, other: TruncatedSeries) -> int | None:
         """Smallest n where the coefficients differ, or None if equal up to
@@ -146,7 +124,7 @@ class TruncatedSeries:
         return None
 
     def __repr__(self):
-        return f"TruncatedSeries({self.ring.name}; {', '.join(str(c) for c in self.coeffs)})"
+        return f"TruncatedSeries({self})"
 
     def __str__(self):
         return ", ".join(str(c) for c in self.coeffs)
@@ -156,28 +134,26 @@ class TruncatedSeries:
     def __add__(self, other) -> TruncatedSeries:
         n = self._common(other)
         return TruncatedSeries(
-            self.ring, [a + b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1])]
+            [a + b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1])]
         )
 
     def __sub__(self, other) -> TruncatedSeries:
         n = self._common(other)
         return TruncatedSeries(
-            self.ring, [a - b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1])]
+            [a - b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1])]
         )
 
     def __neg__(self) -> TruncatedSeries:
-        return TruncatedSeries(self.ring, [-c for c in self.coeffs])
+        return TruncatedSeries([-c for c in self.coeffs])
 
     def scalar_mul(self, s) -> TruncatedSeries:
-        return TruncatedSeries(self.ring, [c * s for c in self.coeffs])
+        return TruncatedSeries([c * s for c in self.coeffs])
 
     def differentiate(self) -> TruncatedSeries:
         """d/dt, honest to order N-1."""
         if self.order == 0:
             raise ValueError("cannot differentiate an order-0 truncation")
-        return TruncatedSeries(
-            self.ring, [self.coeffs[n] * n for n in range(1, self.order + 1)]
-        )
+        return TruncatedSeries([self.coeffs[n] * n for n in range(1, self.order + 1)])
 
     # -- multiplicative operations -------------------------------------------------
 
@@ -186,27 +162,27 @@ class TruncatedSeries:
         a, b = self.coeffs, other.coeffs
         out = []
         for m in range(n + 1):
-            acc = self.ring.zero
+            acc = 0
             for j in range(m + 1):
                 acc = acc + a[j] * b[m - j]
             out.append(acc)
-        return TruncatedSeries(self.ring, out)
+        return TruncatedSeries(out)
 
     def inverse(self) -> TruncatedSeries:
         """Multiplicative inverse; the constant term must be invertible."""
-        c0 = self.ring.invert(self.coeffs[0])
+        c0 = _invert(self.coeffs[0])
         out = [c0]
         for n in range(1, self.order + 1):
-            acc = self.ring.zero
+            acc = 0
             for j in range(1, n + 1):
                 acc = acc + self.coeffs[j] * out[n - j]
             out.append(-(c0 * acc))
-        return TruncatedSeries(self.ring, out)
+        return TruncatedSeries(out)
 
     def pow_int(self, k: int) -> TruncatedSeries:
         if k < 0:
             return self.inverse().pow_int(-k)
-        result = TruncatedSeries.one(self.ring, self.order)
+        result = TruncatedSeries.one(self.order)
         base = self
         while k:
             if k & 1:
@@ -218,25 +194,25 @@ class TruncatedSeries:
 
     def exp(self) -> TruncatedSeries:
         """exp of a series with zero constant term."""
-        if self.coeffs[0] != self.ring.zero:
+        if self.coeffs[0] != 0:
             raise NonZeroConstantTerm("exp needs constant coefficient 0")
-        out = [self.ring.one]
+        out = [1]
         for n in range(1, self.order + 1):
-            acc = self.ring.zero
+            acc = 0
             for j in range(1, n + 1):
                 acc = acc + (self.coeffs[j] * j) * out[n - j]
             out.append(acc * Fraction(1, n))
-        return TruncatedSeries(self.ring, out)
+        return TruncatedSeries(out)
 
     # -- coefficient transforms ---------------------------------------------------
 
-    def map_coefficients(self, fn, ring: CoefficientRing | None = None) -> TruncatedSeries:
-        return TruncatedSeries(ring or self.ring, [fn(c) for c in self.coeffs])
+    def map_coefficients(self, fn) -> TruncatedSeries:
+        return TruncatedSeries([fn(c) for c in self.coeffs])
 
 
-def exp_t(scale, order: int, ring: CoefficientRing = RATIONALS) -> TruncatedSeries:
+def exp_t(scale, order: int) -> TruncatedSeries:
     """The series exp(scale * t)."""
-    return TruncatedSeries.t_term(ring, scale, order).exp()
+    return TruncatedSeries.t_term(scale, order).exp()
 
 
 # -- generating function of a grammar -------------------------------------------
@@ -245,7 +221,7 @@ def exp_t(scale, order: int, ring: CoefficientRing = RATIONALS) -> TruncatedSeri
 def gen_series(g: Grammar, x: LaurentPoly, order: int) -> TruncatedSeries:
     """Sum of D^n(x) t^n / n! truncated at the given order."""
     levels = enumerate(_derive(g._steps, _pack(g.alphabet, x), order))
-    return TruncatedSeries(LAURENT, [_unpack(g.alphabet, p, factorial(n)) for n, p in levels])
+    return TruncatedSeries([_unpack(g.alphabet, p, factorial(n)) for n, p in levels])
 
 
 # -- exact ODE solving ------------------------------------------------------------
@@ -325,10 +301,14 @@ def solve_ode(system: OdeSystem, order: int) -> dict[str, TruncatedSeries]:
         y_0 P_n = sum_{k=1..n} [(e+1) C(n-1,k-1) - C(n,k)] Y_k P_{n-k}.
 
     Otherwise (y_0 = 0, u+v, ...) y^e is a chain of convolutions for e >= 2,
-    and e < 0 raises NonInvertibleConstantTerm.
+    and e < 0 raises NonInvertibleConstantTerm.  The coefficients are
+    scalars when no initial value is a LaurentPoly, and polynomials otherwise.
     """
-    ring = LAURENT if LaurentPoly in map(type, system.initial.values()) else RATIONALS
-    initial = {v: _coerce_poly(ring.coerce(system.initial[v])) for v in system.variables}
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    laurent = LaurentPoly in map(type, system.initial.values())
+    # Adding to the zero polynomial lifts a scalar initial value to a constant.
+    initial = {v: LaurentPoly.zero() + _coerce(system.initial[v]) for v in system.variables}
     names = tuple(sorted(set().union(*(p.variables() for p in initial.values()))))
     ys = {v: [_pack(names, p)] for v, p in initial.items()}
     jobs: list[Callable[[int], None]] = []  # job(n) appends entry n of its stream
@@ -388,9 +368,9 @@ def solve_ode(system: OdeSystem, order: int) -> dict[str, TruncatedSeries]:
 
     def unpack(n: int, packed: Packed):
         poly = _unpack(names, packed, factorial(n))
-        return poly if ring is LAURENT else poly.coefficient(())
+        return poly if laurent else poly.coefficient(())
 
-    return {v: TruncatedSeries(ring, [unpack(n, p) for n, p in enumerate(ys[v])])
+    return {v: TruncatedSeries([unpack(n, p) for n, p in enumerate(ys[v])])
             for v in system.variables}
 
 
@@ -403,4 +383,4 @@ def tree_function(order: int) -> TruncatedSeries:
         raise ValueError("order must be nonnegative")
     coeffs = [Fraction(0)]
     coeffs.extend(Fraction(n ** (n - 1), factorial(n)) for n in range(1, order + 1))
-    return TruncatedSeries(RATIONALS, coeffs)
+    return TruncatedSeries(coeffs)

@@ -43,6 +43,15 @@ def normalize_scalar(value) -> Scalar:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def parse_rational(text: str) -> Fraction:
+    """An exact rational written as `p`, `p/q` or `1e6`; a zero denominator
+    is a ValueError like any other malformed value."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None
+
+
 def monomial(exponents: Mapping[str, int]) -> Monomial:
     """Build a canonical monomial from an exponent map (zeros dropped)."""
     return tuple(sorted((v, e) for v, e in exponents.items() if e != 0))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonIntegerParams, RowOutOfRange
-from .polyring import Scalar, normalize_scalar
+from .polyring import Scalar, normalize_scalar, parse_rational
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ class TriangleParams:
         parts = [p.strip() for p in text.split(",")]
         if len(parts) != 6:
             raise ValueError(f"expected six comma-separated values, got {len(parts)}")
-        return cls(*(Fraction(p) for p in parts))
+        return cls(*map(parse_rational, parts))
 
     def as_tuple(self) -> tuple[Scalar, ...]:
         return (self.a0, self.a1, self.a2, self.b0, self.b1, self.b2)

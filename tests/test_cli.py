@@ -2,6 +2,7 @@
 
 import json
 import runpy
+import sys
 
 import pytest
 
@@ -237,6 +238,36 @@ class TestUsage:
         assert exc.value.code == code
         out = capsys.readouterr().out
         assert ("row-sums" in out) == (code == 0)
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("argv", [
+        ["triangle", "--params", "1/0,1,0,1,0,0", "--rows", "2"],
+        ["grammar", "--hao", "1/0,1,0,1,0,0"],
+        ["oracle", "vleaves", "--hao", "1/0,1,0,1,0,0", "--n", "2"],
+        ["verify", "second-order-egf", "--y", "1/0"],
+    ])
+    def test_zero_denominator_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: zero denominator in '1/0'\n"
+
+    @pytest.mark.parametrize("suite", ["history-counts", "whitney-egf", "all"])
+    @pytest.mark.parametrize("flag", ["--max-n", "--order"])
+    def test_negative_cap_is_rejected_before_any_suite(self, capsys, flag, suite):
+        code, out, err = run(capsys, "verify", suite, flag, "-1")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} must be nonnegative, got -1\n"
+
+    def test_big_integers_print_in_full(self, capsys):
+        before = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        code, out, _ = run(capsys, "triangle", "--params", "1e300,0,0,1,0,0", "--rows", "15")
+        assert code == 0
+        assert out.splitlines()[-1].split(",")[0] == "1" + "0" * 4500
+        if before is not None:
+            assert sys.get_int_max_str_digits() == before
 
 
 class TestOracleRegistry:

@@ -16,8 +16,6 @@ from gkptri.errors import (
     ZeroA2,
 )
 from gkptri.fps import (
-    LAURENT,
-    RATIONALS,
     OdeSystem,
     TruncatedSeries,
     exp_t,
@@ -38,7 +36,7 @@ from gkptri.verify import (
 
 
 def series(*coeffs):
-    return TruncatedSeries(RATIONALS, coeffs)
+    return TruncatedSeries(coeffs)
 
 
 class TestArithmetic:
@@ -55,7 +53,7 @@ class TestArithmetic:
     def test_inverse_needs_invertible_constant(self):
         with pytest.raises(NonInvertibleConstantTerm):
             series(0, 1).inverse()
-        bad = TruncatedSeries(LAURENT, [parse_poly("u + v"), LaurentPoly.one()])
+        bad = TruncatedSeries([parse_poly("u + v"), LaurentPoly.one()])
         with pytest.raises(NonInvertibleConstantTerm):
             bad.inverse()
 
@@ -69,10 +67,10 @@ class TestArithmetic:
 
     def test_pow_int_negative(self):
         f = series(1, 2, 3, 4)
-        assert f.pow_int(-2) * f * f == TruncatedSeries.one(RATIONALS, 3)
+        assert f.pow_int(-2) * f * f == TruncatedSeries.one(3)
 
     def test_laurent_scalar_mul(self):
-        f = exp_t(1, 3).map_coefficients(LaurentPoly.constant, LAURENT)
+        f = exp_t(1, 3).map_coefficients(LaurentPoly.constant)
         g = f.scalar_mul(LaurentPoly.variable("u"))
         assert g.coefficient(2) == parse_poly("1/2*u")
 
@@ -81,7 +79,7 @@ unit_series = st.lists(
     st.fractions(min_value=Fraction(-4), max_value=Fraction(4), max_denominator=4),
     min_size=5,
     max_size=5,
-).map(lambda tail: TruncatedSeries(RATIONALS, [1] + tail))
+).map(lambda tail: TruncatedSeries([1] + tail))
 
 
 class TestSeriesLaws:
@@ -95,7 +93,7 @@ class TestSeriesLaws:
     @settings(max_examples=40)
     def test_inverse_is_pow_minus_one(self, f):
         assert f.inverse() == f.pow_int(-1)
-        assert f.inverse() * f == TruncatedSeries.one(RATIONALS, f.order)
+        assert f.inverse() * f == TruncatedSeries.one(f.order)
 
 
 WHITNEY_32 = hao_grammar(whitney_params(3, 2))
@@ -118,7 +116,7 @@ class TestGenSeries:
 
     def test_constant_argument(self):
         g = gen_series(WHITNEY_32, LaurentPoly.one(), 4)
-        assert g == TruncatedSeries.one(LAURENT, 4)
+        assert g == TruncatedSeries.one(4)
 
     def test_multiplicative_on_arguments(self):
         u, v = LaurentPoly.variable("u"), LaurentPoly.variable("v")
@@ -145,9 +143,7 @@ class TestSolveOde:
         g = Grammar.from_text("u -> u*v^2\nv -> v")
         sol = solve_ode(grammar_ode(g), 3)
         v = LaurentPoly.variable("v")
-        expected_v = TruncatedSeries(
-            LAURENT, [v * Fraction(1, factorial(n)) for n in range(4)]
-        )
+        expected_v = TruncatedSeries([v * Fraction(1, factorial(n)) for n in range(4)])
         assert sol["v"] == expected_v
         assert sol["u"] == gen_series(g, LaurentPoly.variable("u"), 3)
 
@@ -157,16 +153,14 @@ class TestSolveOde:
             rhs={"x": LaurentPoly.zero()},
             initial={"x": Fraction(5)},
         )
-        assert solve_ode(sys, 4) == {"x": TruncatedSeries.constant(RATIONALS, 5, 4)}
+        assert solve_ode(sys, 4) == {"x": TruncatedSeries.constant(5, 4)}
 
     def test_rational_initials_match_evaluated_gen_series(self):
         g = Grammar.from_text("x -> x^2*y\ny -> x^2*y")
         sol = solve_ode(grammar_ode(g, initial={"x": 2, "y": 1}), 5)
         for letter in ("x", "y"):
             gs = gen_series(g, LaurentPoly.variable(letter), 5)
-            expected = gs.map_coefficients(
-                lambda p: p.evaluate({"x": 2, "y": 1}), RATIONALS
-            )
+            expected = gs.map_coefficients(lambda p: p.evaluate({"x": 2, "y": 1}))
             assert sol[letter] == expected
 
     def test_laurent_rhs(self):
@@ -188,9 +182,7 @@ class TestSolveOde:
         s = parse_poly("u + v")
         sys = OdeSystem(variables=("x",), rhs={"x": parse_poly("x^2")},
                         initial={"x": s})
-        assert solve_ode(sys, 6)["x"] == TruncatedSeries(
-            LAURENT, [s ** (n + 1) for n in range(7)]
-        )
+        assert solve_ode(sys, 6)["x"] == TruncatedSeries([s ** (n + 1) for n in range(7)])
 
     def test_negative_power_of_binomial_initial(self):
         sys = OdeSystem(variables=("x",), rhs={"x": parse_poly("x^-1")},
@@ -201,25 +193,22 @@ class TestSolveOde:
 
 def reference_solve(system: OdeSystem, order: int) -> dict[str, TruncatedSeries]:
     """c_{n+1} = [t^n] rhs(partial sums) / (n+1), with series products."""
-    ring = RATIONALS
-    if any(isinstance(c, LaurentPoly) for c in system.initial.values()):
-        ring = LAURENT
-    coeffs = {v: [ring.coerce(system.initial[v])] for v in system.variables}
+    coeffs = {v: [system.initial[v]] for v in system.variables}
     for n in range(order):
-        partial = {v: TruncatedSeries(ring, coeffs[v] + [ring.zero] * (n + 1 - len(coeffs[v])))
+        partial = {v: TruncatedSeries(coeffs[v] + [0] * (n + 1 - len(coeffs[v])))
                    for v in system.variables}
         step = {}
         for v in system.variables:
-            acc = TruncatedSeries.zero(ring, n)
+            acc = TruncatedSeries.zero(n)
             for mono, c in system.rhs[v].terms().items():
-                term = TruncatedSeries.constant(ring, c, n)
+                term = TruncatedSeries.constant(c, n)
                 for x, e in mono:
                     term = term * partial[x].pow_int(e)
                 acc = acc + term
             step[v] = acc.coefficient(n) * Fraction(1, n + 1)
         for v in system.variables:
             coeffs[v].append(step[v])
-    return {v: TruncatedSeries(ring, coeffs[v]) for v in system.variables}
+    return {v: TruncatedSeries(coeffs[v]) for v in system.variables}
 
 
 exact_coeffs = st.one_of(
@@ -287,6 +276,75 @@ class TestOdeEngineParity:
         assert solve_ode(system, 6) == expected
 
 
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def rational_series_pairs(draw):
+    """Two rational series of one order <= 6; the first has a unit constant term."""
+    order = draw(st.integers(0, 6))
+    tail = st.lists(small_fractions, min_size=order, max_size=order)
+    f = TruncatedSeries([draw(small_fractions.filter(bool))] + draw(tail))
+    g = TruncatedSeries([draw(small_fractions)] + draw(tail))
+    return f, g
+
+
+def lift(f):
+    return f.map_coefficients(LaurentPoly.constant)
+
+
+def assert_same(expected, got):
+    assert got == expected
+    assert hash(got) == hash(expected)
+    assert [str(c) for c in got.coeffs] == [str(c) for c in expected.coeffs]
+
+
+class TestMixedCoefficients:
+    """Rational and constant-polynomial coefficients give the same series,
+    alone or mixed in one operation."""
+
+    @given(rational_series_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_lifting_commutes_with_arithmetic(self, pair):
+        f, g = pair
+        for a, b in ((lift(f), lift(g)), (lift(f), g), (f, lift(g))):
+            assert_same(f * g, a * b)
+            assert_same(f + g, a + b)
+        assert_same(f.inverse(), lift(f).inverse())
+        f0 = f - TruncatedSeries.constant(f.coefficient(0), f.order)
+        assert_same(f0.exp(), lift(f0).exp())
+        for k in range(-3, 4):
+            assert_same(f.pow_int(k), lift(f).pow_int(k))
+
+    def test_float_coefficient_raises(self):
+        with pytest.raises(TypeError):
+            TruncatedSeries([1, 0.5])
+        with pytest.raises(TypeError):
+            series(1, 2).scalar_mul(0.5)
+        with pytest.raises(TypeError):
+            TruncatedSeries.constant(1.0, 2)
+
+
+class TestNegativeOrder:
+    @pytest.mark.parametrize("build", [
+        lambda: TruncatedSeries.constant(2, -1),
+        lambda: TruncatedSeries.zero(-1),
+        lambda: TruncatedSeries.one(-3),
+        lambda: TruncatedSeries.t_term(1, -1),
+        lambda: exp_t(1, -1),
+        lambda: solve_ode(grammar_ode(WHITNEY_32), -1),
+    ])
+    def test_raises(self, build):
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            build()
+
+    def test_order_zero_is_fine(self):
+        assert exp_t(1, 0) == TruncatedSeries.one(0)
+        assert solve_ode(grammar_ode(WHITNEY_32), 0)["u"] == TruncatedSeries.constant(
+            LaurentPoly.variable("u"), 0
+        )
+
+
 class TestTreeFunction:
     def test_first_coefficients(self):
         T = tree_function(4)
@@ -300,12 +358,12 @@ class TestTreeFunction:
 
     def test_functional_equation(self):
         T = tree_function(12)
-        z = TruncatedSeries.t_term(RATIONALS, 1, 12)
-        assert T - z * T.exp() == TruncatedSeries.zero(RATIONALS, 12)
+        z = TruncatedSeries.t_term(1, 12)
+        assert T - z * T.exp() == TruncatedSeries.zero(12)
 
     def test_derivative_identity(self):
         T = tree_function(9)
-        lhs = T.differentiate() * (TruncatedSeries.one(RATIONALS, 9) - T).truncate(8)
+        lhs = T.differentiate() * (TruncatedSeries.one(9) - T).truncate(8)
         assert lhs == T.exp().truncate(8)
 
 
