@@ -1,13 +1,27 @@
 """Command-line surface: output formats, exit codes, and report shape."""
 
+import contextlib
+import io
 import json
 import runpy
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkptri import cli
 from gkptri.cli import BUDGET_HELP, dumps_canonical, main
+from gkptri.triangles import (
+    FORMATS,
+    TriangleParams,
+    format_triangle,
+    r_eulerian,
+    recurrence_triangle,
+    second_order_eulerian,
+    stirling2_triangle,
+    whitney_eulerian,
+)
 
 
 def run(capsys, *argv):
@@ -59,6 +73,66 @@ class TestTriangleCommand:
         code, _, err = run(capsys, "triangle", "--params", "1,2,3",
                            "--rows", "2")
         assert code == 2
+
+
+def triangle_stdout(*argv):
+    """Exit code and standard output of `gkptri triangle ARGV`."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["triangle", *argv])
+    return code, out.getvalue()
+
+
+def params_text(six):
+    return ",".join(map(str, six))
+
+
+class TestTriangleOutputParity:
+    """The CLI prints exactly format_triangle of the recurrence rows, plus a
+    final newline, in every format."""
+
+    @given(st.tuples(*[st.integers(-3, 3)] * 6), st.integers(0, 12),
+           st.sampled_from(FORMATS))
+    @settings(max_examples=150, deadline=None)
+    def test_integer_six_tuples(self, six, n_max, fmt):
+        code, out = triangle_stdout(f"--params={params_text(six)}",
+                                    "--rows", str(n_max), "--format", fmt)
+        assert code == 0
+        expected = format_triangle(recurrence_triangle(TriangleParams(*six), n_max), fmt)
+        assert out == expected + "\n"
+
+    @given(st.tuples(*[st.fractions(min_value=-3, max_value=3, max_denominator=4)] * 6),
+           st.integers(0, 12), st.sampled_from(FORMATS))
+    @settings(max_examples=100, deadline=None)
+    def test_rational_six_tuples(self, six, n_max, fmt):
+        code, out = triangle_stdout(f"--params={params_text(six)}",
+                                    "--rows", str(n_max), "--format", fmt)
+        assert code == 0
+        expected = format_triangle(recurrence_triangle(TriangleParams(*six), n_max), fmt)
+        assert out == expected + "\n"
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("argv, triangle", [
+        (["--family", "whitney", "--m", "3", "--r", "2"], lambda n: whitney_eulerian(3, 2, n)),
+        (["--family", "r-eulerian", "--r", "2"], lambda n: r_eulerian(2, n)),
+        (["--family", "second-order", "--r", "2"], lambda n: second_order_eulerian(2, n)),
+        (["--family", "stirling2"], stirling2_triangle),
+    ])
+    def test_families(self, argv, triangle, fmt):
+        code, out = triangle_stdout(*argv, "--rows", "12", "--format", fmt)
+        assert code == 0
+        assert out == format_triangle(triangle(12), fmt) + "\n"
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_negative_zero_prints_as_zero(self, fmt):
+        # a = -1 and b = 0: from row 2 on, an exact decimal fill meets
+        # (-1)*0 + 0*(-1), which is -0 in decimal arithmetic.
+        code, out = triangle_stdout("--params=-1,0,0,0,0,0", "--rows", "4",
+                                    "--format", fmt)
+        assert code == 0
+        assert "-0" not in out
+        expected = format_triangle(recurrence_triangle(TriangleParams(-1, 0, 0, 0, 0, 0), 4), fmt)
+        assert out == expected + "\n"
 
 
 class TestGrammarCommand:
