@@ -5,17 +5,18 @@ run verification suites, and diff brute-force censuses against rows.
 drives the `*-oracle` suites: the kinds, their option, census, reference
 row and buckets all come from it.
 
-Exit codes: 0 everything passed, 1 a check failed, 2 usage or parse error,
-3 an enumeration budget was exceeded, 4 an internal error (any other
-exception, one `internal error: Type: message` line).  The enumeration
-budget (`--budget`, else the GKPTRI_BUDGET environment variable, else 10**7)
-is a positive integer written as `10` or `1e6`; anything else is a usage error.
+Exit codes: 0 everything passed or stdout was closed early (`| head`), 1 a
+check failed, 2 usage or parse error, 3 an enumeration budget was exceeded,
+4 an internal error (any other exception, one `internal error: Type: message`
+line).  The enumeration budget (`--budget`, else the GKPTRI_BUDGET variable,
+else 10**7) is a positive integer such as `10` or `1e6`; else a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import decimal
 import json
 import os
 import re
@@ -31,11 +32,12 @@ from .triangles import (
     FORMATS,
     Triangle,
     TriangleParams,
-    format_triangle,
-    recurrence_triangle,
     r_eulerian,
+    recurrence_triangle,
+    render_triangle,
     second_order_eulerian,
     stirling2_triangle,
+    triangle_rows,
     whitney_eulerian,
 )
 from .verify import ORACLES, SUITES, VerifyOptions, run_suites
@@ -61,6 +63,7 @@ def dumps_canonical(payload) -> str:
 
 BUDGET_HELP = ("enumeration budget, a positive integer such as 10 or 1e6 "
                "(default: GKPTRI_BUDGET, else 1e7)")
+HAO_HELP = "six-tuple a0,a1,a2,b0,b1,b2 (a0 < 0: --hao=-2,...)"
 
 
 def _default_budget(args) -> int:
@@ -75,30 +78,42 @@ def _default_budget(args) -> int:
     raise SystemExit2(f"{source} must be a positive integer such as 10 or 1e6, got {text!r}")
 
 
+# Exact integers (exponent 0, so str() is linear); a lost digit raises.
+EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                        traps=[decimal.Inexact, decimal.Rounded])
+
+
 def _triangle_from_args(args) -> Triangle:
+    # Row 0 only: the family functions check the arguments and give the label.
     if args.params is not None:
-        return recurrence_triangle(TriangleParams.parse(args.params), args.rows)
+        return recurrence_triangle(TriangleParams.parse(args.params), 0)
     if args.family is None:
         raise SystemExit2("one of --family or --params is required")
     if args.family == "whitney":
         if args.m is None or args.r is None:
             raise SystemExit2("--family whitney needs --m and --r")
-        return whitney_eulerian(args.m, args.r, args.rows)
+        return whitney_eulerian(args.m, args.r, 0)
     if args.family == "r-eulerian":
         if args.r is None:
             raise SystemExit2("--family r-eulerian needs --r")
-        return r_eulerian(args.r, args.rows)
+        return r_eulerian(args.r, 0)
     if args.family == "second-order":
         if args.r is None:
             raise SystemExit2("--family second-order needs --r")
-        return second_order_eulerian(args.r, args.rows)
+        return second_order_eulerian(args.r, 0)
     if args.family == "stirling2":
-        return stirling2_triangle(args.rows)
+        return stirling2_triangle(0)
     raise SystemExit2("--family gkp needs --params")
 
 
 def cmd_triangle(args) -> int:
-    print(format_triangle(_triangle_from_args(args), args.format))
+    """Write each row as it is filled, in exact Decimal or in Fraction."""
+    t = _triangle_from_args(args)
+    with decimal.localcontext(EXACT):
+        one = decimal.Decimal(1) if t.params.is_integral() else 1
+        rows = triangle_rows(t.params, args.rows, one)
+        sys.stdout.writelines(render_triangle(rows, args.format, t.label(), t.params))
+    sys.stdout.write("\n")
     return EXIT_OK
 
 
@@ -200,14 +215,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=FAMILIES)
     p.add_argument("--m", type=int)
     p.add_argument("--r", type=int)
-    p.add_argument("--params", help="a0,a1,a2,b0,b1,b2 (integers or p/q)")
+    p.add_argument("--params", help="a0,a1,a2,b0,b1,b2, integers or p/q (a0 < 0: --params=-2,...)")
     p.add_argument("--rows", type=int, required=True, help="compute rows 0..N")
     p.add_argument("--format", choices=FORMATS, default="oeis")
     p.set_defaults(fn=cmd_triangle)
 
     p = sub.add_parser("grammar", help="print D^0..D^n of a seed polynomial")
     p.add_argument("--rules", help="file with one `letter -> polynomial` per line")
-    p.add_argument("--hao", help="six-tuple a0,a1,a2,b0,b1,b2")
+    p.add_argument("--hao", help=HAO_HELP)
     p.add_argument("--seed", help="seed polynomial, e.g. 'u*v^2'")
     p.add_argument("--n", type=int, default=1)
     p.set_defaults(fn=cmd_grammar)
@@ -216,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree-function", action="store_true",
                    help="coefficients n^(n-1)/n! of the tree function")
     p.add_argument("--rules")
-    p.add_argument("--hao")
+    p.add_argument("--hao", help=HAO_HELP)
     p.add_argument("--seed")
     p.add_argument("--order", type=int, required=True)
     p.set_defaults(fn=cmd_series)
@@ -236,8 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=tuple(ORACLES))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int)
-    p.add_argument("--params", help="a0,a1,a2 for kind=components")
-    p.add_argument("--hao", help="six-tuple a0,a1,a2,b0,b1,b2 for kind=vleaves")
+    p.add_argument("--params", help="a0,a1,a2 for kind=components (a0 < 0: --params=-1,...)")
+    p.add_argument("--hao", help=HAO_HELP + " (kind=vleaves)")
     p.add_argument("--diff", action="store_true",
                    help="compare against the matching triangle row")
     p.add_argument("--budget", help=BUDGET_HELP)
@@ -270,13 +285,19 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         with _unlimited_int_digits():
-            return args.fn(args)
+            code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except PolyParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except BrokenPipeError:
+        # The reader left (`| head`); send the exit-time flush to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (SystemExit2, GkpError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -17,6 +17,7 @@ recurrence; their parameter six-tuples are recorded here:
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -127,24 +128,29 @@ class Triangle:
         return f"gkp({self.params})" if self.params else "triangle"
 
 
-def recurrence_triangle(params: TriangleParams, n_max: int,
-                        family: str | None = None) -> Triangle:
-    """Fill rows 0..n_max directly from the recurrence, one loop over row
-    n-1 per row; integer six-tuples stay on int, and only rational ones
-    normalize each entry."""
+def triangle_rows(params: TriangleParams, n_max: int, one=1) -> Iterator[list]:
+    """Yield rows 0..n_max, holding only row n-1.  Row 0 is [one]; integer
+    six-tuples keep the type of `one` (int, or an exact Decimal)."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     a0, a1, a2, b0, b1, b2 = params.as_tuple()
     integral = params.is_integral()
-    rows: list[list[Scalar]] = [[1]]
+    prev = [one]
+    yield prev
     for n in range(1, n_max + 1):
-        prev, a, b = rows[-1], a2 * n + a0, b2 * n + b0
+        a, b = a2 * n + a0, b2 * n + b0
         row = [a * prev[0]]
         for k in range(1, n):
             row.append((a + a1 * k) * prev[k] + (b + b1 * k) * prev[k - 1])
         row.append((b + b1 * n) * prev[n - 1])
-        rows.append(row if integral else list(map(normalize_scalar, row)))
-    return Triangle(params=params, rows=rows, family=family)
+        prev = row if integral else list(map(normalize_scalar, row))
+        yield prev
+
+
+def recurrence_triangle(params: TriangleParams, n_max: int,
+                        family: str | None = None) -> Triangle:
+    """Fill rows 0..n_max directly from the recurrence."""
+    return Triangle(params, list(triangle_rows(params, n_max)), family)
 
 
 def whitney_eulerian(m: int, r: int, n_max: int) -> Triangle:
@@ -183,8 +189,8 @@ def stirling2_triangle(n_max: int) -> Triangle:
 FORMATS = ("plain", "csv", "json", "oeis")
 
 
-def _render_value(v: Scalar):
-    return v if isinstance(v, int) else str(v)
+def _text(v) -> str:
+    return str(v) if v else "0"  # a Decimal -0, as (-1)*0 makes, prints as 0
 
 
 def _trim(row: list[Scalar]) -> list[Scalar]:
@@ -195,24 +201,26 @@ def _trim(row: list[Scalar]) -> list[Scalar]:
     return row[:end]
 
 
-def format_triangle(t: Triangle, fmt: str) -> str:
-    """Render a triangle; `plain` and `oeis` trim trailing zeros for
-    readability, `csv` and `json` keep full rows."""
-    if fmt == "plain":
-        lines = [f"n={n}: " + ",".join(str(_render_value(v)) for v in _trim(row))
-                 for n, row in enumerate(t.rows)]
-        return "\n".join(lines)
-    if fmt == "oeis":
-        return "\n".join(",".join(str(_render_value(v)) for v in _trim(row))
-                         for row in t.rows)
-    if fmt == "csv":
-        return "\n".join(",".join(str(_render_value(v)) for v in row)
-                         for row in t.rows)
+def render_triangle(rows: Iterable[list], fmt: str, label: str,
+                    params: TriangleParams | None) -> Iterator[str]:
+    """Render rows as they come, one piece per row, whose join is the whole
+    text without a final newline.  `plain` and `oeis` trim trailing zeros,
+    `csv` and `json` keep full rows; `json` is the canonical compact dump."""
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r} (choose from {', '.join(FORMATS)})")
+    params_json = json.dumps(str(params) if params else None)
+    for n, row in enumerate(rows):
+        if fmt == "json":
+            head = "," if n else f'{{"label":{json.dumps(label)},"params":{params_json},"rows":['
+            yield head + "[" + ",".join(f'"{v}"' if type(v) is Fraction else _text(v)
+                                        for v in row) + "]"
+        else:
+            line = ",".join(map(_text, row if fmt == "csv" else _trim(row)))
+            yield ("\n" if n else "") + (f"n={n}: " if fmt == "plain" else "") + line
     if fmt == "json":
-        payload = {
-            "label": t.label(),
-            "params": str(t.params) if t.params else None,
-            "rows": [[_render_value(v) for v in row] for row in t.rows],
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    raise ValueError(f"unknown format {fmt!r} (choose from {', '.join(FORMATS)})")
+        yield "]}"
+
+
+def format_triangle(t: Triangle, fmt: str) -> str:
+    """The whole text of a computed triangle (see render_triangle)."""
+    return "".join(render_triangle(t.rows, fmt, t.label(), t.params))

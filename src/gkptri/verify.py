@@ -14,6 +14,7 @@ the `*-oracle` suites are generated from ORACLES, which `gkptri oracle` reads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -598,7 +599,7 @@ class Oracle:
 
 
 def _parse_a_triple(text: str) -> tuple[int, ...]:
-    if text.count(",") != 2:
+    if not re.fullmatch(r"\s*[+-]?\d+\s*(,\s*[+-]?\d+\s*){2}", text):
         raise ValueError(f"--params needs three integers a0,a1,a2, got {text!r}")
     return tuple(int(p) for p in text.split(","))
 

@@ -1,10 +1,14 @@
 """Command-line surface: output formats, exit codes, and report shape."""
 
 import contextlib
+import decimal
 import io
 import json
+import os
 import runpy
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -133,6 +137,61 @@ class TestTriangleOutputParity:
         assert "-0" not in out
         expected = format_triangle(recurrence_triangle(TriangleParams(-1, 0, 0, 0, 0, 0), 4), fmt)
         assert out == expected + "\n"
+
+
+class TestTriangleStreaming:
+    def test_negative_six_tuple_with_equals_form(self):
+        # `--params -2,...` reads as an unknown option to argparse; the
+        # `--params=-2,...` form passes the value through.
+        code, out = triangle_stdout("--params=-2,1,-3,0,-1,2", "--rows", "3")
+        assert code == 0
+        expected = format_triangle(recurrence_triangle(TriangleParams(-2, 1, -3, 0, -1, 2), 3),
+                                   "oeis")
+        assert out == expected + "\n"
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_negative_rows_writes_nothing(self, fmt):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["triangle", "--family", "stirling2", "--rows", "-1", "--format", fmt])
+        assert code == 2
+        assert out.getvalue() == ""
+        assert err.getvalue() == "error: n_max must be nonnegative\n"
+
+    def test_exact_context_traps_lost_digits(self):
+        assert cli.EXACT.prec == decimal.MAX_PREC
+        assert cli.EXACT.traps[decimal.Inexact] and cli.EXACT.traps[decimal.Rounded]
+
+    def test_lost_digit_stops_the_output(self, monkeypatch):
+        # Row 6 of whitney(3,2) is the first with a six-digit entry
+        # (154113).  With five digits of precision and no traps a rounded
+        # value is printed; with traps the command stops before that row.
+        argv = ("--family", "whitney", "--m", "3", "--r", "2", "--rows", "9")
+        exact = format_triangle(whitney_eulerian(3, 2, 9), "oeis") + "\n"
+        assert triangle_stdout(*argv) == (0, exact)
+        monkeypatch.setattr(cli, "EXACT", decimal.Context(prec=5, traps=[]))
+        code, out = triangle_stdout(*argv)
+        assert code == 0 and out != exact
+        monkeypatch.setattr(cli, "EXACT", decimal.Context(
+            prec=5, traps=[decimal.Inexact, decimal.Rounded]))
+        code, out = triangle_stdout(*argv)
+        assert code == cli.EXIT_INTERNAL
+        assert out == "\n".join(exact.splitlines()[:6])
+
+    def test_closed_stdout_exits_zero_quietly(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gkptri", "triangle", "--family", "stirling2",
+             "--rows", "400"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.read(10) == b"1\n0,1\n0,1,"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
 
 
 class TestGrammarCommand:
@@ -334,6 +393,13 @@ class TestInputErrors:
         assert code == 2
         assert out == ""
         assert err == f"error: {flag} must be nonnegative, got -1\n"
+
+    @pytest.mark.parametrize("text", ["1/0,1,1", "1,x,1", "1,2", "1,2,3,4"])
+    def test_components_params_need_three_integers(self, capsys, text):
+        code, out, err = run(capsys, "oracle", "components", "--params", text, "--n", "2")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --params needs three integers a0,a1,a2, got {text!r}\n"
 
     def test_big_integers_print_in_full(self, capsys):
         before = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None

@@ -1,5 +1,6 @@
 """Recurrence engine, named families, row aggregates, and export formats."""
 
+import decimal
 import json
 from fractions import Fraction
 from math import factorial
@@ -19,6 +20,7 @@ from gkptri.triangles import (
     second_order_eulerian,
     stirling2_params,
     stirling2_triangle,
+    triangle_rows,
     whitney_eulerian,
     whitney_params,
 )
@@ -122,6 +124,33 @@ class TestRecurrenceParity:
     def test_integer_params_give_int_entries(self, six, n_max):
         rows = recurrence_triangle(TriangleParams(*six), n_max).rows
         assert all(type(v) is int for row in rows for v in row)
+
+
+class TestRowStream:
+    def test_yields_the_rows_of_recurrence_triangle(self):
+        p = whitney_params(3, 2)
+        assert list(triangle_rows(p, 8)) == recurrence_triangle(p, 8).rows
+
+    def test_negative_n_max_raises_at_the_first_row(self):
+        rows = triangle_rows(stirling2_params(), -1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            next(rows)
+
+    @given(st.tuples(*[st.integers(-4, 4)] * 6), st.integers(0, 12))
+    @settings(max_examples=100)
+    def test_exact_decimal_fill_equals_int_fill(self, six, n_max):
+        params = TriangleParams(*six)
+        context = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                                  Emin=decimal.MIN_EMIN,
+                                  traps=[decimal.Inexact, decimal.Rounded])
+        with decimal.localcontext(context):
+            rows = list(triangle_rows(params, n_max, decimal.Decimal(1)))
+        expected = recurrence_triangle(params, n_max).rows
+        assert rows == expected
+        for row, ints in zip(rows, expected):
+            for v, i in zip(row, ints):
+                assert type(v) is decimal.Decimal and v.as_tuple().exponent == 0
+                assert str(abs(v)) == str(abs(i))
 
 
 class TestFamilies:
