@@ -112,7 +112,7 @@ def cmd_triangle(args) -> int:
     with decimal.localcontext(EXACT):
         one = decimal.Decimal(1) if t.params.is_integral() else 1
         rows = triangle_rows(t.params, args.rows, one)
-        sys.stdout.writelines(render_triangle(rows, args.format, t.label(), t.params))
+        sys.stdout.writelines(render_triangle(t, rows, args.format))
     sys.stdout.write("\n")
     return EXIT_OK
 

@@ -201,19 +201,19 @@ def _trim(row: list[Scalar]) -> list[Scalar]:
     return row[:end]
 
 
-def render_triangle(rows: Iterable[list], fmt: str, label: str,
-                    params: TriangleParams | None) -> Iterator[str]:
-    """Render rows as they come, one piece per row, whose join is the whole
-    text without a final newline.  `plain` and `oeis` trim trailing zeros,
-    `csv` and `json` keep full rows; `json` is the canonical compact dump."""
+def render_triangle(t: Triangle, rows: Iterable[list], fmt: str) -> Iterator[str]:
+    """Render rows of `t`'s recurrence as they come, one piece per row; the
+    pieces join to the whole text, without a final newline.  `plain` and
+    `oeis` trim trailing zeros, `csv` and `json` keep full rows; `json` is
+    the canonical compact dump, with rationals as strings."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r} (choose from {', '.join(FORMATS)})")
-    params_json = json.dumps(str(params) if params else None)
+    head = '{"label":%s,"params":%s,"rows":[' % (
+        json.dumps(t.label()), json.dumps(str(t.params) if t.params else None))
     for n, row in enumerate(rows):
         if fmt == "json":
-            head = "," if n else f'{{"label":{json.dumps(label)},"params":{params_json},"rows":['
-            yield head + "[" + ",".join(f'"{v}"' if type(v) is Fraction else _text(v)
-                                        for v in row) + "]"
+            line = ",".join(f'"{v}"' if type(v) is Fraction else _text(v) for v in row)
+            yield ("," if n else head) + "[" + line + "]"
         else:
             line = ",".join(map(_text, row if fmt == "csv" else _trim(row)))
             yield ("\n" if n else "") + (f"n={n}: " if fmt == "plain" else "") + line
@@ -223,4 +223,4 @@ def render_triangle(rows: Iterable[list], fmt: str, label: str,
 
 def format_triangle(t: Triangle, fmt: str) -> str:
     """The whole text of a computed triangle (see render_triangle)."""
-    return "".join(render_triangle(t.rows, fmt, t.label(), t.params))
+    return "".join(render_triangle(t, t.rows, fmt))

@@ -158,14 +158,13 @@ class TestTriangleStreaming:
         assert out.getvalue() == ""
         assert err.getvalue() == "error: n_max must be nonnegative\n"
 
-    def test_exact_context_traps_lost_digits(self):
+    def test_lost_digit_stops_the_output(self, monkeypatch):
         assert cli.EXACT.prec == decimal.MAX_PREC
         assert cli.EXACT.traps[decimal.Inexact] and cli.EXACT.traps[decimal.Rounded]
-
-    def test_lost_digit_stops_the_output(self, monkeypatch):
         # Row 6 of whitney(3,2) is the first with a six-digit entry
         # (154113).  With five digits of precision and no traps a rounded
-        # value is printed; with traps the command stops before that row.
+        # value is printed; with the traps of EXACT the command stops
+        # before that row, with exit 4.
         argv = ("--family", "whitney", "--m", "3", "--r", "2", "--rows", "9")
         exact = format_triangle(whitney_eulerian(3, 2, 9), "oeis") + "\n"
         assert triangle_stdout(*argv) == (0, exact)
