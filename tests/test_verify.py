@@ -1,12 +1,14 @@
 """Pins of `gkptri verify --format json`: the payload schema, and the exact
-records of the brute-force oracle suites."""
+records of the brute-force oracle suites and the closed-form suites."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from gkptri import closedforms as cf
 from gkptri.cli import main
-from gkptri.verify import ORACLES, SUITES
+from gkptri.verify import ORACLES, SUITES, VerifyOptions
 
 
 def verify_json(capsys, *argv):
@@ -106,3 +108,85 @@ def test_components_params_needs_three_values(capsys):
     assert main(["oracle", "components", "--n", "2", "--params", "1,2"]) == 2
     err = capsys.readouterr().err
     assert "a0,a1,a2" in err and len(err.splitlines()) == 1
+
+
+
+# (name, grid text, default n_max) of the eight closed-form suites.
+CLOSED_FORM_SUITES = [
+    ("a1zero-rowsum", "a0 in {0,1,2}, a2 in {1,2,3}", 7),
+    ("a2zero-explicit", "a0 in {0,1,2}, a1 in {1,2,3}", 6),
+    ("alternating-sums", WHITNEY_GRID, 7),
+    ("b1-explicit", A_GRID, 7),
+    ("b2zero-explicit", A_GRID + ", b0,b1 in {0,1,2}", 7),
+    ("row-sums", WHITNEY_GRID, 7),
+    ("touchard", "a0 in {0,1,2}, a1 in {1,2,3}", 6),
+    ("whitney-explicit", WHITNEY_GRID, 7),
+]
+
+
+def closed_form_records(max_n):
+    return [{"name": name,
+             "params": {"grid": grid, "n_max": str(n_max if max_n is None else max_n)},
+             "order": None, "status": "pass", "locus": None}
+            for name, grid, n_max in CLOSED_FORM_SUITES]
+
+
+GRIDS = {"default": [], "max-n-3": ["--max-n", "3"]}
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_closed_form_suite_records(capsys, grid):
+    names = [name for name, _, _ in CLOSED_FORM_SUITES]
+    code, payload = verify_json(capsys, *names, *GRIDS[grid])
+    assert code == 0
+    assert payload["checks"] == closed_form_records(3 if GRIDS[grid] else None)
+    assert payload["passed"] is True
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+@pytest.mark.parametrize("index", range(len(CLOSED_FORM_SUITES)),
+                         ids=[name for name, _, _ in CLOSED_FORM_SUITES])
+def test_closed_form_suite_plain_line(capsys, grid, index):
+    record = closed_form_records(3 if GRIDS[grid] else None)[index]
+    assert main(["verify", record["name"], *GRIDS[grid]]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    params = record["params"]
+    assert lines[0] == f"{record['name']} [grid={params['grid']}, n_max={params['n_max']}]: pass"
+    assert len(lines) == 2 and lines[1].startswith("1 check(s) in ")
+
+
+def _off_by_one_at(fn, point):
+    def patched(*args):
+        value = fn(*args)
+        return value + 1 if args == point else value
+    return patched
+
+
+def _last_entry_off_at(fn, a1, n):
+    def patched(a0, a1_, n_):
+        row = fn(a0, a1_, n_)
+        if (a1_, n_) == (a1, n):
+            row[-1] += 1
+        return row
+    return patched
+
+
+FAILURE_CASES = {
+    "whitney-explicit": (
+        "a_mr_explicit", lambda fn: _off_by_one_at(fn, (2, 1, 3, 2)), "m=2, r=1, n=3, k=2"),
+    "b1-explicit": (
+        "f_gram_explicit", lambda fn: lambda *args: Fraction(fn(*args)),
+        "non-integral a=(0,1,1), n=0, k=0"),
+    "a1zero-rowsum": (
+        "a1zero_rowsum", lambda fn: _off_by_one_at(fn, (1, 2, 4)), "a0=1, a2=2, n=4"),
+    "touchard": (
+        "touchard_row", lambda fn: _last_entry_off_at(fn, 3, 5), "a0=0, a1=3, n=5"),
+}
+
+
+@pytest.mark.parametrize("name", FAILURE_CASES)
+def test_closed_form_suite_reports_first_failure(monkeypatch, name):
+    attr, patch, locus = FAILURE_CASES[name]
+    monkeypatch.setattr(cf, attr, patch(getattr(cf, attr)))
+    reports = SUITES[name](VerifyOptions())
+    assert [(r.name, r.passed, r.failure) for r in reports] == [(name, False, locus)]
