@@ -161,6 +161,8 @@ def cmd_verify(args) -> int:
     )
     if args.y:
         opts.y_values = tuple(map(parse_rational, args.y))
+        if {0, 1} & set(opts.y_values):
+            raise SystemExit2("the identity needs y outside {0, 1}")
     start = time.monotonic()
     reports = run_suites(args.suites, opts)
     wall_ms = int((time.monotonic() - start) * 1000)

@@ -393,6 +393,17 @@ class TestInputErrors:
         assert out == ""
         assert err == f"error: {flag} must be nonnegative, got -1\n"
 
+    @pytest.mark.parametrize("y", ["0", "1", "2/2", "-0"])
+    @pytest.mark.parametrize("suite", ["second-order-egf", "all"])
+    def test_degenerate_y_is_rejected_before_any_suite(self, capsys, monkeypatch, suite, y):
+        def no_suites(*_):
+            raise AssertionError("a suite ran")
+        monkeypatch.setattr(cli, "run_suites", no_suites)
+        code, out, err = run(capsys, "verify", suite, "--y", "1/2", f"--y={y}")
+        assert code == 2
+        assert out == ""
+        assert err == "error: the identity needs y outside {0, 1}\n"
+
     @pytest.mark.parametrize("text", ["1/0,1,1", "1,x,1", "1,2", "1,2,3,4"])
     def test_components_params_need_three_integers(self, capsys, text):
         code, out, err = run(capsys, "oracle", "components", "--params", text, "--n", "2")
