@@ -8,8 +8,10 @@ defined here on top of `fps`, next to the suites that run them.
 Each suite runs one identity battery over a documented default grid and
 returns a list of CheckReport records; the grids can be shrunk with the
 `max_n` / `order` options so CI runs stay deterministic and fast.  Suites
-are registered under kebab-case names and always executed in name order;
-the `*-oracle` suites are generated from ORACLES, which `gkptri oracle` reads.
+are registered under kebab-case names and always executed in name order.
+The closed-form suites are the rows of CLOSED_FORMS, one runner comparing
+each closed form with the recurrence; the `*-oracle` suites are generated
+from ORACLES, which `gkptri oracle` reads.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import comb, factorial
 from typing import Callable
@@ -42,6 +45,7 @@ from .fps import (
 from .grammar import Grammar, extract_triangle, hao_grammar, hao_seed, iterate_D
 from .polyring import LaurentPoly, monomial, parse_poly
 from .triangles import (
+    Triangle,
     TriangleParams,
     r_eulerian_params,
     recurrence_triangle,
@@ -115,14 +119,15 @@ def suite(name: str):
     return register
 
 
-def _whitney_grid():
-    for m in (1, 2, 3):
-        for r in range(m + 1):
-            yield m, r
+def _loci(label: str, *ranges) -> tuple[tuple[str, tuple], ...]:
+    """(label filled in with args, args) for every args in product(*ranges)."""
+    return tuple((label.format(*args), args) for args in product(*ranges))
 
 
-def _a_grid():
-    return product((0, 1, 2), (1, 2, 3), (1, 2, 3))
+_WHITNEY_TEXT = "m in {1,2,3}, 0 <= r <= m"
+_WHITNEY_LOCI = tuple((f"m={m}, r={r}", (m, r)) for m in (1, 2, 3) for r in range(m + 1))
+_A_TEXT = "a0 in {0,1,2}, a1,a2 in {1,2,3}"
+_A_LOCI = _loci("a=({},{},{})", (0, 1, 2), (1, 2, 3), (1, 2, 3))
 
 
 # -- grammar vs recurrence -----------------------------------------------------
@@ -172,152 +177,91 @@ def suite_expansion_golden(opts: VerifyOptions) -> list[CheckReport]:
     return [report]
 
 
-# -- row aggregates -------------------------------------------------------------
-
-
-@suite("row-sums")
-def suite_row_sums(opts: VerifyOptions) -> list[CheckReport]:
-    """Rows of the (mk+r)/(mn-mk+m-r) triangles sum to m^n n!."""
-    n_max = opts.cap_n(7)
-    report = CheckReport(
-        name="row-sums",
-        params={"grid": "m in {1,2,3}, 0 <= r <= m", "n_max": n_max},
-    )
-    for m, r in _whitney_grid():
-        tri = whitney_eulerian(m, r, n_max)
-        for n in range(n_max + 1):
-            if tri.row_sum(n) != m ** n * factorial(n):
-                report.fail(f"m={m}, r={r}, n={n}")
-    return [report]
-
-
-@suite("alternating-sums")
-def suite_alternating_sums(opts: VerifyOptions) -> list[CheckReport]:
-    """Alternating row sums equal 2^n sum_k C(n,k) m^k E_k(0) r^(n-k)."""
-    n_max = opts.cap_n(7)
-    report = CheckReport(
-        name="alternating-sums",
-        params={"grid": "m in {1,2,3}, 0 <= r <= m", "n_max": n_max},
-    )
-    for m, r in _whitney_grid():
-        tri = whitney_eulerian(m, r, n_max)
-        for n in range(n_max + 1):
-            rhs = 2 ** n * sum(
-                comb(n, k) * Fraction(m) ** k * cf.euler_at_zero(k)
-                * Fraction(r) ** (n - k)
-                for k in range(n + 1)
-            )
-            if tri.alternating_row_sum(n) != rhs:
-                report.fail(f"m={m}, r={r}, n={n}")
-    return [report]
-
-
 # -- closed forms ----------------------------------------------------------------
 
 
-@suite("whitney-explicit")
-def suite_whitney_explicit(opts: VerifyOptions) -> list[CheckReport]:
-    """The alternating binomial formula equals the recurrence entrywise."""
-    n_max = opts.cap_n(7)
-    report = CheckReport(
-        name="whitney-explicit",
-        params={"grid": "m in {1,2,3}, 0 <= r <= m", "n_max": n_max},
-    )
-    for m, r in _whitney_grid():
-        tri = whitney_eulerian(m, r, n_max)
-        for n in range(n_max + 1):
-            for k in range(n + 1):
-                value = cf.a_mr_explicit(m, r, n, k)
-                if value != tri.entry(n, k):
-                    report.fail(f"m={m}, r={r}, n={n}, k={k}")
-    return [report]
+@dataclass(frozen=True)
+class ClosedForm:
+    """A closed form and the recurrence triangle it must equal.  For each
+    `(label, args)` in `grid`, the triangle with six-tuple `params(*args)` is
+    filled to row `n_max`.  With no `row` reader, `form(*args, n, k)` must
+    equal entry (n, k) and be an int; with one, `form(*args, n)` must equal
+    `row(triangle, n)`.  The report prints the grid as `grid_text`.
+    """
+
+    grid: tuple[tuple[str, tuple], ...]
+    params: Callable
+    form: Callable
+    n_max: int
+    grid_text: str
+    row: Callable | None = None
+
+    def run(self, name: str, opts: VerifyOptions) -> list[CheckReport]:
+        """The verify suite `name`: every grid point, rows 0..n_max."""
+        n_max = opts.cap_n(self.n_max)
+        report = CheckReport(name=name, params={"grid": self.grid_text, "n_max": n_max})
+        for label, args in self.grid:
+            tri = recurrence_triangle(self.params(*args), n_max)
+            for n in range(n_max + 1):
+                if self.row is not None:
+                    if self.form(*args, n) != self.row(tri, n):
+                        report.fail(f"{label}, n={n}")
+                    continue
+                for k in range(n + 1):
+                    value = self.form(*args, n, k)
+                    if value != tri.entry(n, k):
+                        report.fail(f"{label}, n={n}, k={k}")
+                    if not isinstance(value, int):
+                        report.fail(f"non-integral {label}, n={n}, k={k}")
+        return [report]
 
 
-@suite("b1-explicit")
-def suite_b1_explicit(opts: VerifyOptions) -> list[CheckReport]:
-    """Finite-difference product formula equals the b = 1 recurrence, and
-    every value is integral despite the 1/(a1^k k!) prefactor."""
-    n_max = opts.cap_n(7)
-    report = CheckReport(
-        name="b1-explicit",
-        params={"grid": "a0 in {0,1,2}, a1,a2 in {1,2,3}", "n_max": n_max},
-    )
-    for a0, a1, a2 in _a_grid():
-        tri = recurrence_triangle(TriangleParams(a0, a1, a2, 1, 0, 0), n_max)
-        for n in range(n_max + 1):
-            for k in range(n + 1):
-                value = cf.f_gram_explicit(a0, a1, a2, n, k)
-                if value != tri.entry(n, k):
-                    report.fail(f"a=({a0},{a1},{a2}), n={n}, k={k}")
-                if not isinstance(value, int):
-                    report.fail(f"non-integral a=({a0},{a1},{a2}), n={n}, k={k}")
-    return [report]
+# Each row calls `cf.*` when it runs, not when the table is built, so that a
+# traced or patched closed form is the one that is checked.
+CLOSED_FORMS: dict[str, ClosedForm] = {
+    # Rows of the (mk+r)/(mn-mk+m-r) triangles sum to m^n n!.
+    "row-sums": ClosedForm(
+        _WHITNEY_LOCI, whitney_params, lambda m, r, n: m ** n * factorial(n),
+        n_max=7, grid_text=_WHITNEY_TEXT, row=Triangle.row_sum),
+    # Their alternating row sums are 2^n sum_k C(n,k) m^k E_k(0) r^(n-k).
+    "alternating-sums": ClosedForm(
+        _WHITNEY_LOCI, whitney_params,
+        lambda m, r, n: 2 ** n * sum(comb(n, k) * Fraction(m) ** k * cf.euler_at_zero(k)
+                                     * Fraction(r) ** (n - k) for k in range(n + 1)),
+        n_max=7, grid_text=_WHITNEY_TEXT, row=Triangle.alternating_row_sum),
+    # Their entries by the alternating binomial formula.
+    "whitney-explicit": ClosedForm(
+        _WHITNEY_LOCI, whitney_params, lambda *a: cf.a_mr_explicit(*a),
+        n_max=7, grid_text=_WHITNEY_TEXT),
+    # b = 1 entries by the finite-difference product formula, integral despite
+    # its 1/(a1^k k!) prefactor.
+    "b1-explicit": ClosedForm(
+        _A_LOCI, lambda *a: TriangleParams(*a, 1, 0, 0), lambda *a: cf.f_gram_explicit(*a),
+        n_max=7, grid_text=_A_TEXT),
+    # b2 = 0 entries by the rising-step prefactor formula.
+    "b2zero-explicit": ClosedForm(
+        _loci("a=({},{},{}), b=({},{})", (0, 1, 2), (1, 2, 3), (1, 2, 3), (0, 1, 2), (0, 1, 2)),
+        lambda *a: TriangleParams(*a, 0), lambda *a: cf.t_b2zero_explicit(*a),
+        n_max=7, grid_text=_A_TEXT + ", b0,b1 in {0,1,2}"),
+    # b = 1, a2 = 0 rows as Bell-polynomial coefficients.
+    "touchard": ClosedForm(
+        _loci("a0={}, a1={}", (0, 1, 2), (1, 2, 3)),
+        lambda a0, a1: TriangleParams(a0, a1, 0, 1, 0, 0), lambda *a: cf.touchard_row(*a),
+        n_max=6, grid_text="a0 in {0,1,2}, a1 in {1,2,3}", row=Triangle.row),
+    # b = 1, a2 = 0 entries by the Stirling-weighted binomial formula.
+    "a2zero-explicit": ClosedForm(
+        _loci("a0={}, a1={}", (0, 1, 2), (1, 2, 3)),
+        lambda a0, a1: TriangleParams(a0, a1, 0, 1, 0, 0), lambda *a: cf.f_a2zero_explicit(*a),
+        n_max=6, grid_text="a0 in {0,1,2}, a1 in {1,2,3}"),
+    # b = 1, a1 = 0 row sums are rising factorials.
+    "a1zero-rowsum": ClosedForm(
+        _loci("a0={}, a2={}", (0, 1, 2), (1, 2, 3)),
+        lambda a0, a2: TriangleParams(a0, 0, a2, 1, 0, 0), lambda *a: cf.a1zero_rowsum(*a),
+        n_max=7, grid_text="a0 in {0,1,2}, a2 in {1,2,3}", row=Triangle.row_sum),
+}
 
 
-@suite("b2zero-explicit")
-def suite_b2zero_explicit(opts: VerifyOptions) -> list[CheckReport]:
-    """Rising-step prefactor formula equals the b2 = 0 recurrence."""
-    n_max = opts.cap_n(7)
-    report = CheckReport(
-        name="b2zero-explicit",
-        params={"grid": "a0 in {0,1,2}, a1,a2 in {1,2,3}, b0,b1 in {0,1,2}",
-                "n_max": n_max},
-    )
-    for (a0, a1, a2), b0, b1 in product(_a_grid(), (0, 1, 2), (0, 1, 2)):
-        tri = recurrence_triangle(TriangleParams(a0, a1, a2, b0, b1, 0), n_max)
-        for n in range(n_max + 1):
-            for k in range(n + 1):
-                if cf.t_b2zero_explicit(a0, a1, a2, b0, b1, n, k) != tri.entry(n, k):
-                    report.fail(f"a=({a0},{a1},{a2}), b=({b0},{b1}), n={n}, k={k}")
-    return [report]
-
-
-@suite("touchard")
-def suite_touchard(opts: VerifyOptions) -> list[CheckReport]:
-    """Bell-polynomial row identity holds as a polynomial identity."""
-    n_max = opts.cap_n(6)
-    report = CheckReport(
-        name="touchard",
-        params={"grid": "a0 in {0,1,2}, a1 in {1,2,3}", "n_max": n_max},
-    )
-    for a0, a1, n in product((0, 1, 2), (1, 2, 3), range(n_max + 1)):
-        lhs, rhs = cf.touchard_check(a0, a1, n)
-        if lhs != rhs:
-            report.fail(f"a0={a0}, a1={a1}, n={n}")
-    return [report]
-
-
-@suite("a2zero-explicit")
-def suite_a2zero_explicit(opts: VerifyOptions) -> list[CheckReport]:
-    """Stirling-weighted binomial formula equals the a2 = 0 recurrence."""
-    n_max = opts.cap_n(6)
-    report = CheckReport(
-        name="a2zero-explicit",
-        params={"grid": "a0 in {0,1,2}, a1 in {1,2,3}", "n_max": n_max},
-    )
-    for a0, a1 in product((0, 1, 2), (1, 2, 3)):
-        tri = recurrence_triangle(TriangleParams(a0, a1, 0, 1, 0, 0), n_max)
-        for n in range(n_max + 1):
-            for k in range(n + 1):
-                if cf.f_a2zero_explicit(a0, a1, n, k) != tri.entry(n, k):
-                    report.fail(f"a0={a0}, a1={a1}, n={n}, k={k}")
-    return [report]
-
-
-@suite("a1zero-rowsum")
-def suite_a1zero_rowsum(opts: VerifyOptions) -> list[CheckReport]:
-    """Rising-factorial row sums for the a1 = 0, b = 1 family."""
-    n_max = opts.cap_n(7)
-    report = CheckReport(
-        name="a1zero-rowsum",
-        params={"grid": "a0 in {0,1,2}, a2 in {1,2,3}", "n_max": n_max},
-    )
-    for a0, a2 in product((0, 1, 2), (1, 2, 3)):
-        tri = recurrence_triangle(TriangleParams(a0, 0, a2, 1, 0, 0), n_max)
-        for n in range(n_max + 1):
-            if cf.a1zero_rowsum(a0, a2, n) != tri.row_sum(n):
-                report.fail(f"a0={a0}, a2={a2}, n={n}")
-    return [report]
+SUITES.update((name, partial(form.run, name)) for name, form in CLOSED_FORMS.items())
 
 
 # -- generating functions ---------------------------------------------------------
@@ -471,7 +415,7 @@ def verify_secondorder_egf(y, order: int) -> CheckReport:
 def suite_whitney_egf(opts: VerifyOptions) -> list[CheckReport]:
     """Closed bivariate EGF at exact rational points."""
     order = opts.cap_order(6)
-    return [verify_closed_form_whitney(m, r, order) for m, r in _whitney_grid()]
+    return [verify_closed_form_whitney(m, r, order) for _, (m, r) in _WHITNEY_LOCI]
 
 
 @suite("ode-gen")
@@ -637,16 +581,16 @@ ORACLES: dict[str, Oracle] = {
         lambda a, n, budget: census_mod.census_components(*a, n, budget=budget),
         lambda a: TriangleParams(*a, 1, 0, 0), option="params", parse=_parse_a_triple,
         usage="--params a0,a1,a2 (comma-separated)", suite="component-oracle", n_max=4,
-        grid=tuple((f"a=({a0},{a1},{a2})", f"{a0},{a1},{a2}") for a0, a1, a2 in _a_grid()),
-        report={"grid": "a0 in {0,1,2}, a1,a2 in {1,2,3}"}),
+        grid=tuple((label, ",".join(map(str, a))) for label, a in _A_LOCI),
+        report={"grid": _A_TEXT}),
     # Grammar histories by v-leaves: the rows of any integer six-tuple.
     "vleaves": Oracle(
         lambda p, n, budget: census_mod.census_vleaves(hao_grammar(p), hao_seed(p), n, "v",
                                                        budget=budget),
         lambda p: p, option="hao", parse=TriangleParams.parse, bucket=_vleaf_bucket,
         usage="--hao a0,a1,a2,b0,b1,b2", suite="vleaf-oracle", n_max=4,
-        grid=tuple((f"m={m}, r={r}", str(whitney_params(m, r))) for m, r in _whitney_grid()),
-        report={"grid": "m in {1,2,3}, 0 <= r <= m"}),
+        grid=tuple((label, str(whitney_params(*mr))) for label, mr in _WHITNEY_LOCI),
+        report={"grid": _WHITNEY_TEXT}),
 }
 
 
@@ -658,21 +602,18 @@ def suite_history_counts(opts: VerifyOptions) -> list[CheckReport]:
     """Structural counts: n! m^n histories and m(n+1) leaves."""
     n_max = opts.cap_n(5)
     budget = opts.cap_budget(census_mod.DEFAULT_BUDGET)
-    report = CheckReport(
-        name="history-counts",
-        params={"grid": "m in {1,2,3}, 0 <= r <= m", "n_max": n_max},
-    )
-    for m, r in _whitney_grid():
+    report = CheckReport(name="history-counts", params={"grid": _WHITNEY_TEXT, "n_max": n_max})
+    for label, (m, r) in _WHITNEY_LOCI:
         params = whitney_params(m, r)
         g = hao_grammar(params)
         seed = hao_seed(params)
         profile = census_mod.history_leaf_profile(g, seed, n_max)
         if profile != [m * (i + 1) for i in range(n_max + 1)]:
-            report.fail(f"leaf profile, m={m}, r={r}")
+            report.fail(f"leaf profile, {label}")
         for n in range(n_max + 1):
             census = census_mod.census_vleaves(g, seed, n, "v", budget=budget)
             if census.total != factorial(n) * m ** n:
-                report.fail(f"total histories, m={m}, r={r}, n={n}")
+                report.fail(f"total histories, {label}, n={n}")
     return [report]
 
 

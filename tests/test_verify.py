@@ -1,14 +1,18 @@
 """Pins of `gkptri verify --format json`: the payload schema, and the exact
 records of the brute-force oracle suites and the closed-form suites."""
 
+import inspect
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from gkptri import closedforms as cf
 from gkptri.cli import main
-from gkptri.verify import ORACLES, SUITES, VerifyOptions
+from gkptri import verify
+from gkptri.verify import CLOSED_FORMS, ORACLES, SUITES, VerifyOptions
 
 
 def verify_json(capsys, *argv):
@@ -190,3 +194,29 @@ def test_closed_form_suite_reports_first_failure(monkeypatch, name):
     monkeypatch.setattr(cf, attr, patch(getattr(cf, attr)))
     reports = SUITES[name](VerifyOptions())
     assert [(r.name, r.passed, r.failure) for r in reports] == [(name, False, locus)]
+
+
+def test_closed_form_registry_parity(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")  # no wrapping inside suite names
+    assert main(["verify", "--help"]) == 0
+    available = capsys.readouterr().out.split("available: ")[1].splitlines()[0]
+    assert set(CLOSED_FORMS) <= set(SUITES)
+    assert set(CLOSED_FORMS) <= set(available.split(", "))
+
+
+def test_no_suite_shadows_another():
+    hand_written = [fn for name, fn in inspect.getmembers(verify, inspect.isfunction)
+                    if name.startswith("suite_")]
+    oracle_suites = [oracle.suite for oracle in ORACLES.values()]
+    assert all(fn in SUITES.values() for fn in hand_written)
+    assert len(SUITES) == len(hand_written) + len(oracle_suites) + len(CLOSED_FORMS)
+
+
+def test_readme_closed_form_table_lists_the_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Closed forms\n", 1)[1].split("\n### ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        if m := re.match(r"\| `([a-z0-9-]+)` .*\| `([^`]*)` +\| (\d+) +\|$", line):
+            rows[m[1]] = (m[2], int(m[3]))
+    assert rows == {name: (form.grid_text, form.n_max) for name, form in CLOSED_FORMS.items()}
