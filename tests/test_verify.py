@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 from gkptri import closedforms as cf
-from gkptri.cli import main
 from gkptri import verify
+from gkptri.cli import main
 from gkptri.verify import CLOSED_FORMS, ORACLES, SUITES, VerifyOptions
 
 
@@ -166,10 +166,10 @@ def _off_by_one_at(fn, point):
     return patched
 
 
-def _last_entry_off_at(fn, a1, n):
-    def patched(a0, a1_, n_):
-        row = fn(a0, a1_, n_)
-        if (a1_, n_) == (a1, n):
+def _last_entry_off_at(fn, a1_n):
+    def patched(a0, *args):
+        row = fn(a0, *args)
+        if args == a1_n:
             row[-1] += 1
         return row
     return patched
@@ -184,7 +184,7 @@ FAILURE_CASES = {
     "a1zero-rowsum": (
         "a1zero_rowsum", lambda fn: _off_by_one_at(fn, (1, 2, 4)), "a0=1, a2=2, n=4"),
     "touchard": (
-        "touchard_row", lambda fn: _last_entry_off_at(fn, 3, 5), "a0=0, a1=3, n=5"),
+        "touchard_row", lambda fn: _last_entry_off_at(fn, (3, 5)), "a0=0, a1=3, n=5"),
 }
 
 
