@@ -1,9 +1,11 @@
 """Pins of `gkptri verify --format json`: the payload schema, and the exact
-records of the brute-force oracle suites and the closed-form suites."""
+records of the brute-force oracle suites, the closed-form suites and
+`ode-gen`."""
 
 import inspect
 import json
 import re
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -194,6 +196,37 @@ def test_closed_form_suite_reports_first_failure(monkeypatch, name):
     monkeypatch.setattr(cf, attr, patch(getattr(cf, attr)))
     reports = SUITES[name](VerifyOptions())
     assert [(r.name, r.passed, r.failure) for r in reports] == [(name, False, locus)]
+
+
+ODE_GEN_GRID = "hao rules (a1,a2,b1,b2) in [-2,2]^4 nondegenerate + named grammars"
+
+
+@pytest.mark.parametrize("order", [8, 3])
+def test_ode_gen_record_and_plain_line(capsys, order):
+    options = [] if order == 8 else ["--order", str(order)]
+    code, payload = verify_json(capsys, "ode-gen", *options)
+    assert code == 0
+    assert payload["checks"] == [{
+        "name": "ode-gen", "params": {"grammars": "613", "grid": ODE_GEN_GRID},
+        "order": order, "status": "pass", "locus": None}]
+    assert main(["verify", "ode-gen", *options]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"ode-gen [grid={ODE_GEN_GRID}, grammars=613] order<={order}: pass"
+    assert len(lines) == 2 and lines[1].startswith("1 check(s) in ")
+
+
+def test_ode_gen_reports_first_failure(monkeypatch):
+    grammar_ode = verify.grammar_ode
+
+    def doubled_u(g):
+        system = grammar_ode(g)
+        return replace(system, initial={**system.initial, "u": system.initial["u"] * 2})
+    monkeypatch.setattr(verify, "grammar_ode", doubled_u)
+    [report] = SUITES["ode-gen"](VerifyOptions())
+    assert report.record() == {
+        "name": "ode-gen", "params": {"grammars": "613", "grid": ODE_GEN_GRID},
+        "order": 8, "status": "fail",
+        "locus": "grammar [Grammar(u -> u^-3*v^-4; v -> u^-2*v^-1)], letter u"}
 
 
 def test_closed_form_registry_parity(capsys, monkeypatch):
