@@ -1,7 +1,8 @@
 """Truncated formal power series in t with exact coefficients, the
 generating series of a grammar (`gen_series`) and the exact ODE engine
-(`solve_ode`).  The identity checks built on them live in `verify`; this
-module imports nothing above the grammar layer.
+(`solve_ode`), each a wrapper over its producer of packed EGF-normal levels
+(`gen_levels`, `egf_levels`).  The identity checks built on them live in
+`verify`; this module imports nothing above the grammar layer.
 
 Coefficients are exact rationals (int or Fraction) or Laurent polynomials
 (for series whose coefficients still carry the letters u, v), mixed freely:
@@ -215,13 +216,28 @@ def exp_t(scale, order: int) -> TruncatedSeries:
     return TruncatedSeries.t_term(scale, order).exp()
 
 
-# -- generating function of a grammar -------------------------------------------
+# -- packed levels and the generating function of a grammar ----------------------
+
+# A packed polynomial maps exponent vectors to coefficients, as in grammar._derive.
+Packed = dict[tuple[int, ...], Scalar]
+
+
+def _egf(names: tuple[str, ...], levels: list[Packed]) -> TruncatedSeries:
+    """Sum of levels[n] t^n / n! for levels packed over `names`: the one place
+    where the EGF-normal levels of either engine are divided by n! and unpacked."""
+    return TruncatedSeries([_unpack(names, p, factorial(n)) for n, p in enumerate(levels)])
+
+
+def gen_levels(g: Grammar, x: LaurentPoly, order: int) -> list[Packed]:
+    """The levels x, D(x), ..., D^order(x), packed over sorted(g.alphabet)."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    return list(_derive(g._steps, _pack(sorted(g.alphabet), x), order))
 
 
 def gen_series(g: Grammar, x: LaurentPoly, order: int) -> TruncatedSeries:
     """Sum of D^n(x) t^n / n! truncated at the given order."""
-    levels = enumerate(_derive(g._steps, _pack(g.alphabet, x), order))
-    return TruncatedSeries([_unpack(g.alphabet, p, factorial(n)) for n, p in levels])
+    return _egf(tuple(sorted(g.alphabet)), gen_levels(g, x, order))
 
 
 # -- exact ODE solving ------------------------------------------------------------
@@ -259,21 +275,6 @@ def grammar_ode(g: Grammar, initial: Mapping[str, Any] | None = None) -> OdeSyst
     return OdeSystem(variables=g.alphabet, rhs=dict(g.rules), initial=dict(initial))
 
 
-# A packed polynomial maps exponent vectors to coefficients, as in grammar._derive.
-Packed = dict[tuple[int, ...], Scalar]
-
-
-def _add_scaled(out: Packed, a: Packed, w: Scalar) -> None:
-    """out += w * a."""
-    get = out.get
-    for k, c in a.items():
-        s = get(k, 0) + w * c
-        if s:
-            out[k] = s
-        else:
-            del out[k]
-
-
 def _accumulate(out: Packed, a: Packed, b: Packed, w: Scalar) -> None:
     """out += w * a * b."""
     get = out.get
@@ -288,25 +289,24 @@ def _accumulate(out: Packed, a: Packed, b: Packed, w: Scalar) -> None:
                 del out[key]
 
 
-def solve_ode(system: OdeSystem, order: int) -> dict[str, TruncatedSeries]:
-    """Unique formal solution to the given order.
+def egf_levels(system: OdeSystem,
+               order: int) -> tuple[tuple[str, ...], dict[str, list[Packed]]]:
+    """The sorted variables of the initial values, and each system variable's
+    coefficients Y_0..Y_order of the unique formal solution packed over them.
 
-    Coefficients are packed over the sorted variables of the initial values
-    in EGF-normal form Y_n = n! y_n, so Y_{n+1} is coefficient n of the EGF
-    rhs(Y).  Products are binomial convolutions, and each power y^e in a
-    right-hand side is one shared stream; if y_0 is a single nonzero term,
-    it follows J.C.P. Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7) for
-    either sign of e:
+    The coefficients are in EGF-normal form Y_n = n! y_n, so Y_{n+1} is
+    coefficient n of the EGF rhs(Y).  Products are binomial convolutions,
+    and each power y^e in a right-hand side is one shared stream; if y_0 is
+    a single nonzero term, it follows J.C.P. Miller's recurrence (Knuth,
+    TAOCP Vol. 2, 4.7) for either sign of e:
 
         y_0 P_n = sum_{k=1..n} [(e+1) C(n-1,k-1) - C(n,k)] Y_k P_{n-k}.
 
     Otherwise (y_0 = 0, u+v, ...) y^e is a chain of convolutions for e >= 2,
-    and e < 0 raises NonInvertibleConstantTerm.  The coefficients are
-    scalars when no initial value is a LaurentPoly, and polynomials otherwise.
+    and e < 0 raises NonInvertibleConstantTerm.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    laurent = LaurentPoly in map(type, system.initial.values())
     # Adding to the zero polynomial lifts a scalar initial value to a constant.
     initial = {v: LaurentPoly.zero() + _coerce(system.initial[v]) for v in system.variables}
     names = tuple(sorted(set().union(*(p.variables() for p in initial.values()))))
@@ -358,20 +358,26 @@ def solve_ode(system: OdeSystem, order: int) -> dict[str, TruncatedSeries]:
 
     rhs = {v: [(stream(mono), c) for mono, c in system.rhs[v].terms().items()]
            for v in system.variables}
+    unit = stream(())[0]
     for n in range(order):
         for job in jobs:
             job(n)
         for v, terms in rhs.items():
             ys[v].append({})
             for s, c in terms:
-                _add_scaled(ys[v][-1], s[n], c)
+                _accumulate(ys[v][-1], s[n], unit, c)
+    return names, ys
 
-    def unpack(n: int, packed: Packed):
-        poly = _unpack(names, packed, factorial(n))
-        return poly if laurent else poly.coefficient(())
 
-    return {v: TruncatedSeries([unpack(n, p) for n, p in enumerate(ys[v])])
-            for v in system.variables}
+def solve_ode(system: OdeSystem, order: int) -> dict[str, TruncatedSeries]:
+    """Unique formal solution to the given order: `egf_levels` divided by n!.
+    The coefficients are scalars when no initial value is a LaurentPoly, and
+    polynomials otherwise."""
+    names, ys = egf_levels(system, order)
+    sol = {v: _egf(names, ys[v]) for v in system.variables}
+    if LaurentPoly in map(type, system.initial.values()):
+        return sol
+    return {v: y.map_coefficients(lambda p: p.coefficient(())) for v, y in sol.items()}
 
 
 # -- the tree function -------------------------------------------------------------

@@ -16,7 +16,7 @@ their exponents: T(n,k) sits on the monomial
 `extract_triangle` reads rows back from that lattice and refuses to guess
 when the lattice degenerates (a1 = b1 = 0 makes all k collide).
 
-Derivation packs monomials as exponent vectors over the grammar's ordered
+Derivation packs monomials as exponent vectors over the grammar's sorted
 alphabet (Monagan & Pearce, ISSAC 2009) and precomputes each rule(x) d/dx as
 (exponent shift, coefficient) pairs.  One level of D is one fused pass: a
 term c*m whose letter x has exponent e adds c*e*r at m + s - x for each term
@@ -51,10 +51,12 @@ class Grammar:
             raise ValueError("alphabet letters must be distinct")
         self.alphabet = tuple(alphabet)
         self.rules = {x: rules[x] for x in alphabet}
-        # rule(x) d/dx as (index of x, exponent shift, coefficient) triples
-        self._steps = [(i, tuple(e - (j == i) for j, e in enumerate(vec)), rc)
-                       for i, x in enumerate(self.alphabet)
-                       for vec, rc in _pack(self.alphabet, rules[x], f"rule for {x!r}").items()]
+        # rule(x) d/dx as (index of x, exponent shift, coefficient) triples over
+        # the sorted letters, which the packed levels of `fps` share
+        names = sorted(self.alphabet)
+        self._steps = [(names.index(x), tuple(e - (y == x) for y, e in zip(names, vec)), rc)
+                       for x in self.alphabet
+                       for vec, rc in _pack(names, rules[x], f"rule for {x!r}").items()]
 
     @classmethod
     def from_text(cls, text: str) -> Grammar:
@@ -144,8 +146,8 @@ def apply_D(g: Grammar, p: LaurentPoly) -> LaurentPoly:
 
 def iterate_D(g: Grammar, seed: LaurentPoly, n: int) -> list[LaurentPoly]:
     """[seed, D(seed), ..., D^n(seed)]."""
-    levels = _derive(g._steps, _pack(g.alphabet, seed), n)
-    return [_unpack(g.alphabet, level) for level in levels]
+    names = sorted(g.alphabet)
+    return [_unpack(names, level) for level in _derive(g._steps, _pack(names, seed), n)]
 
 
 def hao_grammar(p: TriangleParams) -> Grammar:

@@ -72,10 +72,6 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
-def monomial_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
-
-
 class LaurentPoly:
     """Immutable sparse Laurent polynomial with rational coefficients."""
 
@@ -269,28 +265,22 @@ class LaurentPoly:
             total += value
         return total
 
-    # -- ordering and rendering ---------------------------------------------
-
-    def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
-        """Terms in graded-lex order: total degree descending, then the
-        exponent vector (variables sorted by name) ascending."""
-        names = sorted(self.variables())
-        index = {v: i for i, v in enumerate(names)}
-
-        def key(item):
-            mono, _ = item
-            vec = [0] * len(names)
-            for v, e in mono:
-                vec[index[v]] = e
-            return (-monomial_degree(mono), tuple(vec))
-
-        return sorted(self._terms.items(), key=key)
+    # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
+        """Terms in graded-lex order: total degree descending, then the
+        exponent vector (variables sorted by name) ascending."""
         if not self._terms:
             return "0"
+        names = sorted(self.variables())
+        zeros = [0] * len(names)
+
+        def key(item):
+            vec = tuple(map(dict(item[0]).get, names, zeros))
+            return -sum(vec), vec
+
         parts: list[str] = []
-        for mono, coeff in self.sorted_terms():
+        for mono, coeff in sorted(self._terms.items(), key=key):
             factors = []
             for var, e in mono:
                 factors.append(var if e == 1 else f"{var}^{e}")

@@ -240,6 +240,12 @@ class TestSeriesCommand:
         assert lines[0] == "t^0: u*v^2"
         assert lines[2] == "t^2: 1/2*u*v^8 + 13/2*u^4*v^5 + 2*u^7*v^2"
 
+    @pytest.mark.parametrize("command, flag, name", [("series", "--order", "order"),
+                                                     ("grammar", "--n", "n")])
+    def test_negative_length_names_its_flag(self, capsys, command, flag, name):
+        code, out, err = run(capsys, command, "--hao", "2,3,0,1,-3,3", flag, "-1")
+        assert (code, out, err) == (2, "", f"error: {name} must be nonnegative\n")
+
 
 class TestVerifyCommand:
     def test_quick_suite_passes(self, capsys):

@@ -18,7 +18,9 @@ from gkptri.errors import (
 from gkptri.fps import (
     OdeSystem,
     TruncatedSeries,
+    egf_levels,
     exp_t,
+    gen_levels,
     gen_series,
     grammar_ode,
     solve_ode,
@@ -219,9 +221,10 @@ exact_coeffs = st.one_of(
 
 @st.composite
 def monomial_grammars(draw):
-    """2-3 letter grammars whose rules are single monomials, exponents in
-    [-3, 3], with int or Fraction coefficients."""
-    letters = draw(st.sampled_from([("x", "y"), ("u", "v", "w")]))
+    """2-3 letter grammars, letters declared in any order, whose rules are
+    single monomials, exponents in [-3, 3], with int or Fraction coefficients."""
+    alphabet = draw(st.sampled_from([("x", "y"), ("u", "v", "w")]))
+    letters = tuple(draw(st.permutations(alphabet)))
     rules = {
         x: LaurentPoly.from_exponents(
             {y: draw(st.integers(-3, 3)) for y in letters}, draw(exact_coeffs)
@@ -263,6 +266,13 @@ class TestOdeEngineParity:
         sol = solve_ode(grammar_ode(g), 16)
         for x in g.alphabet:
             assert sol[x] == gen_series(g, LaurentPoly.variable(x), 16)
+
+    def test_packed_levels_agree_on_an_unsorted_alphabet(self):
+        g = Grammar.from_text("y -> x*y^2\nx -> 2*x^-1*y")
+        names, ys = egf_levels(grammar_ode(g), 8)
+        assert names == ("x", "y")
+        for x in g.alphabet:
+            assert ys[x] == gen_levels(g, LaurentPoly.variable(x), 8)
 
     @given(ode_systems())
     @settings(max_examples=60, deadline=None)

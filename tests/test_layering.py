@@ -1,6 +1,7 @@
 """Import layering of the package, read from its source with ast: no module
-imports inside a function body, and the series layer (fps) imports nothing
-from the layers built on it."""
+imports inside a function body, the series layer (fps) imports nothing
+from the layers built on it, and the packed polynomial format stays inside
+the two series engines (grammar and fps)."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gkptri"
 ABOVE_FPS = {"closedforms", "triangles", "verify", "cli"}
+PACKED_HELPERS = {"_pack", "_unpack", "_derive"}
+ENGINES = {SRC / "grammar.py", SRC / "fps.py"}
 
 
 def function_level_imports(source: str) -> list[str]:
@@ -36,12 +39,27 @@ def package_imports(source: str) -> set[str]:
     return names
 
 
+def names_used(source: str) -> set[str]:
+    """Every identifier, attribute and imported name the source mentions."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+    return names
+
+
 def test_checkers_see_every_import_form():
     source = ("import gkptri.cli\nfrom gkptri import verify\nfrom gkptri.triangles import T\n"
               "def f():\n    from .closedforms import stirling2\n    from . import census\n")
     assert function_level_imports(source) == ["f:5", "f:6"]
     assert package_imports(source) == {"cli", "verify", "triangles", "closedforms", "census"}
     assert package_imports("import json\nfrom math import comb\n") == set()
+    uses = "from .grammar import _pack as p\nimport gkptri.grammar\ngrammar._unpack\n_derive\n"
+    assert PACKED_HELPERS <= names_used(uses)
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -51,3 +69,8 @@ def test_no_function_level_imports(path):
 
 def test_fps_imports_nothing_above_it():
     assert package_imports((SRC / "fps.py").read_text()) & ABOVE_FPS == set()
+
+
+@pytest.mark.parametrize("path", sorted(set(SRC.glob("*.py")) - ENGINES), ids=lambda p: p.name)
+def test_packed_format_stays_in_the_engines(path):
+    assert names_used(path.read_text()) & PACKED_HELPERS == set()
