@@ -21,6 +21,7 @@ from gkptri.closedforms import (
     a1zero_rowsum,
 )
 from gkptri.errors import ZeroA1, ZeroA2
+from gkptri.fps import TruncatedSeries, exp_t
 from gkptri.polyring import LaurentPoly, normalize_scalar, parse_poly
 from gkptri.triangles import (
     TriangleParams,
@@ -32,6 +33,14 @@ A_GRID = list(product((0, 1, 2), (1, 2, 3), (1, 2, 3)))
 
 
 # Fraction-only references for the closed forms.
+
+
+def euler_at_zero_by_series(order):
+    """E_0(0)..E_order(0) as k! [t^k] 2/(e^t + 1), by series inversion."""
+    series = TruncatedSeries.constant(2, order) * (
+        exp_t(1, order) + TruncatedSeries.one(order)).inverse()
+    return [normalize_scalar(Fraction(series.coefficient(k)) * factorial(k))
+            for k in range(order + 1)]
 
 def rising_step_fraction(x, a, k):
     x, a = Fraction(x), Fraction(a)
@@ -133,6 +142,13 @@ class TestSpecialNumbers:
         # Odd-index values vanish beyond k = 1 in pairs with the even ones.
         assert euler_at_zero(4) == 0
         assert euler_at_zero(5) == Fraction(-1, 2)
+
+    def test_euler_values_match_the_series_route(self):
+        expected = euler_at_zero_by_series(40)
+        for ks in (range(40, -1, -1), range(41)):
+            values = [euler_at_zero(k) for k in ks]
+            assert values == [expected[k] for k in ks]
+            assert [type(v) for v in values] == [type(expected[k]) for k in ks]
 
 
 class TestWhitneyExplicit:

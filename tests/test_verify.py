@@ -253,3 +253,131 @@ def test_readme_closed_form_table_lists_the_table():
         if m := re.match(r"\| `([a-z0-9-]+)` .*\| `([^`]*)` +\| (\d+) +\|$", line):
             rows[m[1]] = (m[2], int(m[3]))
     assert rows == {name: (form.grid_text, form.n_max) for name, form in CLOSED_FORMS.items()}
+
+
+# -- first failure loci of the generating-function checks and hand-written suites
+
+
+def _entry_bumped(fn, n, k):
+    """`fn` returning a copy of its triangle with T(n,k) one larger."""
+    def patched(*args):
+        tri = fn(*args)
+        rows = [list(row) for row in tri.rows]
+        rows[n][k] += 1
+        return replace(tri, rows=rows)
+    return patched
+
+
+BUMPED_ENTRIES = [(0, 0), (3, 1), (5, 5), (6, 2)]
+
+
+@pytest.mark.parametrize("n, k", BUMPED_ENTRIES)
+def test_whitney_egf_reports_first_mismatch(monkeypatch, n, k):
+    monkeypatch.setattr(verify, "whitney_eulerian", _entry_bumped(verify.whitney_eulerian, n, k))
+    report = verify.verify_closed_form_whitney(2, 1, 6)
+    assert (report.passed, report.failure) == (False, f"point (2, 1): first mismatch at order {n}")
+    report = verify.verify_closed_form_whitney(3, 2, 6, points=((Fraction(1, 2), 3),))
+    assert report.failure == f"point (Fraction(1, 2), 3): first mismatch at order {n}"
+    reports = SUITES["whitney-egf"](VerifyOptions())
+    assert {r.failure for r in reports} == {f"point (2, 1): first mismatch at order {n}"}
+
+
+@pytest.mark.parametrize("n, k", BUMPED_ENTRIES)
+def test_second_order_egf_reports_first_mismatch(monkeypatch, n, k):
+    monkeypatch.setattr(verify, "second_order_eulerian",
+                        _entry_bumped(verify.second_order_eulerian, n, k))
+    report = verify.verify_secondorder_egf(Fraction(1, 2), 6)
+    assert (report.passed, report.failure) == (False, f"first mismatch at order {n}")
+    reports = SUITES["second-order-egf"](VerifyOptions(y_values=(Fraction(2), Fraction(-3))))
+    assert [r.failure for r in reports] == [f"first mismatch at order {n}"] * 2
+
+
+def _touchard_bumped_at(fn, n0):
+    def patched(a0, a1, n):
+        row = fn(a0, a1, n)
+        return [*row[:-1], row[-1] + 1] if n == n0 else row
+    return patched
+
+
+def _rowsum_bumped_at(fn, n0):
+    return lambda a0, a2, n: fn(a0, a2, n) + (n == n0)
+
+
+CLOSED_SOLUTION_FAILURES = {
+    "a2zero": ("touchard_row", _touchard_bumped_at, verify.verify_sol_a2zero,
+               "a2zero-solution", "a1", "U*V^a0"),
+    "a1zero": ("a1zero_rowsum", _rowsum_bumped_at, verify.verify_sol_a1zero,
+               "a1zero-solution", "a2", "row sums"),
+}
+
+
+@pytest.mark.parametrize("kind", CLOSED_SOLUTION_FAILURES)
+def test_closed_solutions_report_first_mismatch(monkeypatch, kind):
+    attr, bump, check, name, a, locus = CLOSED_SOLUTION_FAILURES[kind]
+    monkeypatch.setattr(cf, attr, bump(getattr(cf, attr), 2))
+    report = check(1, 2, 5)
+    assert (report.passed, report.failure) == (False, f"{locus}: first mismatch at order 2")
+    [merged] = SUITES["closed-solutions"](VerifyOptions())
+    assert merged.failure == "; ".join(
+        f"{name}{{'a0': {a0}, '{a}': {ai}}}: {locus}: first mismatch at order 2"
+        for a0 in (0, 1, 2) for ai in (1, 2, 3))
+    assert str(merged) == ("closed-solutions [grid=a0 in {0,1,2}, a1/a2 in {1,2,3}] "
+                           f"order<=5: FAIL ({merged.failure})")
+
+
+def test_tree_function_reports_first_coefficient(monkeypatch):
+    tree_function = verify.tree_function
+
+    def off_at_5(order):
+        coeffs = list(tree_function(order).coeffs)
+        coeffs[5] += 1
+        return verify.TruncatedSeries(coeffs)
+    monkeypatch.setattr(verify, "tree_function", off_at_5)
+    [report] = SUITES["tree-function"](VerifyOptions())
+    assert report.record() == {"name": "tree-function", "params": {}, "order": 12,
+                               "status": "fail", "locus": "coefficient 5"}
+
+
+def test_grammar_recurrence_reports_first_tuple(monkeypatch):
+    extract_triangle = verify.extract_triangle
+    bumped = _entry_bumped(extract_triangle, 2, 1)
+    monkeypatch.setattr(verify, "extract_triangle", lambda params, n: (
+        bumped if params in (verify.whitney_params(2, 1), verify.stirling2_params())
+        else extract_triangle)(params, n))
+    [report] = SUITES["grammar-recurrence"](VerifyOptions(max_n=3))
+    assert report.record() == {
+        "name": "grammar-recurrence",
+        "params": {"grid": "a,b in [-2,2]^6, (a1,b1) != (0,0)", "n_max": "3"},
+        "order": None, "status": "fail", "locus": "params 0,1,0,1,0,0"}
+
+
+def test_expansion_golden_reports_first_level(monkeypatch):
+    iterate_D = verify.iterate_D
+
+    def second_level_off(g, seed, n):
+        levels = iterate_D(g, seed, n)
+        return [*levels[:2], levels[2] + verify.parse_poly("u")]
+    monkeypatch.setattr(verify, "iterate_D", second_level_off)
+    [report] = SUITES["expansion-golden"](VerifyOptions())
+    assert report.record() == {
+        "name": "expansion-golden", "params": {"cases": "2"}, "order": None,
+        "status": "fail", "locus": "first grammar, D^2 = u*v^8 + 13*u^4*v^5 + 4*u^7*v^2 + u"}
+
+
+def test_history_counts_report_first_locus(monkeypatch):
+    census_vleaves = verify.census_mod.census_vleaves
+
+    def extra_history(g, seed, n, letter, budget):
+        census = census_vleaves(g, seed, n, letter, budget=budget)
+        if n == 2 and seed == verify.hao_seed(verify.whitney_params(2, 1)):
+            census.counts[-1] = 1
+        return census
+    monkeypatch.setattr(verify.census_mod, "census_vleaves", extra_history)
+    [report] = SUITES["history-counts"](VerifyOptions(max_n=3))
+    assert report.failure == "total histories, m=2, r=1, n=2"
+
+    history_leaf_profile = verify.census_mod.history_leaf_profile
+    monkeypatch.setattr(verify.census_mod, "history_leaf_profile",
+                        lambda g, seed, n: [*history_leaf_profile(g, seed, n)[:-1], 0])
+    [report] = SUITES["history-counts"](VerifyOptions(max_n=3))
+    assert report.failure == "leaf profile, m=1, r=0"
