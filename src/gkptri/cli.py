@@ -48,7 +48,7 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
-FAMILIES = ("whitney", "r-eulerian", "second-order", "stirling2", "gkp")
+FAMILIES = ("whitney", "r-eulerian", "second-order", "stirling2")
 
 
 class SystemExit2(Exception):
@@ -101,9 +101,7 @@ def _triangle_from_args(args) -> Triangle:
         if args.r is None:
             raise SystemExit2("--family second-order needs --r")
         return second_order_eulerian(args.r, 0)
-    if args.family == "stirling2":
-        return stirling2_triangle(0)
-    raise SystemExit2("--family gkp needs --params")
+    return stirling2_triangle(0)
 
 
 def cmd_triangle(args) -> int:
@@ -214,10 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("triangle", help="print rows of a triangle")
-    p.add_argument("--family", choices=FAMILIES)
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--family", choices=FAMILIES)
+    source.add_argument("--params",
+                        help="a0,a1,a2,b0,b1,b2, integers or p/q (a0 < 0: --params=-2,...)")
     p.add_argument("--m", type=int)
     p.add_argument("--r", type=int)
-    p.add_argument("--params", help="a0,a1,a2,b0,b1,b2, integers or p/q (a0 < 0: --params=-2,...)")
     p.add_argument("--rows", type=int, required=True, help="compute rows 0..N")
     p.add_argument("--format", choices=FORMATS, default="oeis")
     p.set_defaults(fn=cmd_triangle)

@@ -17,7 +17,6 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .errors import ZeroA1, ZeroA2
-from .fps import TruncatedSeries, exp_t
 from .polyring import LaurentPoly, Scalar, monomial, normalize_scalar
 from .triangles import TriangleParams, recurrence_triangle
 
@@ -49,20 +48,17 @@ def rising_step(x, a, k: int) -> Scalar:
     return normalize_scalar(result)
 
 
-_euler_cache: list[Fraction] = []
+_euler_cache: list[Fraction] = [Fraction(1)]
 
 
 def euler_at_zero(k: int) -> Scalar:
-    """E_k(0), read off the exact series expansion of 2/(e^t + 1)."""
+    """E_k(0) = k! [t^k] 2/(e^t + 1), from the cleared form (e^t + 1) E = 2
+    in EGF-normal coefficients: E_0 = 1 and E_n = -1/2 sum_(j<n) C(n,j) E_j."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k >= len(_euler_cache):
-        order = max(2 * k, 8)
-        two = TruncatedSeries.constant(2, order)
-        series = two * (exp_t(1, order) + TruncatedSeries.one(order)).inverse()
-        _euler_cache[:] = [
-            Fraction(series.coefficient(i)) * factorial(i) for i in range(order + 1)
-        ]
+    while len(_euler_cache) <= k:
+        n = len(_euler_cache)
+        _euler_cache.append(-sum(comb(n, j) * e for j, e in enumerate(_euler_cache)) / 2)
     return normalize_scalar(_euler_cache[k])
 
 

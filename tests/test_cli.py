@@ -78,6 +78,18 @@ class TestTriangleCommand:
                            "--rows", "2")
         assert code == 2
 
+    def test_family_and_params_exclude_each_other(self, capsys):
+        code, out, err = run(capsys, "triangle", "--family", "stirling2",
+                             "--params", "1,1,1,1,1,1", "--rows", "2")
+        assert (code, out) == (2, "")
+        assert "not allowed with argument" in err
+
+    def test_gkp_is_not_a_family(self, capsys):
+        assert "gkp" not in cli.FAMILIES
+        code, out, err = run(capsys, "triangle", "--family", "gkp", "--rows", "2")
+        assert (code, out) == (2, "")
+        assert "invalid choice: 'gkp'" in err
+
 
 def triangle_stdout(*argv):
     """Exit code and standard output of `gkptri triangle ARGV`."""

@@ -419,3 +419,16 @@ class TestVerifications:
             verify_secondorder_egf(1, 4)
         with pytest.raises(DegenerateY):
             verify_secondorder_egf(0, 4)
+
+    def test_negative_order_names_the_order(self):
+        with pytest.raises(ValueError, match="^order must be nonnegative$"):
+            verify_secondorder_egf(Fraction(1, 2), -1)
+        with pytest.raises(ValueError, match="^n_max must be nonnegative$"):
+            verify_closed_form_whitney(1, 1, -1)
+
+    def test_float_arguments_are_rejected(self):
+        # Fraction(0.5) would silently pass a binary fraction into an exact check.
+        with pytest.raises(TypeError, match="got float"):
+            verify_secondorder_egf(0.5, 3)
+        with pytest.raises(TypeError, match="got float"):
+            verify_closed_form_whitney(1, 1, 3, points=((0.5, 2),))

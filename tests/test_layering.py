@@ -1,7 +1,8 @@
 """Import layering of the package, read from its source with ast: no module
 imports inside a function body, the series layer (fps) imports nothing
-from the layers built on it, and the packed polynomial format stays inside
-the two series engines (grammar and fps)."""
+from the layers built on it, the closed forms import nothing from fps, and
+the packed polynomial format stays inside the two series engines (grammar
+and fps)."""
 
 import ast
 from pathlib import Path
@@ -69,6 +70,11 @@ def test_no_function_level_imports(path):
 
 def test_fps_imports_nothing_above_it():
     assert package_imports((SRC / "fps.py").read_text()) & ABOVE_FPS == set()
+
+
+def test_closed_forms_import_nothing_from_fps():
+    # The closed forms stay independent of the series engine they are checked against.
+    assert "fps" not in package_imports((SRC / "closedforms.py").read_text())
 
 
 @pytest.mark.parametrize("path", sorted(set(SRC.glob("*.py")) - ENGINES), ids=lambda p: p.name)
