@@ -420,7 +420,7 @@ class TestVerifications:
         with pytest.raises(DegenerateY):
             verify_secondorder_egf(0, 4)
 
-    def test_negative_order_names_the_order(self):
+    def test_negative_order_errors(self):
         with pytest.raises(ValueError, match="^order must be nonnegative$"):
             verify_secondorder_egf(Fraction(1, 2), -1)
         with pytest.raises(ValueError, match="^n_max must be nonnegative$"):
