@@ -426,3 +426,24 @@ class TestCadetCensus:
         # 1, 3, 15, 105 structures: each step picks one of 1, 3, 5, 7 leaves.
         totals = [cadet_leaf_census(n, 2).total for n in range(1, 5)]
         assert totals == [1, 3, 15, 105]
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_matches_the_hand_built_grammar(self, r):
+        # x -> x^r y, y -> x^r y from the seed y, counting y-leaves.
+        rule = LaurentPoly.from_exponents({"x": r, "y": 1})
+        g = Grammar({"x": rule, "y": rule}, ("x", "y"))
+
+        def outcome(census, *args):
+            try:
+                return census(*args).counts
+            except BudgetExceeded as exc:
+                return str(exc)
+        for n in range(7):
+            assert cadet_leaf_census(n, r).statistic == "cadet-leaves"
+            for budget in (1, 10, 100, 1000, 10 ** 4, 10 ** 5, 10 ** 6):
+                assert (outcome(cadet_leaf_census, n, r, budget)
+                        == outcome(census_vleaves, g, {"y": 1}, n, "y", budget))
+
+    def test_needs_positive_r(self):
+        with pytest.raises(ValueError, match="^r must be >= 1$"):
+            cadet_leaf_census(2, 0)

@@ -7,6 +7,7 @@ import json
 import re
 from dataclasses import replace
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,8 @@ import pytest
 from gkptri import closedforms as cf
 from gkptri import verify
 from gkptri.cli import main
+from gkptri.fps import TruncatedSeries, exp_t
+from gkptri.polyring import LaurentPoly, monomial
 from gkptri.verify import CLOSED_FORMS, ORACLES, SUITES, VerifyOptions
 
 
@@ -323,6 +326,84 @@ def test_closed_solutions_report_first_mismatch(monkeypatch, kind):
         for a0 in (0, 1, 2) for ai in (1, 2, 3))
     assert str(merged) == ("closed-solutions [grid=a0 in {0,1,2}, a1/a2 in {1,2,3}] "
                            f"order<=5: FAIL ({merged.failure})")
+
+
+def _a2zero_rows(a1, order):
+    """n! [t^n] of U and V solving U' = U V^a1, V' = V from (u, v):
+    u sum_j a1^(n-j) S(n,j) v^(a1 j), and v."""
+    us = [LaurentPoly({monomial({"u": 1, "v": a1 * j}): a1 ** (n - j) * cf.stirling2(n, j)
+                       for j in range(n + 1)}) for n in range(order + 1)]
+    return us, [LaurentPoly.variable("v")] * (order + 1)
+
+
+def _a1zero_rows(a2, order):
+    """n! [t^n] of U and V solving U' = U V^a2, V' = V^(a2+1) from (u, v):
+    u v^(a2 n) rho_n and v^(1 + a2 n) rho_n, rho_n = 1 (1+a2) ... (1+(n-1)a2)."""
+    rhos = [cf.rising_step(1, a2, n) for n in range(order + 1)]
+    return ([LaurentPoly.from_exponents({"u": 1, "v": a2 * n}, rho) for n, rho in enumerate(rhos)],
+            [LaurentPoly.from_exponents({"v": 1 + a2 * n}, rho) for n, rho in enumerate(rhos)])
+
+
+def _series_of_rows(rows):
+    return TruncatedSeries([row * Fraction(1, factorial(n)) for n, row in enumerate(rows)])
+
+
+@pytest.mark.parametrize("a1", [-2, 1, 2, 3])
+def test_a2zero_rows_match_the_closed_series(a1):
+    # The closed series U = u exp(v^a1 (e^(a1 t) - 1)/a1) and V = v e^t.
+    order = 10
+    u, v = LaurentPoly.variable("u"), LaurentPoly.variable("v")
+    v_a1 = LaurentPoly.from_exponents({"v": a1})
+    arg = (exp_t(a1, order) - TruncatedSeries.one(order)).map_coefficients(
+        lambda q: v_a1 * (q * Fraction(1, a1)))
+    u_rows, v_rows = _a2zero_rows(a1, order)
+    assert arg.exp().scalar_mul(u) == _series_of_rows(u_rows)
+    assert exp_t(1, order).map_coefficients(lambda q: v * q) == _series_of_rows(v_rows)
+    assert all(verify.verify_sol_a2zero(a0, a1, o).passed for a0 in (0, 2) for o in (0, order))
+
+
+@pytest.mark.parametrize("a2", [1, 2, 3])
+def test_a1zero_rows_satisfy_the_relations(a2):
+    # V^a2 (1 - a2 v^a2 t) = v^a2 and U v = u V, which fix the solution.
+    order = 10
+    u, v = LaurentPoly.variable("u"), LaurentPoly.variable("v")
+    v_a2 = LaurentPoly.from_exponents({"v": a2})
+    us, vs = map(_series_of_rows, _a1zero_rows(a2, order))
+    linear = TruncatedSeries.one(order) - TruncatedSeries.t_term(v_a2 * a2, order)
+    assert vs.pow_int(a2) * linear == TruncatedSeries.constant(v_a2, order)
+    assert us.scalar_mul(v) == vs.scalar_mul(u)
+    assert all(verify.verify_sol_a1zero(a0, a2, o).passed for a0 in (0, 2) for o in (0, order))
+
+
+def _solution_bumped_at(letter, k):
+    """`solve_ode` with u*v added to coefficient k of the solution's `letter`."""
+    solve_ode = verify.solve_ode
+
+    def patched(system, order):
+        sol = solve_ode(system, order)
+        coeffs = list(sol[letter].coeffs)
+        coeffs[k] += LaurentPoly.from_exponents({"u": 1, "v": 1})
+        return {**sol, letter: TruncatedSeries(coeffs)}
+    return patched
+
+
+SOLUTION_CHECKS = {
+    "a2zero": (verify.verify_sol_a2zero, ((1, 2), (0, -2), (2, 3))),
+    "a1zero": (verify.verify_sol_a1zero, ((1, 2), (0, 1), (2, 3))),
+}
+
+
+@pytest.mark.parametrize("letter, k", [("u", 0), ("u", 3), ("v", 2), ("v", 4)])
+@pytest.mark.parametrize("kind", SOLUTION_CHECKS)
+def test_closed_solution_reports_first_perturbed_order(monkeypatch, kind, letter, k):
+    check, grid = SOLUTION_CHECKS[kind]
+    monkeypatch.setattr(verify, "solve_ode", _solution_bumped_at(letter, k))
+    for a0, a in grid:
+        report = check(a0, a, 5)
+        assert report.passed is False
+        if kind == "a2zero":
+            assert report.failure == f"{letter.upper()}: first mismatch at order {k}"
+        assert report.failure.endswith(f": first mismatch at order {k}")
 
 
 def test_tree_function_reports_first_coefficient(monkeypatch):
