@@ -27,8 +27,9 @@ from .errors import (
     NegativeLeafMultiplicity,
     UnknownVariable,
 )
-from .grammar import Grammar
+from .grammar import Grammar, hao_grammar, hao_seed
 from .polyring import LaurentPoly
+from .triangles import second_order_params
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -308,13 +309,10 @@ def set_partition_census(n: int, budget: int = DEFAULT_BUDGET) -> StructureCensu
 
 
 def cadet_leaf_census(n: int, r: int, budget: int = DEFAULT_BUDGET) -> StructureCensus:
-    """Histories of x -> x^r y, y -> x^r y from the seed y, bucketed by the
-    number of y-leaves (the cadet leaves of the full (r+1)-ary tree)."""
+    """Histories of u -> u^r v, v -> u^r v (second-order grammar) from the seed
+    v, bucketed by the number of v-leaves (the cadet leaves of the full (r+1)-ary tree)."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    g = Grammar({
-        "x": LaurentPoly.from_exponents({"x": r, "y": 1}),
-        "y": LaurentPoly.from_exponents({"x": r, "y": 1}),
-    }, ("x", "y"))
-    census = census_vleaves(g, {"y": 1}, n, "y", budget=budget)
+    p = second_order_params(r)
+    census = census_vleaves(hao_grammar(p), hao_seed(p), n, "v", budget=budget)
     return StructureCensus("cadet-leaves", census.counts)

@@ -10,6 +10,8 @@ check failed, 2 usage or parse error, 3 an enumeration budget was exceeded,
 4 an internal error (any other exception, one `internal error: Type: message`
 line).  The enumeration budget (`--budget`, else the GKPTRI_BUDGET variable,
 else 10**7) is a positive integer such as `10` or `1e6`; else a usage error.
+So is an option that the chosen source (family, six-tuple, oracle kind or
+the tree function) does not read: it is rejected, never ignored.
 """
 
 from __future__ import annotations
@@ -48,11 +50,13 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
-FAMILIES = ("whitney", "r-eulerian", "second-order", "stirling2")
-
-
-class SystemExit2(Exception):
-    """Usage error carrying an actionable message; mapped to exit code 2."""
+# --family name -> (family function, the options it takes, in call order)
+FAMILIES = {
+    "whitney": (whitney_eulerian, ("m", "r")),
+    "r-eulerian": (r_eulerian, ("r",)),
+    "second-order": (second_order_eulerian, ("r",)),
+    "stirling2": (stirling2_triangle, ()),
+}
 
 
 def dumps_canonical(payload) -> str:
@@ -75,7 +79,7 @@ def _default_budget(args) -> int:
     match = re.fullmatch(r"\s*([0-9]+)(?:[eE]\+?([0-9]{1,4}))?\s*", text)
     if match and int(match[1]) > 0:
         return int(match[1]) * 10 ** int(match[2] or 0)
-    raise SystemExit2(f"{source} must be a positive integer such as 10 or 1e6, got {text!r}")
+    raise ValueError(f"{source} must be a positive integer such as 10 or 1e6, got {text!r}")
 
 
 # Exact integers (exponent 0, so str() is linear); a lost digit raises.
@@ -83,25 +87,25 @@ EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decim
                         traps=[decimal.Inexact, decimal.Rounded])
 
 
+def _reject_unread(args, source: str, options) -> None:
+    """A usage error if any of `options`, which `source` does not read, was given."""
+    given = [f"--{o}" for o in options if getattr(args, o) is not None]
+    if given:
+        raise ValueError(f"{source} does not take {' or '.join(given)}")
+
+
 def _triangle_from_args(args) -> Triangle:
     # Row 0 only: the family functions check the arguments and give the label.
-    if args.params is not None:
+    if args.params is None and args.family is None:
+        raise ValueError("one of --family or --params is required")
+    source = f"--family {args.family}" if args.family else "--params"
+    family, takes = FAMILIES.get(args.family, (None, ()))
+    if any(getattr(args, o) is None for o in takes):
+        raise ValueError(f"{source} needs {' and '.join('--' + o for o in takes)}")
+    _reject_unread(args, source, [o for o in ("m", "r") if o not in takes])
+    if family is None:
         return recurrence_triangle(TriangleParams.parse(args.params), 0)
-    if args.family is None:
-        raise SystemExit2("one of --family or --params is required")
-    if args.family == "whitney":
-        if args.m is None or args.r is None:
-            raise SystemExit2("--family whitney needs --m and --r")
-        return whitney_eulerian(args.m, args.r, 0)
-    if args.family == "r-eulerian":
-        if args.r is None:
-            raise SystemExit2("--family r-eulerian needs --r")
-        return r_eulerian(args.r, 0)
-    if args.family == "second-order":
-        if args.r is None:
-            raise SystemExit2("--family second-order needs --r")
-        return second_order_eulerian(args.r, 0)
-    return stirling2_triangle(0)
+    return family(*(getattr(args, o) for o in takes), 0)
 
 
 def cmd_triangle(args) -> int:
@@ -122,11 +126,11 @@ def _grammar_from_args(args) -> tuple[Grammar, LaurentPoly]:
         seed = parse_poly(args.seed) if args.seed else hao_seed(params)
         return g, seed
     if args.rules is None:
-        raise SystemExit2("one of --hao or --rules is required")
+        raise ValueError("one of --hao or --rules is required")
     with open(args.rules) as fh:
         g = Grammar.from_text(fh.read())
     if not args.seed:
-        raise SystemExit2("--rules needs an explicit --seed")
+        raise ValueError("--rules needs an explicit --seed")
     return g, parse_poly(args.seed)
 
 
@@ -139,6 +143,7 @@ def cmd_grammar(args) -> int:
 
 def cmd_series(args) -> int:
     if args.tree_function:
+        _reject_unread(args, "--tree-function", ("hao", "rules", "seed"))
         print(tree_function(args.order))
         return EXIT_OK
     g, seed = _grammar_from_args(args)
@@ -151,7 +156,7 @@ def cmd_series(args) -> int:
 def cmd_verify(args) -> int:
     for flag, value in (("--max-n", args.max_n), ("--order", args.order)):
         if value is not None and value < 0:
-            raise SystemExit2(f"{flag} must be nonnegative, got {value}")
+            raise ValueError(f"{flag} must be nonnegative, got {value}")
     opts = VerifyOptions(
         max_n=args.max_n,
         order=args.order,
@@ -160,7 +165,7 @@ def cmd_verify(args) -> int:
     if args.y:
         opts.y_values = tuple(map(parse_rational, args.y))
         if {0, 1} & set(opts.y_values):
-            raise SystemExit2("the identity needs y outside {0, 1}")
+            raise ValueError("the identity needs y outside {0, 1}")
     start = time.monotonic()
     reports = run_suites(args.suites, opts)
     wall_ms = int((time.monotonic() - start) * 1000)
@@ -185,7 +190,9 @@ def cmd_oracle(args) -> int:
     budget = _default_budget(args)
     text = getattr(args, oracle.option) if oracle.option else ""
     if text is None:
-        raise SystemExit2(f"oracle {args.kind} needs {oracle.usage or '--' + oracle.option}")
+        raise ValueError(f"oracle {args.kind} needs {oracle.usage or '--' + oracle.option}")
+    _reject_unread(args, f"oracle {args.kind}",
+                   [o for o in ("r", "params", "hao") if o != oracle.option])
     arg = oracle.parse(text)
     census = oracle.census(arg, args.n, budget)
     print(census)
@@ -223,8 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_triangle)
 
     p = sub.add_parser("grammar", help="print D^0..D^n of a seed polynomial")
-    p.add_argument("--rules", help="file with one `letter -> polynomial` per line")
-    p.add_argument("--hao", help=HAO_HELP)
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--rules", help="file with one `letter -> polynomial` per line")
+    source.add_argument("--hao", help=HAO_HELP)
     p.add_argument("--seed", help="seed polynomial, e.g. 'u*v^2'")
     p.add_argument("--n", type=int, default=1)
     p.set_defaults(fn=cmd_grammar)
@@ -232,8 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("series", help="print series coefficients")
     p.add_argument("--tree-function", action="store_true",
                    help="coefficients n^(n-1)/n! of the tree function")
-    p.add_argument("--rules")
-    p.add_argument("--hao", help=HAO_HELP)
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--rules")
+    source.add_argument("--hao", help=HAO_HELP)
     p.add_argument("--seed")
     p.add_argument("--order", type=int, required=True)
     p.set_defaults(fn=cmd_series)
@@ -300,7 +309,7 @@ def main(argv: list[str] | None = None) -> int:
         # The reader left (`| head`); send the exit-time flush to devnull.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except (SystemExit2, GkpError, ValueError, OSError) as exc:
+    except (GkpError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

@@ -116,14 +116,6 @@ class TruncatedSeries:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def first_difference(self, other: TruncatedSeries) -> int | None:
-        """Smallest n where the coefficients differ, or None if equal up to
-        the common order."""
-        for n in range(self._common(other) + 1):
-            if self.coeffs[n] != other.coeffs[n]:
-                return n
-        return None
-
     def __repr__(self):
         return f"TruncatedSeries({self})"
 

@@ -39,7 +39,6 @@ from .errors import (
 from .fps import (
     TruncatedSeries,
     egf_levels,
-    exp_t,
     gen_levels,
     grammar_ode,
     solve_ode,
@@ -270,10 +269,15 @@ SUITES.update((name, partial(form.run, name)) for name, form in CLOSED_FORMS.ite
 # -- generating functions ---------------------------------------------------------
 
 
-def _first_row_mismatch(series: TruncatedSeries, rows: list) -> int | None:
-    """First n with n! [t^n] series != rows[n], or None."""
-    return next((n for n, row in enumerate(rows) if series.coefficient(n) * factorial(n) != row),
-                None)
+def _compare_rows(report: CheckReport, checks) -> CheckReport:
+    """For each (label, series, rows) of `checks` in turn, fail `report` at
+    the first n with n! [t^n] series != rows[n]; the first failure is kept."""
+    for label, series, rows in checks:
+        for n, row in enumerate(rows):
+            if series.coefficient(n) * factorial(n) != row:
+                report.fail(f"{label}: first mismatch at order {n}")
+                break
+    return report
 
 
 def verify_closed_form_whitney(m: int, r: int, order: int,
@@ -288,6 +292,8 @@ def verify_closed_form_whitney(m: int, r: int, order: int,
         params={"m": m, "r": r, "points": tuple(points)},
         order=order,
     )
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     tri = whitney_eulerian(m, r, order)
     for point in points:
         u, v = map(normalize_scalar, point)
@@ -307,67 +313,45 @@ def verify_closed_form_whitney(m: int, r: int, order: int,
 
 
 def verify_sol_a2zero(a0: int, a1: int, order: int) -> CheckReport:
-    """Check the closed solution of U' = U V^a1, V' = V (symbolic initial
-    values) and that U V^a0 reproduces the Bell-polynomial expansion."""
+    """Check the closed solution U = u exp(v^a1 (e^(a1 t) - 1)/a1), V = v e^t
+    of U' = U V^a1, V' = V through its EGF-normal rows (Bell/Touchard):
+    n! [t^n] U = u sum_j a1^(n-j) S(n,j) v^(a1 j) and n! [t^n] V = v, and
+    that U V^a0 reproduces the Bell-polynomial expansion."""
     if a1 == 0:
         raise ZeroA1("the check needs a1 != 0")
     report = CheckReport(name="a2zero-solution", params={"a0": a0, "a1": a1}, order=order)
     sol = solve_ode(grammar_ode(hao_grammar(TriangleParams(0, a1, 0, 0, 0, 0))), order)
-    u = LaurentPoly.variable("u")
-    v_a1 = LaurentPoly.from_exponents({"v": a1})
-
-    arg = (exp_t(a1, order) - TruncatedSeries.one(order)).map_coefficients(
-        lambda q: v_a1 * (q * Fraction(1, a1))
-    )
-    u_closed = arg.exp().scalar_mul(u)
-    if sol["u"] != u_closed:
-        report.fail(f"U: first mismatch at order {sol['u'].first_difference(u_closed)}")
-    v_closed = exp_t(1, order).map_coefficients(
-        lambda q: LaurentPoly.from_exponents({"v": 1}) * q
-    )
-    if sol["v"] != v_closed:
-        report.fail(f"V: first mismatch at order {sol['v'].first_difference(v_closed)}")
-
+    ns = range(order + 1)
+    u_rows = [LaurentPoly({monomial({"u": 1, "v": a1 * j}): a1 ** (n - j) * cf.stirling2(n, j)
+                           for j in range(n + 1)}) for n in ns]
     # Row n of U V^a0 is u v^a0 times the Bell-polynomial row at alpha = v^a1.
-    uv = sol["u"] * sol["v"].pow_int(a0)
-    rows = [LaurentPoly({monomial({"u": 1, "v": a0 + a1 * j}): c
-                         for j, c in enumerate(cf.touchard_row(a0, a1, n))})
-            for n in range(order + 1)]
-    diff = _first_row_mismatch(uv, rows)
-    if diff is not None:
-        report.fail(f"U*V^a0: first mismatch at order {diff}")
-    return report
+    uv_rows = [LaurentPoly({monomial({"u": 1, "v": a0 + a1 * j}): c
+                            for j, c in enumerate(cf.touchard_row(a0, a1, n))}) for n in ns]
+    return _compare_rows(report, (
+        ("U", sol["u"], u_rows),
+        ("V", sol["v"], [LaurentPoly.variable("v")] * len(ns)),
+        ("U*V^a0", sol["u"] * sol["v"].pow_int(a0), uv_rows),
+    ))
 
 
 def verify_sol_a1zero(a0: int, a2: int, order: int) -> CheckReport:
-    """Check the closed solution of U' = U V^a2, V' = V^(a2+1) through the
-    fraction-power-free relations V^a2 (1 - a2 t v^a2) = v^a2 and U v = u V,
-    plus the rising-factorial row sums of U V^(a0+a2)."""
+    """Check the closed solution of U' = U V^a2, V' = V^(a2+1) through its
+    EGF-normal rows n! [t^n] V = v^(1 + a2 n) rho_n and n! [t^n] U =
+    u v^(a2 n) rho_n, rho_n = 1 (1+a2) ... (1+(n-1)a2), plus the
+    rising-factorial row sums of U V^(a0+a2)."""
     if a2 == 0:
         raise ZeroA2("the check needs a2 != 0")
     report = CheckReport(name="a1zero-solution", params={"a0": a0, "a2": a2}, order=order)
     sol = solve_ode(grammar_ode(hao_grammar(TriangleParams(0, 0, a2, 0, 0, 0))), order)
-    v_a2 = LaurentPoly.from_exponents({"v": a2})
-
-    linear = TruncatedSeries.one(order) - TruncatedSeries.t_term(v_a2 * a2, order)
-    lhs = sol["v"].pow_int(a2) * linear
-    rhs = TruncatedSeries.constant(v_a2, order)
-    if lhs != rhs:
-        report.fail(f"V-relation: first mismatch at order {lhs.first_difference(rhs)}")
-
-    left = sol["u"].scalar_mul(LaurentPoly.variable("v"))
-    right = sol["v"].scalar_mul(LaurentPoly.variable("u"))
-    if left != right:
-        report.fail(f"U*v = u*V: first mismatch at order {left.first_difference(right)}")
-
-    uv = sol["u"] * sol["v"].pow_int(a0 + a2)
-    rows = [LaurentPoly.from_exponents({"u": 1, "v": a0 + a2 + a2 * n},
-                                       cf.a1zero_rowsum(a0, a2, n))
-            for n in range(order + 1)]
-    diff = _first_row_mismatch(uv, rows)
-    if diff is not None:
-        report.fail(f"row sums: first mismatch at order {diff}")
-    return report
+    ns = range(order + 1)
+    rho = [cf.rising_step(1, a2, n) for n in ns]
+    return _compare_rows(report, (
+        ("V", sol["v"], [LaurentPoly.from_exponents({"v": 1 + a2 * n}, rho[n]) for n in ns]),
+        ("U", sol["u"], [LaurentPoly.from_exponents({"u": 1, "v": a2 * n}, rho[n]) for n in ns]),
+        ("row sums", sol["u"] * sol["v"].pow_int(a0 + a2),
+         [LaurentPoly.from_exponents({"u": 1, "v": a0 + a2 + a2 * n}, cf.a1zero_rowsum(a0, a2, n))
+          for n in ns]),
+    ))
 
 
 def verify_secondorder_egf(y, order: int) -> CheckReport:

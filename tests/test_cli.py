@@ -429,6 +429,52 @@ class TestInputErrors:
         assert out == ""
         assert err == f"error: --params needs three integers a0,a1,a2, got {text!r}\n"
 
+    @pytest.mark.parametrize("argv, source, unread", [
+        (("--family", "stirling2", "--m", "5", "--r", "2"), "--family stirling2", "--m or --r"),
+        (("--params", "0,1,0,1,0,0", "--r", "7"), "--params", "--r"),
+        (("--family", "r-eulerian", "--r", "2", "--m", "9"), "--family r-eulerian", "--m"),
+        (("--family", "second-order", "--m", "1", "--r", "2"), "--family second-order", "--m"),
+    ])
+    def test_triangle_rejects_an_option_its_source_does_not_read(self, capsys, argv, source,
+                                                                 unread):
+        code, out, err = run(capsys, "triangle", *argv, "--rows", "2")
+        assert (code, out, err) == (2, "", f"error: {source} does not take {unread}\n")
+
+    @pytest.mark.parametrize("argv, needs", [
+        (("--family", "whitney", "--m", "2"), "--family whitney needs --m and --r"),
+        (("--family", "r-eulerian", "--m", "2"), "--family r-eulerian needs --r"),
+        (("--family", "second-order",), "--family second-order needs --r"),
+    ])
+    def test_triangle_family_names_the_options_it_needs(self, capsys, argv, needs):
+        code, out, err = run(capsys, "triangle", *argv, "--rows", "2")
+        assert (code, out, err) == (2, "", f"error: {needs}\n")
+
+    @pytest.mark.parametrize("argv, unread", [
+        (("partitions", "--r", "5"), "--r"),
+        (("descents", "--r", "2", "--params", "1,2,3"), "--params"),
+        (("components", "--params", "1,2,1", "--hao", "2,3,0,1,-3,3"), "--hao"),
+        (("vleaves", "--hao", "2,3,0,1,-3,3", "--r", "1", "--params", "1,2,1"),
+         "--r or --params"),
+    ])
+    def test_oracle_rejects_an_option_its_kind_does_not_read(self, capsys, argv, unread):
+        code, out, err = run(capsys, "oracle", *argv, "--n", "3", "--diff")
+        assert (code, out, err) == (2, "", f"error: oracle {argv[0]} does not take {unread}\n")
+
+    @pytest.mark.parametrize("command, length", [("grammar", "--n"), ("series", "--order")])
+    def test_hao_and_rules_exclude_each_other(self, capsys, command, length):
+        code, out, err = run(capsys, command, "--hao", "2,3,0,1,-3,3", "--rules",
+                             "/nonexistent", length, "1")
+        assert (code, out) == (2, "")
+        assert "argument --rules: not allowed with argument --hao" in err
+
+    @pytest.mark.parametrize("argv, unread", [
+        (("--hao", "2,3,0,1,-3,3"), "--hao"), (("--rules", "/nonexistent"), "--rules"),
+        (("--seed", "u"), "--seed"), (("--hao", "2,3,0,1,-3,3", "--seed", "u"), "--hao or --seed"),
+    ])
+    def test_tree_function_reads_no_grammar(self, capsys, argv, unread):
+        code, out, err = run(capsys, "series", "--tree-function", *argv, "--order", "3")
+        assert (code, out, err) == (2, "", f"error: --tree-function does not take {unread}\n")
+
     def test_big_integers_print_in_full(self, capsys):
         before = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
         code, out, _ = run(capsys, "triangle", "--params", "1e300,0,0,1,0,0", "--rows", "15")

@@ -421,10 +421,11 @@ class TestVerifications:
             verify_secondorder_egf(0, 4)
 
     def test_negative_order_errors(self):
-        with pytest.raises(ValueError, match="^order must be nonnegative$"):
-            verify_secondorder_egf(Fraction(1, 2), -1)
-        with pytest.raises(ValueError, match="^n_max must be nonnegative$"):
-            verify_closed_form_whitney(1, 1, -1)
+        for check, args in ((verify_secondorder_egf, (Fraction(1, 2),)),
+                            (verify_closed_form_whitney, (1, 1)),
+                            (verify_sol_a2zero, (1, 2)), (verify_sol_a1zero, (1, 2))):
+            with pytest.raises(ValueError, match="^order must be nonnegative$"):
+                check(*args, -1)
 
     def test_float_arguments_are_rejected(self):
         # Fraction(0.5) would silently pass a binary fraction into an exact check.

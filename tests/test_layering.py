@@ -2,7 +2,7 @@
 imports inside a function body, the series layer (fps) imports nothing
 from the layers built on it, the closed forms import nothing from fps, and
 the packed polynomial format stays inside the two series engines (grammar
-and fps)."""
+and fps), and the checks in verify build no closed series."""
 
 import ast
 from pathlib import Path
@@ -13,6 +13,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "gkptri"
 ABOVE_FPS = {"closedforms", "triangles", "verify", "cli"}
 PACKED_HELPERS = {"_pack", "_unpack", "_derive"}
 ENGINES = {SRC / "grammar.py", SRC / "fps.py"}
+SERIES_BUILDERS = {"exp_t", "scalar_mul", "map_coefficients", "first_difference", "inverse"}
 
 
 def function_level_imports(source: str) -> list[str]:
@@ -80,3 +81,8 @@ def test_closed_forms_import_nothing_from_fps():
 @pytest.mark.parametrize("path", sorted(set(SRC.glob("*.py")) - ENGINES), ids=lambda p: p.name)
 def test_packed_format_stays_in_the_engines(path):
     assert names_used(path.read_text()) & PACKED_HELPERS == set()
+
+
+def test_verify_builds_no_closed_series():
+    # Solutions are compared with closed EGF-normal rows, n! [t^n] at a time.
+    assert names_used((SRC / "verify.py").read_text()) & SERIES_BUILDERS == set()
