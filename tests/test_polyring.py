@@ -1,5 +1,6 @@
 """Laurent polynomial arithmetic, rendering, parsing, and ring laws."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -145,10 +146,179 @@ class TestParsing:
             parse_poly("u + ?", line=7)
         assert err.value.line == 7
         assert err.value.column == 5
+        assert str(err.value) == "line 7, column 5: unexpected character '?'"
 
     def test_error_on_missing_exponent(self):
         with pytest.raises(PolyParseError):
             parse_poly("u^v")
+
+    @pytest.mark.parametrize("text, column, message", [
+        ("", 1, "expected a number or variable"),
+        ("(u)", 1, "expected a number or variable"),
+        ("1/", 3, "expected denominator after '/'"),
+        ("1/x", 3, "expected denominator after '/'"),
+        ("1/0", 3, "zero denominator"),
+        ("u^-", 4, "expected integer exponent after '^'"),
+        ("u v", 3, "unexpected 'v'"),
+        ("2/3/4", 4, "unexpected '/'"),
+    ])
+    def test_error_message_and_column(self, text, column, message):
+        with pytest.raises(PolyParseError) as err:
+            parse_poly(text, line=7)
+        assert (err.value.line, err.value.column) == (7, column)
+        assert str(err.value) == f"line 7, column {column}: {message}"
+
+
+# -- the recursive-descent parser, kept as the reference for parse_poly ----------
+
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()]))")
+
+
+class ReferenceParser:
+    """Recursive-descent parser for `2*u^3*v^-1 + 1/2*w - 4` style text."""
+
+    def __init__(self, text: str, line: int):
+        self.text = text
+        self.line = line
+        self.pos = 0
+        self.tokens: list[tuple[str, str, int]] = []
+        pos = 0
+        while pos < len(text):
+            m = _TOKEN.match(text, pos)
+            if m is None or m.end() == pos:
+                stripped = text[pos:].lstrip()
+                if not stripped:
+                    break
+                col = len(text) - len(stripped) + 1
+                raise PolyParseError(f"unexpected character {stripped[0]!r}", line, col)
+            if m.group(1) is not None:
+                self.tokens.append(("num", m.group(1), m.start(1) + 1))
+            elif m.group(2) is not None:
+                self.tokens.append(("name", m.group(2), m.start(2) + 1))
+            else:
+                self.tokens.append(("op", m.group(3), m.start(3) + 1))
+            pos = m.end()
+
+    def error(self, message: str, column: int | None = None):
+        if column is None:
+            column = self.tokens[self.pos][2] if self.pos < len(self.tokens) else len(self.text) + 1
+        raise PolyParseError(message, self.line, column)
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else ("end", "", len(self.text) + 1)
+
+    def take(self):
+        tok = self.peek()
+        self.pos += 1
+        return tok
+
+    def accept_op(self, *ops: str) -> str | None:
+        kind, value, _ = self.peek()
+        if kind == "op" and value in ops:
+            self.pos += 1
+            return value
+        return None
+
+    def parse_poly(self) -> LaurentPoly:
+        sign = 1
+        if self.accept_op("-"):
+            sign = -1
+        else:
+            self.accept_op("+")
+        result = self.parse_term() * sign
+        while True:
+            op = self.accept_op("+", "-")
+            if op is None:
+                break
+            term = self.parse_term()
+            result = result + (term if op == "+" else -term)
+        kind, value, col = self.peek()
+        if kind != "end":
+            self.error(f"unexpected {value!r}")
+        return result
+
+    def parse_term(self) -> LaurentPoly:
+        result = self.parse_factor()
+        while self.accept_op("*"):
+            result = result * self.parse_factor()
+        return result
+
+    def parse_factor(self) -> LaurentPoly:
+        kind, value, col = self.take()
+        if kind == "num":
+            num = int(value)
+            if self.accept_op("/"):
+                dkind, dvalue, dcol = self.take()
+                if dkind != "num":
+                    self.error("expected denominator after '/'", dcol)
+                den = int(dvalue)
+                if den == 0:
+                    self.error("zero denominator", dcol)
+                return LaurentPoly.constant(Fraction(num, den))
+            return LaurentPoly.constant(num)
+        if kind == "name":
+            exponent = 1
+            if self.accept_op("^"):
+                neg = bool(self.accept_op("-"))
+                ekind, evalue, ecol = self.take()
+                if ekind != "num":
+                    self.error("expected integer exponent after '^'", ecol)
+                exponent = -int(evalue) if neg else int(evalue)
+            return LaurentPoly.from_exponents({value: exponent})
+        self.error("expected a number or variable", col)
+
+
+def parse_outcome(parse, text: str, line: int):
+    """The polynomial and its text, or the error's message, line and column."""
+    try:
+        p = parse(text, line)
+    except PolyParseError as exc:
+        return "error", str(exc), exc.line, exc.column
+    return "ok", p, str(p)
+
+
+# Tokens of the language, the whitespace between them, and characters outside it.
+TOKEN_ALPHABET = ["0", "1", "2", "07", "u", "v", "x_1", "_", "+", "-", "*", "/", "^",
+                  "(", ")", " ", "\t", "\n", "?", ".", "é", "\u00a0"]
+token_strings = st.lists(st.sampled_from(TOKEN_ALPHABET), max_size=10).map("".join)
+factor_texts = st.one_of(
+    st.integers(0, 30).map(str),
+    st.tuples(st.integers(0, 30), st.integers(0, 9)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
+    st.tuples(st.sampled_from(["u", "v", "w1"]), st.integers(-4, 4)).map(
+        lambda ve: f"{ve[0]}^{ve[1]}"),
+    st.sampled_from(["u", "v", "w1"]),
+)
+term_texts = st.lists(factor_texts, min_size=1, max_size=3).map("*".join)
+structured_polys = st.tuples(
+    st.sampled_from(["", "-", "+"]),
+    st.lists(st.tuples(st.sampled_from([" + ", " - ", "+", "-"]), term_texts),
+             min_size=1, max_size=4),
+).map(lambda s: s[0] + "".join(op + t for op, t in s[1])[len(s[1][0][0]):])
+
+
+class TestParserParity:
+    """parse_poly against the recursive-descent reference: the same polynomial
+    and text, or the same error at the same line and column."""
+
+    @staticmethod
+    def reference(text, line):
+        return ReferenceParser(text, line).parse_poly()
+
+    @given(token_strings, st.integers(1, 9))
+    @settings(max_examples=400)
+    def test_token_strings(self, text, line):
+        assert parse_outcome(parse_poly, text, line) == parse_outcome(self.reference, text, line)
+
+    @given(structured_polys)
+    @settings(max_examples=200)
+    def test_structured_polys(self, text):
+        assert parse_outcome(parse_poly, text, 1) == parse_outcome(self.reference, text, 1)
+
+    @given(polys)
+    @settings(max_examples=60)
+    def test_rendered_polys(self, p):
+        assert parse_outcome(parse_poly, str(p), 3) == ("ok", p, str(p))
+        assert parse_outcome(self.reference, str(p), 3) == ("ok", p, str(p))
 
 
 class TestRingLaws:
