@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, permutations, repeat
+from math import factorial
 from typing import Mapping
 
 from .errors import (
@@ -279,13 +280,13 @@ def stirling_descent_census(n: int, r: int,
 
 def r_excedance_census(n: int, r: int,
                        budget: int = DEFAULT_BUDGET) -> StructureCensus:
-    """Permutations of [n] bucketed by the number of j with sigma(j) >= j+r."""
+    """Permutations of [n] bucketed by the number of j with sigma(j) >= j+r.
+    All n! of them count against the budget before the first is made."""
     if n < 0 or r < 0:
         raise ValueError("need n >= 0 and r >= 0")
-    tracker = _Budget(budget)
+    _Budget(budget).spend(factorial(n))
     counts: dict[int, int] = {}
     for sigma in permutations(range(1, n + 1)):
-        tracker.spend()
         k = sum(1 for j in range(1, n + 1) if sigma[j - 1] >= j + r)
         counts[k] = counts.get(k, 0) + 1
     return StructureCensus(f"{r}-excedances", counts)

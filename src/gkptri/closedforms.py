@@ -13,7 +13,6 @@ triangle).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 
 from .errors import ZeroA1, ZeroA2
@@ -21,16 +20,24 @@ from .polyring import LaurentPoly, Scalar, monomial, normalize_scalar
 from .triangles import TriangleParams, recurrence_triangle
 
 
-@lru_cache(maxsize=None)
+_stirling2_columns: list[list[int]] = []  # column k holds S(k,k), S(k+1,k), ...
+
+
 def stirling2(n: int, k: int) -> int:
-    """Stirling subset number S(n,k): partitions of [n] into k blocks."""
-    if n < 0 or k < 0:
+    """Stirling subset number S(n,k): partitions of [n] into k blocks, from
+    columns 0..k of S(m,j) = j S(m-1,j) + S(m-1,j-1), filled to row n."""
+    if n < 0 or k < 0 or k > n:
         return 0
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k == 0 or k > n:
-        return 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+    while len(_stirling2_columns) <= k:
+        _stirling2_columns.append([1])
+    first = k  # no column is longer than those left of it; extend k and a run left of it
+    while first and len(_stirling2_columns[first - 1]) <= n - k:
+        first -= 1
+    for j in range(first, k + 1):
+        column = _stirling2_columns[j]
+        while len(column) <= n - k:
+            column.append(j * column[-1] + (_stirling2_columns[j - 1][len(column)] if j else 0))
+    return _stirling2_columns[k][n - k]
 
 
 def bell_polynomial(n: int, lam) -> Scalar:

@@ -294,8 +294,9 @@ def egf_levels(system: OdeSystem,
 
         y_0 P_n = sum_{k=1..n} [(e+1) C(n-1,k-1) - C(n,k)] Y_k P_{n-k}.
 
-    Otherwise (y_0 = 0, u+v, ...) y^e is a chain of convolutions for e >= 2,
-    and e < 0 raises NonInvertibleConstantTerm.
+    Otherwise (y_0 = 0, u+v, ...) y^e for e >= 2 is the convolution of
+    y^(e//2) and y^(e - e//2), so it takes O(log e) streams, and e < 0
+    raises NonInvertibleConstantTerm.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -346,7 +347,7 @@ def egf_levels(system: OdeSystem,
             return miller(ys[x], e)
         if e < 0:
             raise NonInvertibleConstantTerm(f"constant term {system.initial[x]} is not invertible")
-        return convolution(stream(((x, e - 1),)), ys[x])
+        return convolution(stream(((x, e // 2),)), stream(((x, e - e // 2),)))
 
     rhs = {v: [(stream(mono), c) for mono, c in system.rhs[v].terms().items()]
            for v in system.variables}

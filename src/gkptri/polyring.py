@@ -321,101 +321,56 @@ class LaurentPoly:
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()]))")
 
 
-class _Parser:
-    """Recursive-descent parser for `2*u^3*v^-1 + 1/2*w - 4` style text."""
-
-    def __init__(self, text: str, line: int):
-        self.text = text
-        self.line = line
-        self.pos = 0
-        self.tokens: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if m is None or m.end() == pos:
-                stripped = text[pos:].lstrip()
-                if not stripped:
-                    break
-                col = len(text) - len(stripped) + 1
-                raise PolyParseError(f"unexpected character {stripped[0]!r}", line, col)
-            if m.group(1) is not None:
-                self.tokens.append(("num", m.group(1), m.start(1) + 1))
-            elif m.group(2) is not None:
-                self.tokens.append(("name", m.group(2), m.start(2) + 1))
-            else:
-                self.tokens.append(("op", m.group(3), m.start(3) + 1))
-            pos = m.end()
-
-    def error(self, message: str, column: int | None = None):
-        if column is None:
-            column = self.tokens[self.pos][2] if self.pos < len(self.tokens) else len(self.text) + 1
-        raise PolyParseError(message, self.line, column)
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else ("end", "", len(self.text) + 1)
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def accept_op(self, *ops: str) -> str | None:
-        kind, value, _ = self.peek()
-        if kind == "op" and value in ops:
-            self.pos += 1
-            return value
-        return None
-
-    def parse_poly(self) -> LaurentPoly:
-        sign = 1
-        if self.accept_op("-"):
-            sign = -1
-        else:
-            self.accept_op("+")
-        result = self.parse_term() * sign
-        while True:
-            op = self.accept_op("+", "-")
-            if op is None:
-                break
-            term = self.parse_term()
-            result = result + (term if op == "+" else -term)
-        kind, value, col = self.peek()
-        if kind != "end":
-            self.error(f"unexpected {value!r}")
-        return result
-
-    def parse_term(self) -> LaurentPoly:
-        result = self.parse_factor()
-        while self.accept_op("*"):
-            result = result * self.parse_factor()
-        return result
-
-    def parse_factor(self) -> LaurentPoly:
-        kind, value, col = self.take()
-        if kind == "num":
-            num = int(value)
-            if self.accept_op("/"):
-                dkind, dvalue, dcol = self.take()
-                if dkind != "num":
-                    self.error("expected denominator after '/'", dcol)
-                den = int(dvalue)
-                if den == 0:
-                    self.error("zero denominator", dcol)
-                return LaurentPoly.constant(Fraction(num, den))
-            return LaurentPoly.constant(num)
-        if kind == "name":
-            exponent = 1
-            if self.accept_op("^"):
-                neg = bool(self.accept_op("-"))
-                ekind, evalue, ecol = self.take()
-                if ekind != "num":
-                    self.error("expected integer exponent after '^'", ecol)
-                exponent = -int(evalue) if neg else int(evalue)
-            return LaurentPoly.from_exponents({value: exponent})
-        self.error("expected a number or variable", col)
-
-
 def parse_poly(text: str, line: int = 1) -> LaurentPoly:
     """Parse polynomial text: `^` integer exponents, `*` products,
-    integer or p/q coefficients, `+`/`-` sums."""
-    return _Parser(text, line).parse_poly()
+    integer or p/q coefficients, `+`/`-` sums.
+
+    The language has no nesting, so one left-to-right pass over the tokens
+    reads it, building each term as a coefficient and an exponent map."""
+    tokens, pos = [], 0
+    while m := _TOKEN.match(text, pos):
+        group = m.lastindex  # 1 a number, 2 a name, 3 an operator, its own kind
+        tokens.append((("num", "name", m[3])[group - 1], m[group], m.start(group) + 1))
+        pos = m.end()
+    rest = text[pos:].lstrip()
+    if rest:
+        raise PolyParseError(f"unexpected character {rest[0]!r}", line, len(text) - len(rest) + 1)
+    tokens.append(("end", "", len(text) + 1))
+    tokens.reverse()  # tokens[-1] is the next token; the end token is never taken
+
+    def take(message: str, *kinds: str) -> tuple[str, str, int]:
+        if tokens[-1][0] not in kinds:
+            raise PolyParseError(message, line, tokens[-1][2])
+        return tokens.pop()
+
+    def accept(*ops: str) -> str | None:
+        return tokens.pop()[0] if tokens[-1][0] in ops else None
+
+    result = LaurentPoly.zero()
+    coeff, exponents = -1 if accept("-", "+") == "-" else 1, {}
+    while True:
+        kind, value, _ = take("expected a number or variable", "num", "name")
+        if kind == "num":
+            factor = int(value)
+            if accept("/"):
+                _, den, col = take("expected denominator after '/'", "num")
+                if not int(den):
+                    raise PolyParseError("zero denominator", line, col)
+                factor = Fraction(factor, int(den))
+            coeff *= factor
+        else:
+            exponent = 1
+            if accept("^"):
+                sign = -1 if accept("-") else 1
+                exponent = sign * int(take("expected integer exponent after '^'", "num")[1])
+            exponents[value] = exponents.get(value, 0) + exponent
+        op = accept("*", "+", "-")
+        if op != "*":
+            result = result + LaurentPoly.from_exponents(exponents, coeff)
+            if op is None:
+                break
+            coeff, exponents = -1 if op == "-" else 1, {}
+    kind, value, col = tokens[-1]
+    if kind != "end":
+        raise PolyParseError(f"unexpected {value!r}", line, col)
+    return result

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gkptri import census
 from gkptri.census import (
     _monomial_replacements,
     _seed_leaves,
@@ -390,6 +391,13 @@ class TestExcedanceCensus:
         with pytest.raises(BudgetExceeded):
             r_excedance_census(9, 1, budget=362_879)
         assert r_excedance_census(9, 1).total == factorial(9)
+
+    def test_spends_n_factorial_before_enumerating(self, monkeypatch):
+        def no_permutations(*args):
+            raise AssertionError("enumerated past the budget")
+        monkeypatch.setattr(census, "permutations", no_permutations)
+        with pytest.raises(BudgetExceeded):
+            r_excedance_census(12, 0)
 
 
 class TestPartitionCensus:

@@ -1,5 +1,6 @@
 """Closed formulas against the recurrence engine, and the special numbers."""
 
+import random
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gkptri import closedforms
 from gkptri.closedforms import (
     a_mr_explicit,
     bell_polynomial,
@@ -18,6 +20,7 @@ from gkptri.closedforms import (
     stirling2,
     t_b2zero_explicit,
     touchard_check,
+    touchard_row,
     a1zero_rowsum,
 )
 from gkptri.errors import ZeroA1, ZeroA2
@@ -26,6 +29,7 @@ from gkptri.polyring import LaurentPoly, normalize_scalar, parse_poly
 from gkptri.triangles import (
     TriangleParams,
     recurrence_triangle,
+    stirling2_triangle,
     whitney_eulerian,
 )
 
@@ -117,6 +121,30 @@ class TestSpecialNumbers:
         assert stirling2(0, 0) == 1
         assert stirling2(5, 0) == 0
         assert stirling2(3, 5) == 0
+
+    def test_stirling_matches_the_triangle(self, monkeypatch):
+        # From an empty column cache, in an order that jumps between columns.
+        monkeypatch.setattr(closedforms, "_stirling2_columns", [])
+        tri = stirling2_triangle(60)
+        pairs = [(n, k) for n in range(61) for k in range(-1, n + 2)]
+        random.Random(0).shuffle(pairs)
+        assert [stirling2(n, k) for n, k in pairs] == [tri.entry(n, k) for n, k in pairs]
+
+    def test_no_recursion_depth_limit(self):
+        # Each of these once raised RecursionError from a stirling2 that
+        # recursed once per n.
+        assert stirling2(1500, 2) == 2 ** 1499 - 1
+        # sum_j C(n,j) S(j,k) = S(n+1,k+1) reaches column k+1 another way.
+        assert f_a2zero_explicit(1, 1, 1200, 1100) == stirling2(1201, 1101)
+        assert touchard_row(1, 1, 300) == [stirling2(301, j + 1) for j in range(301)]
+        # B_600 from the Bell triangle (Aitken's array), which needs no S(n,k).
+        row = [1]
+        for _ in range(600):
+            nxt = [row[-1]]
+            for x in row:
+                nxt.append(nxt[-1] + x)
+            row = nxt
+        assert bell_polynomial(600, 1) == row[0]
 
     def test_bell_numbers(self):
         # B_n = B_n(1) = sum_k S(n,k)

@@ -1,7 +1,7 @@
 """Truncated series arithmetic, ODE solving, and the EGF verifications."""
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +27,7 @@ from gkptri.fps import (
     tree_function,
 )
 from gkptri.grammar import Grammar, apply_D, hao_grammar, iterate_D
-from gkptri.polyring import LaurentPoly, parse_poly
+from gkptri.polyring import LaurentPoly, monomial, parse_poly
 from gkptri.triangles import whitney_params
 from gkptri.verify import (
     verify_closed_form_whitney,
@@ -185,6 +185,15 @@ class TestSolveOde:
         sys = OdeSystem(variables=("x",), rhs={"x": parse_poly("x^2")},
                         initial={"x": s})
         assert solve_ode(sys, 6)["x"] == TruncatedSeries([s ** (n + 1) for n in range(7)])
+
+    def test_high_power_of_binomial_initial(self):
+        # x' = x^900, x(0) = u+v: x^900 is built by halving the exponent, so
+        # its streams nest O(log 900) deep; c_1 = (u+v)^900.
+        sys = OdeSystem(variables=("x",), rhs={"x": parse_poly("x^900")},
+                        initial={"x": parse_poly("u + v")})
+        c1 = solve_ode(sys, 1)["x"].coeffs[1]
+        assert len(c1) == 901
+        assert c1.coefficient(monomial({"u": 450, "v": 450})) == comb(900, 450)
 
     def test_negative_power_of_binomial_initial(self):
         sys = OdeSystem(variables=("x",), rhs={"x": parse_poly("x^-1")},

@@ -2,7 +2,8 @@
 imports inside a function body, the series layer (fps) imports nothing
 from the layers built on it, the closed forms import nothing from fps, and
 the packed polynomial format stays inside the two series engines (grammar
-and fps), and the checks in verify build no closed series."""
+and fps), the checks in verify build no closed series, and no function in
+the closed forms or the censuses calls itself."""
 
 import ast
 from pathlib import Path
@@ -14,6 +15,7 @@ ABOVE_FPS = {"closedforms", "triangles", "verify", "cli"}
 PACKED_HELPERS = {"_pack", "_unpack", "_derive"}
 ENGINES = {SRC / "grammar.py", SRC / "fps.py"}
 SERIES_BUILDERS = {"exp_t", "scalar_mul", "map_coefficients", "first_difference", "inverse"}
+RECURSION_FREE = [SRC / "closedforms.py", SRC / "census.py"]
 
 
 def function_level_imports(source: str) -> list[str]:
@@ -23,6 +25,18 @@ def function_level_imports(source: str) -> list[str]:
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             found += [f"{func.name}:{node.lineno}" for node in ast.walk(func)
                       if isinstance(node, (ast.Import, ast.ImportFrom))]
+    return found
+
+
+def self_calls(source: str) -> list[str]:
+    """`function:line` for each call of a function by its own name, nested
+    functions included."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [f"{func.name}:{node.lineno}" for node in ast.walk(func)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and node.func.id == func.name]
     return found
 
 
@@ -86,3 +100,16 @@ def test_packed_format_stays_in_the_engines(path):
 def test_verify_builds_no_closed_series():
     # Solutions are compared with closed EGF-normal rows, n! [t^n] at a time.
     assert names_used((SRC / "verify.py").read_text()) & SERIES_BUILDERS == set()
+
+
+def test_self_call_checker_sees_direct_and_nested_calls():
+    source = ("def f(n):\n    return f(n - 1)\n"
+              "def g():\n    def h():\n        return h() + g()\n    return h\n"
+              "def k():\n    return f(1)\n")
+    assert self_calls(source) == ["f:2", "g:5", "h:5"]
+
+
+@pytest.mark.parametrize("path", RECURSION_FREE, ids=lambda p: p.name)
+def test_no_function_calls_itself(path):
+    # Recursion there would limit n by the interpreter's stack depth.
+    assert self_calls(path.read_text()) == []
