@@ -12,14 +12,12 @@ from .census import (
     cadet_leaf_census,
     census_components,
     census_vleaves,
-    iter_histories,
     r_excedance_census,
     set_partition_census,
     stirling_descent_census,
 )
 from .closedforms import (
     a_mr_explicit,
-    bell_polynomial,
     euler_at_zero,
     f_a2zero_explicit,
     f_gram_explicit,
@@ -82,7 +80,6 @@ __all__ = [
     "TruncatedSeries",
     "a_mr_explicit",
     "apply_D",
-    "bell_polynomial",
     "cadet_leaf_census",
     "census_components",
     "census_vleaves",
@@ -95,7 +92,6 @@ __all__ = [
     "grammar_ode",
     "hao_grammar",
     "hao_seed",
-    "iter_histories",
     "iterate_D",
     "parse_poly",
     "r_eulerian",

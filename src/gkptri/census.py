@@ -132,26 +132,6 @@ def _seed_leaves(g: Grammar, seed) -> tuple[str, ...]:
     return leaves
 
 
-def iter_histories(g: Grammar, seed, n: int):
-    """Yield every n-step derivation history as (steps, leaves): step i is
-    the index of the leaf rewritten at time i+1 (indices refer to the leaf
-    tuple as it stood before that step), and leaves is the final leaf tuple.
-
-    Materialises each history; the census functions below walk the same
-    tree without building the step lists.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    replacements = _monomial_replacements(g)
-
-    def children(node: tuple[tuple[int, ...], tuple[str, ...]]):
-        steps, leaves = node
-        return ((steps + (i,), leaves[:i] + replacements[x] + leaves[i + 1:])
-                for i, x in enumerate(leaves))
-
-    yield from _walk(((), _seed_leaves(g, seed)), n + 1, children)
-
-
 def census_vleaves(g: Grammar, seed, n: int, leaf_letter: str,
                    budget: int = DEFAULT_BUDGET) -> StructureCensus:
     """Enumerate all n-step derivation histories (a history picks one leaf

@@ -1,6 +1,6 @@
 """Closed-form evaluators for the triangle families, plus the special
-numbers they lean on (Stirling subset numbers, Bell polynomials, rising
-step factorials, Euler values at 0).
+numbers they lean on (Stirling subset numbers, rising step factorials,
+Euler values at 0).
 
 Every evaluator returns exact rationals and never rounds; integer
 arguments stay on int, and a formula that divides by a1^k k! divides once,
@@ -38,11 +38,6 @@ def stirling2(n: int, k: int) -> int:
         while len(column) <= n - k:
             column.append(j * column[-1] + (_stirling2_columns[j - 1][len(column)] if j else 0))
     return _stirling2_columns[k][n - k]
-
-
-def bell_polynomial(n: int, lam) -> Scalar:
-    """B_n(lam) = sum_k S(n,k) lam^k."""
-    return normalize_scalar(sum(stirling2(n, k) * lam ** k for k in range(n + 1)))
 
 
 def rising_step(x, a, k: int) -> Scalar:
@@ -127,9 +122,10 @@ def touchard_row(a0, a1, n: int) -> list[Scalar]:
     row n of the b = 1, a2 = 0 triangle."""
     if a1 == 0:
         raise ZeroA1("the identity needs a1 != 0")
+    weights = [comb(n, k) * a1 ** k * a0 ** (n - k) for k in range(n + 1)]
     return [
         normalize_scalar(Fraction(1, a1) ** j * sum(
-            comb(n, k) * a1 ** k * a0 ** (n - k) * stirling2(k, j) for k in range(j, n + 1)))
+            weights[k] * stirling2(k, j) for k in range(j, n + 1)))
         for j in range(n + 1)
     ]
 

@@ -13,9 +13,7 @@ coefficients; factorial weights appear only when a series is built from or
 compared against exponential generating functions.
 
 Binary operations truncate to the smaller order and never read beyond it.
-exp requires a zero constant term and inversion an invertible constant term
-(a nonzero rational, or a polynomial with a single term).  Truncation orders
-are nonnegative.
+exp requires a zero constant term.  Truncation orders are nonnegative.
 """
 
 from __future__ import annotations
@@ -27,12 +25,7 @@ from math import comb, factorial
 from operator import add, sub
 from typing import Any, Callable, Iterable, Mapping
 
-from .errors import (
-    NonInvertibleConstantTerm,
-    NonInvertibleElement,
-    NonZeroConstantTerm,
-    UnknownVariable,
-)
+from .errors import NonInvertibleConstantTerm, NonZeroConstantTerm, UnknownVariable
 from .grammar import Grammar, _derive, _pack, _unpack
 from .polyring import LaurentPoly, Monomial, Scalar, normalize_scalar
 
@@ -40,17 +33,6 @@ from .polyring import LaurentPoly, Monomial, Scalar, normalize_scalar
 def _coerce(c):
     """A LaurentPoly stays as it is; anything else must be an exact rational."""
     return c if isinstance(c, LaurentPoly) else normalize_scalar(c)
-
-
-def _invert(c):
-    if isinstance(c, LaurentPoly):
-        try:
-            return c.inv()
-        except NonInvertibleElement as exc:
-            raise NonInvertibleConstantTerm(str(exc)) from exc
-    if c == 0:
-        raise NonInvertibleConstantTerm("constant term 0 is not invertible")
-    return normalize_scalar(Fraction(1, 1) / c)
 
 
 class TruncatedSeries:
@@ -139,9 +121,6 @@ class TruncatedSeries:
     def __neg__(self) -> TruncatedSeries:
         return TruncatedSeries([-c for c in self.coeffs])
 
-    def scalar_mul(self, s) -> TruncatedSeries:
-        return TruncatedSeries([c * s for c in self.coeffs])
-
     def differentiate(self) -> TruncatedSeries:
         """d/dt, honest to order N-1."""
         if self.order == 0:
@@ -161,30 +140,6 @@ class TruncatedSeries:
             out.append(acc)
         return TruncatedSeries(out)
 
-    def inverse(self) -> TruncatedSeries:
-        """Multiplicative inverse; the constant term must be invertible."""
-        c0 = _invert(self.coeffs[0])
-        out = [c0]
-        for n in range(1, self.order + 1):
-            acc = 0
-            for j in range(1, n + 1):
-                acc = acc + self.coeffs[j] * out[n - j]
-            out.append(-(c0 * acc))
-        return TruncatedSeries(out)
-
-    def pow_int(self, k: int) -> TruncatedSeries:
-        if k < 0:
-            return self.inverse().pow_int(-k)
-        result = TruncatedSeries.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
-
     def exp(self) -> TruncatedSeries:
         """exp of a series with zero constant term."""
         if self.coeffs[0] != 0:
@@ -196,16 +151,6 @@ class TruncatedSeries:
                 acc = acc + (self.coeffs[j] * j) * out[n - j]
             out.append(acc * Fraction(1, n))
         return TruncatedSeries(out)
-
-    # -- coefficient transforms ---------------------------------------------------
-
-    def map_coefficients(self, fn) -> TruncatedSeries:
-        return TruncatedSeries([fn(c) for c in self.coeffs])
-
-
-def exp_t(scale, order: int) -> TruncatedSeries:
-    """The series exp(scale * t)."""
-    return TruncatedSeries.t_term(scale, order).exp()
 
 
 # -- packed levels and the generating function of a grammar ----------------------
@@ -370,7 +315,7 @@ def solve_ode(system: OdeSystem, order: int) -> dict[str, TruncatedSeries]:
     sol = {v: _egf(names, ys[v]) for v in system.variables}
     if LaurentPoly in map(type, system.initial.values()):
         return sol
-    return {v: y.map_coefficients(lambda p: p.coefficient(())) for v, y in sol.items()}
+    return {v: TruncatedSeries(p.coefficient(()) for p in y.coeffs) for v, y in sol.items()}
 
 
 # -- the tree function -------------------------------------------------------------

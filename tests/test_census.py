@@ -18,7 +18,6 @@ from gkptri.census import (
     descent_count,
     history_leaf_profile,
     is_stirling_word,
-    iter_histories,
     r_excedance_census,
     set_partition_census,
     stirling_descent_census,
@@ -78,7 +77,8 @@ def recursive_partitions(n):
 
 
 def recursive_histories(g, seed, n):
-    """Reference for iter_histories: the history walk by recursion."""
+    """Every n-step history as (steps, leaves), by recursion: step i is the
+    index of the leaf rewritten at time i+1, and leaves the final leaf tuple."""
     replacements = _monomial_replacements(g)
 
     def walk(leaves, steps):
@@ -94,7 +94,7 @@ def recursive_histories(g, seed, n):
 def history_buckets(g, seed, n, letter):
     """Reference for census_vleaves: bucket every materialised history."""
     counts = {}
-    for _steps, leaves in iter_histories(g, seed, n):
+    for _steps, leaves in recursive_histories(g, seed, n):
         k = leaves.count(letter)
         counts[k] = counts.get(k, 0) + 1
     return counts
@@ -235,35 +235,16 @@ class TestVLeafCensus:
 
 
 class TestHistories:
-    def test_step_indices_stay_in_range(self):
-        histories = list(iter_histories(WHITNEY_32, {"u": 1, "v": 2}, 2))
-        assert len(histories) == 3 * 6  # leaves grow 3, 6, 9
-        for steps, leaves in histories:
-            assert len(steps) == 2
-            assert 0 <= steps[0] < 3 and 0 <= steps[1] < 6
-            assert len(leaves) == 9
-
-    def test_explicit_histories_match_census(self):
-        buckets = {}
-        for _steps, leaves in iter_histories(WHITNEY_32, {"u": 1, "v": 2}, 2):
-            count = sum(1 for leaf in leaves if leaf == "v")
-            buckets[count] = buckets.get(count, 0) + 1
-        census = census_vleaves(WHITNEY_32, {"u": 1, "v": 2}, 2, "v")
-        assert buckets == census.counts
-
-    def test_zero_steps(self):
-        assert list(iter_histories(WHITNEY_32, {"u": 1}, 0)) == [((), ("u",))]
-
     def test_deep_walk_needs_no_recursion(self):
         g = Grammar.from_text("u -> u\nv -> v")
-        assert list(iter_histories(g, {"u": 1}, 1500)) == [((0,) * 1500, ("u",))]
+        assert census_vleaves(g, {"u": 1}, 1500, "u").counts == {1: 1}
 
     @pytest.mark.parametrize("m, r", [(m, r) for m in (1, 2, 3) for r in range(m + 1)])
     def test_matches_recursive_walk(self, m, r):
         params = whitney_params(m, r)
         g, seed = hao_grammar(params), hao_seed(params)
         for n in range(6):
-            assert list(iter_histories(g, seed, n)) == list(recursive_histories(g, seed, n))
+            assert census_vleaves(g, seed, n, "v").counts == history_buckets(g, seed, n, "v")
 
 
 class TestComponentCensus:

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from gkptri import closedforms
 from gkptri.closedforms import (
     a_mr_explicit,
-    bell_polynomial,
     euler_at_zero,
     f_a2zero_explicit,
     f_gram_explicit,
@@ -24,7 +23,6 @@ from gkptri.closedforms import (
     a1zero_rowsum,
 )
 from gkptri.errors import ZeroA1, ZeroA2
-from gkptri.fps import TruncatedSeries, exp_t
 from gkptri.polyring import LaurentPoly, normalize_scalar, parse_poly
 from gkptri.triangles import (
     TriangleParams,
@@ -32,19 +30,13 @@ from gkptri.triangles import (
     stirling2_triangle,
     whitney_eulerian,
 )
+from series_reference import euler_at_zero_by_series
 
 A_GRID = list(product((0, 1, 2), (1, 2, 3), (1, 2, 3)))
 
 
 # Fraction-only references for the closed forms.
 
-
-def euler_at_zero_by_series(order):
-    """E_0(0)..E_order(0) as k! [t^k] 2/(e^t + 1), by series inversion."""
-    series = TruncatedSeries.constant(2, order) * (
-        exp_t(1, order) + TruncatedSeries.one(order)).inverse()
-    return [normalize_scalar(Fraction(series.coefficient(k)) * factorial(k))
-            for k in range(order + 1)]
 
 def rising_step_fraction(x, a, k):
     x, a = Fraction(x), Fraction(a)
@@ -144,14 +136,12 @@ class TestSpecialNumbers:
             for x in row:
                 nxt.append(nxt[-1] + x)
             row = nxt
-        assert bell_polynomial(600, 1) == row[0]
+        assert sum(stirling2(600, k) for k in range(601)) == row[0]
 
     def test_bell_numbers(self):
-        # B_n = B_n(1) = sum_k S(n,k)
-        bells = [bell_polynomial(n, 1) for n in range(6)]
-        assert bells == [1, 1, 2, 5, 15, 52]
-        for n in range(6):
-            assert bells[n] == sum(stirling2(n, k) for k in range(n + 1))
+        # B_n = sum_k S(n,k)
+        assert [sum(stirling2(n, k) for k in range(n + 1)) for n in range(6)] == [
+            1, 1, 2, 5, 15, 52]
 
     def test_rising_step_empty_product(self):
         assert rising_step(Fraction(7, 3), 5, 0) == 1
@@ -272,7 +262,22 @@ class TestA2ZeroExplicit:
                         assert f_a2zero_explicit(a0, a1, n, k) == tri.entry(n, k)
 
 
+def touchard_row_per_pair(a0, a1, n):
+    """touchard_row as it was, with the binomial weight recomputed for every
+    (j, k): the reference its output must match byte for byte."""
+    return [
+        normalize_scalar(Fraction(1, a1) ** j * sum(
+            comb(n, k) * a1 ** k * a0 ** (n - k) * stirling2(k, j) for k in range(j, n + 1)))
+        for j in range(n + 1)
+    ]
+
+
 class TestTouchard:
+    def test_row_matches_per_pair_weights(self):
+        for a0, a1, n in product(range(-2, 3), (-2, -1, 1, 2), range(13)):
+            assert [(type(c), str(c)) for c in touchard_row(a0, a1, n)] == [
+                (type(c), str(c)) for c in touchard_row_per_pair(a0, a1, n)]
+
     def test_row_zero(self):
         lhs, rhs = touchard_check(2, 2, 0)
         assert lhs == rhs == LaurentPoly.one()

@@ -3,18 +3,23 @@ imports inside a function body, the series layer (fps) imports nothing
 from the layers built on it, the closed forms import nothing from fps, and
 the packed polynomial format stays inside the two series engines (grammar
 and fps), the checks in verify build no closed series, and no function in
-the closed forms or the censuses calls itself."""
+the closed forms or the censuses calls itself.  Also, every name in
+`gkptri.__all__` exists and is listed once."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+import gkptri
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gkptri"
 ABOVE_FPS = {"closedforms", "triangles", "verify", "cli"}
 PACKED_HELPERS = {"_pack", "_unpack", "_derive"}
 ENGINES = {SRC / "grammar.py", SRC / "fps.py"}
-SERIES_BUILDERS = {"exp_t", "scalar_mul", "map_coefficients", "first_difference", "inverse"}
+SERIES_BUILDERS = {"exp_t", "scalar_mul", "map_coefficients", "first_difference", "inverse",
+                   "pow_int"}
 RECURSION_FREE = [SRC / "closedforms.py", SRC / "census.py"]
 
 
@@ -113,3 +118,9 @@ def test_self_call_checker_sees_direct_and_nested_calls():
 def test_no_function_calls_itself(path):
     # Recursion there would limit n by the interpreter's stack depth.
     assert self_calls(path.read_text()) == []
+
+
+def test_exports_resolve_once():
+    # A deleted function must leave no dangling or doubled name in __all__.
+    assert [name for name in gkptri.__all__ if not hasattr(gkptri, name)] == []
+    assert [name for name, n in Counter(gkptri.__all__).items() if n > 1] == []

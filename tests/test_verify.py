@@ -7,6 +7,7 @@ import json
 import re
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 from math import factorial
 from pathlib import Path
 
@@ -15,9 +16,12 @@ import pytest
 from gkptri import closedforms as cf
 from gkptri import verify
 from gkptri.cli import main
-from gkptri.fps import TruncatedSeries, exp_t
+from gkptri.fps import TruncatedSeries, egf_levels, gen_levels
+from gkptri.grammar import hao_grammar, hao_seed
 from gkptri.polyring import LaurentPoly, monomial
+from gkptri.triangles import TriangleParams
 from gkptri.verify import CLOSED_FORMS, ORACLES, SUITES, VerifyOptions
+from series_reference import exp_t, series_pow
 
 
 def verify_json(capsys, *argv):
@@ -354,11 +358,11 @@ def test_a2zero_rows_match_the_closed_series(a1):
     order = 10
     u, v = LaurentPoly.variable("u"), LaurentPoly.variable("v")
     v_a1 = LaurentPoly.from_exponents({"v": a1})
-    arg = (exp_t(a1, order) - TruncatedSeries.one(order)).map_coefficients(
-        lambda q: v_a1 * (q * Fraction(1, a1)))
+    arg = ((exp_t(a1, order) - TruncatedSeries.one(order))
+           * TruncatedSeries.constant(v_a1 * Fraction(1, a1), order))
     u_rows, v_rows = _a2zero_rows(a1, order)
-    assert arg.exp().scalar_mul(u) == _series_of_rows(u_rows)
-    assert exp_t(1, order).map_coefficients(lambda q: v * q) == _series_of_rows(v_rows)
+    assert TruncatedSeries.constant(u, order) * arg.exp() == _series_of_rows(u_rows)
+    assert TruncatedSeries.constant(v, order) * exp_t(1, order) == _series_of_rows(v_rows)
     assert all(verify.verify_sol_a2zero(a0, a1, o).passed for a0 in (0, 2) for o in (0, order))
 
 
@@ -370,8 +374,8 @@ def test_a1zero_rows_satisfy_the_relations(a2):
     v_a2 = LaurentPoly.from_exponents({"v": a2})
     us, vs = map(_series_of_rows, _a1zero_rows(a2, order))
     linear = TruncatedSeries.one(order) - TruncatedSeries.t_term(v_a2 * a2, order)
-    assert vs.pow_int(a2) * linear == TruncatedSeries.constant(v_a2, order)
-    assert us.scalar_mul(v) == vs.scalar_mul(u)
+    assert series_pow(vs, a2) * linear == TruncatedSeries.constant(v_a2, order)
+    assert us * TruncatedSeries.constant(v, order) == vs * TruncatedSeries.constant(u, order)
     assert all(verify.verify_sol_a1zero(a0, a2, o).passed for a0 in (0, 2) for o in (0, order))
 
 
@@ -387,21 +391,33 @@ def _solution_bumped_at(letter, k):
     return patched
 
 
+# Each check, its (a0, a1 or a2) grid, and the locus of the seed letter w = U V^Q.
 SOLUTION_CHECKS = {
-    "a2zero": (verify.verify_sol_a2zero, ((1, 2), (0, -2), (2, 3))),
-    "a1zero": (verify.verify_sol_a1zero, ((1, 2), (0, 1), (2, 3))),
+    "a2zero": (verify.verify_sol_a2zero, ((1, 2), (0, -2), (2, 3)), "U*V^a0"),
+    "a1zero": (verify.verify_sol_a1zero, ((1, 2), (0, 1), (2, 3)), "row sums"),
 }
 
 
-@pytest.mark.parametrize("letter, k", [("u", 0), ("u", 3), ("v", 2), ("v", 4)])
+@pytest.mark.parametrize("letter, k",
+                         [("u", 0), ("u", 3), ("v", 2), ("v", 4), ("w", 1), ("w", 5)])
 @pytest.mark.parametrize("kind", SOLUTION_CHECKS)
 def test_closed_solution_reports_first_perturbed_order(monkeypatch, kind, letter, k):
-    check, grid = SOLUTION_CHECKS[kind]
+    check, grid, w_locus = SOLUTION_CHECKS[kind]
     monkeypatch.setattr(verify, "solve_ode", _solution_bumped_at(letter, k))
+    locus = w_locus if letter == "w" else letter.upper()
     for a0, a in grid:
         report = check(a0, a, 5)
         assert (report.passed, report.failure) == (
-            False, f"{letter.upper()}: first mismatch at order {k}")
+            False, f"{locus}: first mismatch at order {k}")
+
+
+def test_hao_system_seed_letter_carries_the_derivatives():
+    # w solves to U^P V^Q, so its EGF-normal levels are D^n(hao_seed(p)).
+    for six in product((-1, 0, 1), repeat=6):
+        p = TriangleParams(*six)
+        names, ys = egf_levels(verify._hao_system(p), 6)
+        assert names == ("u", "v")
+        assert ys["w"] == gen_levels(hao_grammar(p), hao_seed(p), 6), p
 
 
 def test_tree_function_reports_first_coefficient(monkeypatch):
