@@ -5,13 +5,17 @@ records of the brute-force oracle suites, the closed-form suites and
 import inspect
 import json
 import re
+from contextlib import nullcontext
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import factorial
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkptri import closedforms as cf
 from gkptri import verify
@@ -21,7 +25,13 @@ from gkptri.grammar import hao_grammar, hao_seed
 from gkptri.polyring import LaurentPoly, monomial
 from gkptri.triangles import TriangleParams
 from gkptri.verify import CLOSED_FORMS, ORACLES, SUITES, VerifyOptions
-from series_reference import exp_t, series_pow
+from series_reference import (
+    exp_t,
+    reference_closed_form_whitney,
+    reference_secondorder_egf,
+    reference_secondorder_w,
+    series_pow,
+)
 
 
 def verify_json(capsys, *argv):
@@ -297,6 +307,77 @@ def test_second_order_egf_reports_first_mismatch(monkeypatch, n, k):
     assert (report.passed, report.failure) == (False, f"first mismatch at order {n}")
     reports = SUITES["second-order-egf"](VerifyOptions(y_values=(Fraction(2), Fraction(-3))))
     assert [r.failure for r in reports] == [f"first mismatch at order {n}"] * 2
+
+
+def test_second_order_egf_first_mismatch_at_high_order(monkeypatch):
+    monkeypatch.setattr(verify, "second_order_eulerian",
+                        _entry_bumped(verify.second_order_eulerian, 40, 17))
+    report = verify.verify_secondorder_egf(Fraction(-3, 7), 60)
+    assert (report.passed, report.failure) == (False, "first mismatch at order 40")
+
+
+def test_whitney_egf_first_mismatch_at_high_order(monkeypatch):
+    monkeypatch.setattr(verify, "whitney_eulerian", _entry_bumped(verify.whitney_eulerian, 40, 17))
+    report = verify.verify_closed_form_whitney(3, 2, 40, points=((Fraction(-2, 3), Fraction(5, 4)),))
+    assert (report.passed, report.failure) == (
+        False, "point (Fraction(-2, 3), Fraction(5, 4)): first mismatch at order 40")
+
+
+# -- the generating-function checks against their Fraction references
+
+
+def _outcome(report):
+    return report.name, report.params, report.order, report.passed, report.failure
+
+
+ys = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)).filter(
+    lambda y: y not in (0, 1))
+scalars = st.integers(-4, 4) | st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+
+
+def _bump(data, order):
+    """None, or an entry (n, k) of rows 0..order drawn from `data`."""
+    if data.draw(st.booleans()):
+        return None
+    n = data.draw(st.integers(0, order))
+    return n, data.draw(st.integers(0, n))
+
+
+def _patched(name, bump):
+    """A context in which `verify.<name>` has the entry `bump` bumped, if any."""
+    if bump is None:
+        return nullcontext()
+    return patch.object(verify, name, _entry_bumped(getattr(verify, name), *bump))
+
+
+@given(ys, st.integers(0, 30), st.data())
+@settings(max_examples=60, deadline=None)
+def test_second_order_egf_matches_fraction_reference(y, order, data):
+    bump = _bump(data, order)
+    with _patched("second_order_eulerian", bump):
+        report = verify.verify_secondorder_egf(y, order)
+        assert _outcome(report) == _outcome(reference_secondorder_egf(y, order))
+    assert report.passed == (bump is None)
+
+
+@given(ys, st.integers(0, 30))
+@settings(max_examples=60, deadline=None)
+def test_second_order_w_cleared_by_q_power_is_integral(y, n_max):
+    for n, w in enumerate(reference_secondorder_w(y, n_max)):
+        assert (y.denominator ** (n + 1) * w).denominator == 1
+
+
+@given(st.integers(1, 4), st.integers(0, 4), st.integers(0, 14),
+       st.lists(st.tuples(scalars, scalars), min_size=1, max_size=3),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_whitney_egf_matches_reference(m, r, order, points, data):
+    points = tuple(pt for pt in points if pt[0] ** m != pt[1] ** m) or ((2, 1),)
+    bump = _bump(data, order)
+    with _patched("whitney_eulerian", bump):
+        report = verify.verify_closed_form_whitney(m, r, order, points=points)
+        assert _outcome(report) == _outcome(reference_closed_form_whitney(m, r, order, points))
+    assert report.passed or bump is not None
 
 
 def _touchard_bumped_at(fn, n0):
