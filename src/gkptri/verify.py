@@ -287,7 +287,8 @@ def verify_closed_form_whitney(m: int, r: int, order: int,
     (mk+r)/(mn-mk+m-r) triangle equals
     (u^m - v^m) e^((u^m - v^m) r t) / (u^m - v^m e^((u^m - v^m) m t)), cleared:
     with R_n = sum_k T(n,k) u^(m(n-k)) v^(mk) and c = u^m - v^m,
-    u^m R_n - v^m sum_j C(n,j) R_j (cm)^(n-j) = c (cr)^n for every n."""
+    u^m R_n - v^m sum_j C(n,j) R_j (cm)^(n-j) = c (cr)^n for every n, with
+    the powers of u^m, v^m, cm and cr read from one table each per point."""
     report = CheckReport(
         name="whitney-egf",
         params={"m": m, "r": r, "points": tuple(points)},
@@ -302,12 +303,13 @@ def verify_closed_form_whitney(m: int, r: int, order: int,
         if um == vm:
             raise DegeneratePoint(f"u^m = v^m at point {point}")
         c = um - vm
+        u_pow, v_pow, cm_pow, cr_pow = ([x ** i for i in range(order + 1)]
+                                        for x in (um, vm, c * m, c * r))
         rows = []
-        for n in range(order + 1):
-            rows.append(sum(tri.entry(n, k) * u ** (m * (n - k)) * v ** (m * k)
-                            for k in range(n + 1)))
-            shifted = sum(comb(n, j) * rows[j] * (c * m) ** (n - j) for j in range(n + 1))
-            if um * rows[n] - vm * shifted != c * (c * r) ** n:
+        for n, row in enumerate(tri.rows):
+            rows.append(sum(t * u_pow[n - k] * v_pow[k] for k, t in enumerate(row)))
+            shifted = sum(comb(n, j) * rows[j] * cm_pow[n - j] for j in range(n + 1))
+            if um * rows[n] - vm * shifted != c * cr_pow[n]:
                 report.fail(f"point {point}: first mismatch at order {n}")
                 break
     return report
@@ -375,11 +377,16 @@ def verify_secondorder_egf(y, order: int) -> CheckReport:
     """Check that sum_n sum_k B(n,k) y^(k+1) t^n/n! (second-order rows, r=2)
     equals (1-y) W / (1 - W) where W solves W' = (1-y)^2 W/(1-W), W(0) = y.
 
-    W(t) stands in for the tree function evaluated at y e^(-y + (1-y)^2 t);
+    W(t) stands in for the tree function T evaluated at y e^(-y + (1-y)^2 t);
     the first-order equation is the formal content of that composition.
-    In EGF-normal form, (1-y) W_(n+1) = (1-y)^2 W_n + sum_(i=1..n) C(n,i)
-    W_i W_(n+1-i), and with L_n = sum_k B(n,k) y^(k+1) the cleared identity
-    is L_n - sum_j C(n,j) L_j W_(n-j) = (1-y) W_n for every n.
+    The check runs on integers. With y = p/q in lowest terms, s = q - p, the
+    EGF-normal W_n scaled to Wh_n = q^(n+1) W_n and Lh_n = sum_k B(n,k) p^(k+1)
+    q^(n-k): s Wh_(n+1) = s^2 Wh_n + sum_(i=1..n) C(n,i) Wh_i Wh_(n+1-i) with
+    Wh_0 = p, and q Lh_n - sum_j C(n,j) Lh_j Wh_(n-j) = s Wh_n for every n.
+    The division by s is exact: d/dt = (1-y)^2 x d/dx and x T' = T/(1-T) give
+    W_n = (1-y) P_n(y) for n >= 1, where P_1 = T and P_(n+1) = T ((1-T) P_n'
+    + (2n-1) P_n), so P_n is in Z[T] of degree <= n and Wh_n = s q^n P_n(p/q)
+    is an integer. A remainder would fail the report at order n+1.
     """
     y = Fraction(normalize_scalar(y))
     if y in (0, 1):
@@ -388,18 +395,22 @@ def verify_secondorder_egf(y, order: int) -> CheckReport:
         raise ValueError("order must be nonnegative")
     report = CheckReport(name="second-order-egf", params={"y": str(y)}, order=order)
 
-    one_minus_y = 1 - y
-    w = [y]
+    p, q = y.numerator, y.denominator
+    s = q - p
+    w = [p]
     for n in range(order):
         acc = sum(comb(n, i) * w[i] * w[n + 1 - i] for i in range(1, n + 1))
-        w.append((one_minus_y ** 2 * w[n] + acc) / one_minus_y)
+        nxt, rem = divmod(s * s * w[n] + acc, s)
+        if rem:
+            break
+        w.append(nxt)
 
-    tri = second_order_eulerian(2, order)
+    p_pow, q_pow = [p ** (k + 1) for k in range(order + 1)], [q ** k for k in range(order + 1)]
     rows = []
-    for n in range(order + 1):
-        rows.append(sum(tri.entry(n, k) * y ** (k + 1) for k in range(n + 1)))
-        cleared = rows[n] - sum(comb(n, j) * rows[j] * w[n - j] for j in range(n + 1))
-        if cleared != one_minus_y * w[n]:
+    for n, row in enumerate(second_order_eulerian(2, order).rows):
+        rows.append(sum(b * p_pow[k] * q_pow[n - k] for k, b in enumerate(row)))
+        if n == len(w) or (q * rows[n] - sum(comb(n, j) * rows[j] * w[n - j]
+                                             for j in range(n + 1)) != s * w[n]):
             report.fail(f"first mismatch at order {n}")
             break
     return report

@@ -316,6 +316,19 @@ def test_second_order_egf_first_mismatch_at_high_order(monkeypatch):
     assert (report.passed, report.failure) == (False, "first mismatch at order 40")
 
 
+def test_second_order_egf_inexact_division_fails_the_next_order(monkeypatch):
+    # q^(n+1) W_n is always an integer; a remainder, were there one, fails
+    # the order whose W it would have made, and is never rounded.
+    calls = []
+
+    def divmod_(a, b):
+        calls.append(a)
+        return (a // b, 1) if len(calls) == 4 else divmod(a, b)
+    monkeypatch.setattr(verify, "divmod", divmod_, raising=False)
+    report = verify.verify_secondorder_egf(Fraction(1, 2), 6)
+    assert (report.passed, report.failure) == (False, "first mismatch at order 4")
+
+
 def test_whitney_egf_first_mismatch_at_high_order(monkeypatch):
     monkeypatch.setattr(verify, "whitney_eulerian", _entry_bumped(verify.whitney_eulerian, 40, 17))
     report = verify.verify_closed_form_whitney(3, 2, 40, points=((Fraction(-2, 3), Fraction(5, 4)),))
