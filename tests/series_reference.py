@@ -1,10 +1,11 @@
 """Test-only series references: routes through series inversion and
-powers, and rational-arithmetic generating-function checks, that the
-package itself no longer takes, kept as independent references for the
-checks that compare against them."""
+powers, rational-arithmetic generating-function checks, and a packed
+product kernel, that the package itself no longer takes, kept as
+independent references for the checks that compare against them."""
 
 from fractions import Fraction
 from math import comb, factorial
+from operator import add
 
 from gkptri import verify
 from gkptri.errors import (
@@ -47,6 +48,21 @@ def euler_at_zero_by_series(order):
         exp_t(1, order) + TruncatedSeries.one(order))
     return [normalize_scalar(Fraction(series.coefficient(k)) * factorial(k))
             for k in range(order + 1)]
+
+
+def accumulate_by_map(out, a, b, w):
+    """`fps._accumulate` with every key built as `tuple(map(add, ...))`:
+    out += w * a * b on packed dicts, dropping the keys that cancel."""
+    get = out.get
+    for ka, ca in a.items():
+        cw = ca * w
+        for kb, cb in b.items():
+            key = tuple(map(add, ka, kb))
+            s = get(key, 0) + cw * cb
+            if s:
+                out[key] = s
+            else:
+                del out[key]
 
 
 def reference_solve(system: OdeSystem, order: int) -> dict[str, TruncatedSeries]:

@@ -301,6 +301,19 @@ class TestVerifyCommand:
                            "--y", "1/2", "--order", "6")
         assert code == 0
 
+    def test_negative_point_needs_the_equals_form(self, capsys):
+        code, out, err = run(capsys, "verify", "second-order-egf",
+                             "--y=-3/7", "--order", "6")
+        assert code == 0
+        assert "second-order-egf [y=-3/7] order<=6: pass" in out
+        # argparse reads `-3/7` as an option, so `--y` lacks its value
+        code, out, err = run(capsys, "verify", "second-order-egf",
+                             "--y", "-3/7", "--order", "6")
+        assert code == 2
+        assert out == ""
+        assert "argument --y: expected one argument" in err
+        assert "Traceback" not in err
+
     def test_row_sums_with_family_flag(self, capsys):
         # verify has no --family option: whitney is the only sum family
         code, _, _ = run(capsys, "verify", "row-sums", "--family", "whitney",

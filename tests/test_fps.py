@@ -34,7 +34,8 @@ from gkptri.verify import (
     verify_sol_a1zero,
     verify_sol_a2zero,
 )
-from series_reference import reference_solve
+from gkptri import fps
+from series_reference import accumulate_by_map, reference_solve
 
 
 def series(*coeffs):
@@ -202,6 +203,43 @@ def ode_systems(draw):
         for x in variables
     }
     return OdeSystem(variables=variables, rhs=rhs, initial=initial)
+
+
+@st.composite
+def packed_products(draw):
+    """out, a, b and w for `fps._accumulate` over one to three letters, with
+    exponents in [-2, 2] so that keys collide, and int or Fraction
+    coefficients; half the draws start `out` at -w*a*b' for a prefix b' of
+    b, so that the keys of a*b' cancel and are deleted."""
+    width = draw(st.integers(1, 3))
+    packed = st.dictionaries(st.tuples(*[st.integers(-2, 2)] * width), exact_coeffs,
+                             max_size=5)
+    out, a, b, w = draw(packed), draw(packed), draw(packed), draw(exact_coeffs)
+    if draw(st.booleans()):
+        prefix = dict(list(b.items())[:draw(st.integers(0, len(b)))])
+        accumulate_by_map(out, a, prefix, -w)
+    return out, a, b, w
+
+
+class TestAccumulate:
+    @given(packed_products())
+    @settings(max_examples=300)
+    def test_equals_the_map_add_kernel(self, case):
+        out, a, b, w = case
+        expected = dict(out)
+        accumulate_by_map(expected, a, b, w)
+        fps._accumulate(out, a, b, w)
+        assert list(out.items()) == list(expected.items())
+        assert list(map(type, out.values())) == list(map(type, expected.values()))
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_cancelled_keys_are_deleted(self, width):
+        a = {(1,) * width: Fraction(2, 3), (-1,) * width: 3}
+        b = {(0,) * width: 1, (2,) * width: -2}
+        out = {}
+        accumulate_by_map(out, a, b, -5)
+        fps._accumulate(out, a, b, 5)
+        assert out == {}
 
 
 class TestOdeEngineParity:

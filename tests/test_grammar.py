@@ -153,6 +153,20 @@ def reference_D(g, p):
 
 
 class TestPackedEngineAgainstPartials:
+    @pytest.mark.parametrize("rules, seed", [
+        ("u -> 2/3*u^2*v - 5/7*v^-1\nv -> -3/4*u*v^3", "7/2*u^3*v^-2 + 4*u*v"),
+        ("u -> 2/3*u*w - 5/7*v^-1\nv -> -3/4*u*v^3\nw -> 1/5*w^2", "7/2*u^3*v^-2*w + 4*v"),
+    ])
+    def test_derive_with_fraction_rule_coefficients(self, rules, seed):
+        # Each packed term is a level coefficient times exponent times rule
+        # coefficient; every level must equal the textbook iterate exactly.
+        g = Grammar.from_text(rules)
+        names = sorted(g.alphabet)
+        want = parse_poly(seed)
+        for level in grammar_module._derive(g._steps, _pack(names, want), 5):
+            assert level == _pack(names, want)
+            want = reference_D(g, want)
+
     @given(grammar_and_poly())
     @settings(max_examples=150)
     def test_apply_D_matches_partial_formula(self, case):
