@@ -213,12 +213,13 @@ def grammar_ode(g: Grammar, initial: Mapping[str, Any] | None = None) -> OdeSyst
 
 
 def _accumulate(out: Packed, a: Packed, b: Packed, w: Scalar) -> None:
-    """out += w * a * b."""
+    """out += w * a * b.  Two-letter keys add as pairs, without map()."""
     get = out.get
     for ka, ca in a.items():
         cw = ca * w
+        pair = len(ka) == 2
         for kb, cb in b.items():
-            key = tuple(map(add, ka, kb))
+            key = (ka[0] + kb[0], ka[1] + kb[1]) if pair else tuple(map(add, ka, kb))
             s = get(key, 0) + cw * cb
             if s:
                 out[key] = s
@@ -274,7 +275,11 @@ def egf_levels(system: OdeSystem,
                     w = (e + 1) * comb(n - 1, k - 1) - comb(n, k)
                     if w:
                         _accumulate(entry, y[k], out[n - k], w * inv)
-                out.append({tuple(map(sub, k, shift)): cy for k, cy in entry.items()})
+                if len(shift) == 2:
+                    s0, s1 = shift
+                    out.append({(k0 - s0, k1 - s1): cy for (k0, k1), cy in entry.items()})
+                else:
+                    out.append({tuple(map(sub, k, shift)): cy for k, cy in entry.items()})
         jobs.append(job)
         return out
 

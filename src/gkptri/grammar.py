@@ -19,10 +19,11 @@ when the lattice degenerates (a1 = b1 = 0 makes all k collide).
 Derivation packs monomials as exponent vectors over the grammar's sorted
 alphabet (Monagan & Pearce, ISSAC 2009) and precomputes each rule(x) d/dx as
 (exponent shift, coefficient) pairs.  One level of D is one fused pass: a
-term c*m whose letter x has exponent e adds c*e*r at m + s - x for each term
-r*s of rule(x), with no partial, product or sum temporaries.  `LaurentPoly`
-appears only at the boundary; `extract_triangle` builds its steps and seed
-vector straight from the six-tuple, with no `Grammar` or `LaurentPoly`.
+term c*m whose letter x has exponent e adds c*(e*r) at m + s - x for each
+term r*s of rule(x), with no partial, product or sum temporaries; two-letter
+vectors add as pairs, without map().  `LaurentPoly` appears only at the
+boundary; `extract_triangle` builds its steps and seed vector straight from
+the six-tuple, with no `Grammar` or `LaurentPoly`.
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ def _derive(steps, level: dict[tuple[int, ...], Scalar], n: int) -> Iterator[dic
                 if e:
                     key = ((vec[0] + shift[0], vec[1] + shift[1]) if pairs
                            else tuple(map(add, vec, shift)))
-                    s = get(key, 0) + c * e * rc
+                    s = get(key, 0) + c * (e * rc)
                     if s:
                         out[key] = s
                     else:
