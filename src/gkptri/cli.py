@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, help="override series truncation orders")
     p.add_argument("--budget", help=BUDGET_HELP)
     p.add_argument("--y", action="append",
-                   help="evaluation point for second-order-egf (repeatable)")
+                   help="evaluation point for second-order-egf, repeatable (y < 0: --y=-3/7)")
     p.add_argument("--format", choices=("plain", "json"), default="plain")
     p.set_defaults(fn=cmd_verify)
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gkptri import fps
 from gkptri.errors import (
     DegeneratePoint,
     DegenerateY,
@@ -34,7 +35,6 @@ from gkptri.verify import (
     verify_sol_a1zero,
     verify_sol_a2zero,
 )
-from gkptri import fps
 from series_reference import accumulate_by_map, reference_solve
 
 
