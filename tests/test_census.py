@@ -1,6 +1,6 @@
 """Brute-force enumerators against frozen counts and the recurrence rows."""
 
-from itertools import product
+from itertools import cycle, permutations, product
 from math import factorial
 
 import pytest
@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from gkptri import census
 from gkptri.census import (
+    StructureCensus,
     _monomial_replacements,
     _seed_leaves,
     _stirling_children,
+    _walk,
     cadet_leaf_census,
     census_components,
     census_vleaves,
@@ -41,6 +43,21 @@ from gkptri.triangles import (
 )
 
 WHITNEY_32 = hao_grammar(whitney_params(3, 2))
+
+
+def flat_walk(root, depth, children):
+    """Reference for census._walk: the walk that yields each node `depth` - 1
+    levels below `root` on its own, one node per resume."""
+    stack = [iter((root,))] if depth else []
+    while stack:
+        for node in stack[-1]:
+            if len(stack) == depth:
+                yield node
+            else:
+                stack.append(children(node))
+                break
+        else:
+            stack.pop()
 
 
 def recursive_components(a0, a1, a2, n):
@@ -117,7 +134,25 @@ def monomial_grammars(draw):
     return Grammar(rules, ("u", "v")), seed, draw(st.integers(0, 4)), draw(st.sampled_from("uv"))
 
 
+def random_tree(fanouts):
+    """A children rule over path tuples whose fan-outs, 0 to 3, are taken in
+    turn from `fanouts` on each node's first visit."""
+    fanout, seen = cycle(fanouts), {}
+
+    def children(node):
+        if node not in seen:
+            seen[node] = next(fanout)
+        return iter([node + (i,) for i in range(seen[node])])
+    return children
+
+
 class TestWalkParity:
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=40), st.integers(0, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_walk_matches_the_flat_walk(self, fanouts, depth):
+        children = random_tree(fanouts)
+        assert list(_walk((), depth, children)) == list(flat_walk((), depth, children))
+
     @given(monomial_grammars())
     @settings(max_examples=60, deadline=None)
     def test_vleaves_match_materialised_histories(self, case):
@@ -137,8 +172,15 @@ class TestWalkParity:
         assert_budget_is_total(
             lambda budget: census_components(a0, a1, a2, n, budget=budget), census.total)
 
+    @pytest.mark.parametrize("a0, a1, a2", [(1, 1, 1), (0, 2, 1), (2, 0, 0), (1, 3, -1)])
+    def test_component_budget_at_n6(self, a0, a1, a2):
+        census = census_components(a0, a1, a2, 6)
+        assert census.counts == recursive_components(a0, a1, a2, 6)
+        assert_budget_is_total(
+            lambda budget: census_components(a0, a1, a2, 6, budget=budget), census.total)
+
     def test_partitions_match_recursion(self):
-        for n in range(1, 9):
+        for n in range(1, 11):
             census = set_partition_census(n)
             assert census.counts == recursive_partitions(n)
             assert_budget_is_total(
@@ -373,6 +415,15 @@ class TestExcedanceCensus:
             r_excedance_census(9, 1, budget=362_879)
         assert r_excedance_census(9, 1).total == factorial(9)
 
+    def test_matches_the_textbook_count(self):
+        for n in range(8):
+            for r in range(n + 2):
+                expected = {}
+                for sigma in permutations(range(1, n + 1)):
+                    k = sum(1 for j in range(1, n + 1) if sigma[j - 1] >= j + r)
+                    expected[k] = expected.get(k, 0) + 1
+                assert r_excedance_census(n, r).counts == expected
+
     def test_spends_n_factorial_before_enumerating(self, monkeypatch):
         def no_permutations(*args):
             raise AssertionError("enumerated past the budget")
@@ -387,6 +438,12 @@ class TestPartitionCensus:
 
     def test_empty_set(self):
         assert set_partition_census(0).counts == {0: 1}
+
+    def test_no_zero_bucket_and_recursive_text(self):
+        for n in range(10):
+            census = set_partition_census(n)
+            assert 0 not in census.counts.values()
+            assert str(census) == str(StructureCensus("blocks", recursive_partitions(n)))
 
     def test_matches_stirling_rows(self):
         tri = stirling2_triangle(7)
