@@ -9,10 +9,11 @@ statistic off each finished object.  The walks generate objects rather than
 filter them: Stirling words grow by inserting the block i^r into a gap,
 histories by rewriting a leaf, partitions by placing the next element.
 The walks keep an explicit stack, not Python's call stack, so any n is
-safe; each node one step short of size n has its children, the finished
-objects, read off in one go.  Every operation aborts with BudgetExceeded
-once it has touched more than `budget` objects (default 10**7); the
-Stirling walk counts the words of every size, and has no other size cap.
+safe, and yield sibling families, the children of one node, whose objects
+are read off one by one and spent against the budget in one sum.  Every
+operation aborts with BudgetExceeded once it has touched more than `budget`
+objects (default 10**7), at most one family late; the Stirling walk counts
+the words of every size, and has no other size cap.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, permutations, repeat
 from math import factorial
+from operator import ge
 from typing import Mapping
 
 from .errors import (
@@ -80,16 +82,18 @@ class _Budget:
 
 def _walk(root, depth: int, children):
     """Walk the tree below `root` depth first on a stack of child iterators,
-    yielding each node `depth` - 1 levels down; the caller reads off its
-    children, the finished objects, in one go.  Depth 0 yields nothing."""
+    yielding the sibling families `depth` - 1 levels down: the iterator over
+    the children of each node one level above them, which the caller loops
+    over and pays for in one budget spend.  Depth 1 yields the root's
+    one-element family; depth 0 yields nothing."""
     stack = [iter((root,))] if depth else []
     while stack:
+        if len(stack) == depth:
+            yield stack.pop()
+            continue
         for node in stack[-1]:
-            if len(stack) == depth:
-                yield node
-            else:
-                stack.append(children(node))
-                break
+            stack.append(children(node))
+            break
         else:
             stack.pop()
 
@@ -153,11 +157,14 @@ def census_vleaves(g: Grammar, seed, n: int, leaf_letter: str,
     def children(node: tuple[str, ...]):
         return (node[:i] + replacements[x] + node[i + 1:] for i, x in enumerate(node))
 
-    for leaves in _walk(seed_leaves, n, children):
-        tracker.spend(len(leaves))
-        count = leaves.count(leaf_letter)
-        for x in set(leaves):
-            counts[count + delta[x]] = counts.get(count + delta[x], 0) + leaves.count(x)
+    for family in _walk(seed_leaves, n, children):
+        spent = 0
+        for leaves in family:
+            spent += len(leaves)
+            count = leaves.count(leaf_letter)
+            for x in set(leaves):
+                counts[count + delta[x]] = counts.get(count + delta[x], 0) + leaves.count(x)
+        tracker.spend(spent)
     return StructureCensus(f"{leaf_letter}-leaves", counts)
 
 
@@ -194,11 +201,14 @@ def census_components(a0: int, a1: int, a2: int, n: int,
         return chain(((v_count + a1 + a2, u_rewrites + 1),),
                      repeat((v_count + a2, u_rewrites), v_count))
 
-    for v_count, u_rewrites in _walk((a0 + a2, 0), n, children):
-        tracker.spend(v_count + 1)
-        counts[u_rewrites + 1] = counts.get(u_rewrites + 1, 0) + 1
-        if v_count:
-            counts[u_rewrites] = counts.get(u_rewrites, 0) + v_count
+    for family in _walk((a0 + a2, 0), n, children):
+        spent = 0
+        for v_count, u_rewrites in family:
+            spent += v_count + 1
+            counts[u_rewrites + 1] = counts.get(u_rewrites + 1, 0) + 1
+            if v_count:
+                counts[u_rewrites] = counts.get(u_rewrites, 0) + v_count
+        tracker.spend(spent)
     return StructureCensus("u-components", counts)
 
 
@@ -249,7 +259,8 @@ def stirling_descent_census(n: int, r: int,
         tracker.spend(words)
     counts = {0: 1} if n == 0 else {}
 
-    for word in _walk((), n, lambda word: _stirling_children(word, len(word) // r + 1, r)):
+    walk = _walk((), n, lambda word: _stirling_children(word, len(word) // r + 1, r))
+    for word in chain.from_iterable(walk):
         for child in _stirling_children(word, n, r):
             if not is_stirling_word(child):
                 raise AssertionError(f"insertion made {child}, which is not a Stirling word")
@@ -266,8 +277,9 @@ def r_excedance_census(n: int, r: int,
         raise ValueError("need n >= 0 and r >= 0")
     _Budget(budget).spend(factorial(n))
     counts: dict[int, int] = {}
+    thresholds = range(1 + r, n + 1 + r)  # sigma(j) >= j + r, for j = 1..n
     for sigma in permutations(range(1, n + 1)):
-        k = sum(1 for j in range(1, n + 1) if sigma[j - 1] >= j + r)
+        k = sum(map(ge, sigma, thresholds))
         counts[k] = counts.get(k, 0) + 1
     return StructureCensus(f"{r}-excedances", counts)
 
@@ -277,16 +289,18 @@ def set_partition_census(n: int, budget: int = DEFAULT_BUDGET) -> StructureCensu
     if n < 0:
         raise ValueError("n must be nonnegative")
     tracker = _Budget(budget)
-    counts = {0: 1} if n == 0 else {}
+    tally = [int(n == 0)] + [0] * n  # tally[k]: partitions into k blocks
 
     # Restricted-growth walk from the empty partition: the next element
     # opens a new block or joins one of the `blocks` blocks.
-    for blocks in _walk(0, n, lambda blocks: chain((blocks + 1,), repeat(blocks, blocks))):
-        tracker.spend(blocks + 1)
-        if blocks:
-            counts[blocks] = counts.get(blocks, 0) + blocks
-        counts[blocks + 1] = counts.get(blocks + 1, 0) + 1
-    return StructureCensus("blocks", counts)
+    for family in _walk(0, n, lambda blocks: chain((blocks + 1,), repeat(blocks, blocks))):
+        spent = 0
+        for blocks in family:
+            spent += blocks + 1
+            tally[blocks] += blocks
+            tally[blocks + 1] += 1
+        tracker.spend(spent)
+    return StructureCensus("blocks", {k: c for k, c in enumerate(tally) if c})
 
 
 def cadet_leaf_census(n: int, r: int, budget: int = DEFAULT_BUDGET) -> StructureCensus:

@@ -1,6 +1,6 @@
 """Brute-force enumerators against frozen counts and the recurrence rows."""
 
-from itertools import cycle, permutations, product
+from itertools import chain, cycle, permutations, product
 from math import factorial
 
 import pytest
@@ -149,9 +149,16 @@ def random_tree(fanouts):
 class TestWalkParity:
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=40), st.integers(0, 6))
     @settings(max_examples=200, deadline=None)
-    def test_walk_matches_the_flat_walk(self, fanouts, depth):
+    def test_flattened_families_match_the_flat_walk(self, fanouts, depth):
         children = random_tree(fanouts)
-        assert list(_walk((), depth, children)) == list(flat_walk((), depth, children))
+        families = _walk((), depth, children)
+        assert list(chain.from_iterable(families)) == list(flat_walk((), depth, children))
+
+    def test_shallow_walks(self):
+        def children(node):
+            raise AssertionError("a walk of depth 0 or 1 expands no node")
+        assert list(_walk("root", 0, children)) == []
+        assert [list(family) for family in _walk("root", 1, children)] == [["root"]]
 
     @given(monomial_grammars())
     @settings(max_examples=60, deadline=None)
