@@ -446,6 +446,11 @@ class TestPartitionCensus:
     def test_empty_set(self):
         assert set_partition_census(0).counts == {0: 1}
 
+    def test_census_equality(self):
+        assert set_partition_census(3) == StructureCensus("blocks", {1: 1, 2: 3, 3: 1})
+        assert set_partition_census(3) != StructureCensus("descents", {1: 1, 2: 3, 3: 1})
+        assert set_partition_census(3) != StructureCensus("blocks", {1: 1, 2: 3})
+
     def test_no_zero_bucket_and_recursive_text(self):
         for n in range(10):
             census = set_partition_census(n)

@@ -13,6 +13,7 @@ from gkptri.errors import (
     DegenerateY,
     NonInvertibleConstantTerm,
     NonZeroConstantTerm,
+    UnknownVariable,
     ZeroA1,
     ZeroA2,
 )
@@ -127,6 +128,15 @@ class TestSolveOde:
         sol = solve_ode(grammar_ode(g), 6)
         for letter in ("u", "v"):
             assert sol[letter] == gen_series(g, LaurentPoly.variable(letter), 6)
+
+    def test_system_rejects_mismatched_keys_and_foreign_letters(self):
+        x = parse_poly("x")
+        with pytest.raises(ValueError, match="cover exactly"):
+            OdeSystem(("x",), {"x": x, "y": x}, {"x": 1})
+        with pytest.raises(ValueError, match="cover exactly"):
+            OdeSystem(variables=("x",), rhs={"x": x}, initial={})
+        with pytest.raises(UnknownVariable, match="outside the system"):
+            OdeSystem(("x",), {"x": parse_poly("x*y")}, {"x": 1})
 
     def test_tan_from_zero_initial(self):
         # x' = 1 + x^2, x(0) = 0: x0 is no unit, so x^2 is a plain product.

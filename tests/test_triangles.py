@@ -54,6 +54,31 @@ class TestParams:
         assert p.coeff_a(5, 1) == 3 * 1 + 2
         assert p.coeff_b(5, 1) == 3 * 5 - 3 * 1 + 3 - 2
 
+    def test_equal_six_tuples_are_equal_and_hash_alike(self):
+        p, q = TriangleParams(1, 2, 0, 1, -2, 2), TriangleParams(1, 2, 0, 1, -2, 2)
+        assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+        assert p != TriangleParams(1, 2, 0, 1, -2, 3)
+        assert p != (1, 2, 0, 1, -2, 2)
+
+    def test_fields_cannot_be_assigned(self):
+        p = whitney_params(2, 1)
+        for name in ("a0", "b2"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, 5)
+        assert p == whitney_params(2, 1)
+
+    def test_entries_are_normalized(self):
+        p = TriangleParams(Fraction(4, 2), 1, 0, Fraction(-3), 0, Fraction(1, 2))
+        assert p.as_tuple() == (2, 1, 0, -3, 0, Fraction(1, 2))
+        assert list(map(type, p.as_tuple())) == [int] * 5 + [Fraction]
+        with pytest.raises(TypeError):
+            TriangleParams(0.5, 1, 0, 1, 0, 0)
+
+    def test_keyword_and_positional_construction_agree(self):
+        p = TriangleParams(a0=1, a1=2, a2=0, b0=1, b1=-2, b2=Fraction(1, 2))
+        assert p == TriangleParams(1, 2, 0, 1, -2, Fraction(1, 2))
+        assert p == TriangleParams(1, 2, 0, b0=1, b1=-2, b2=Fraction(1, 2))
+
 
 class TestRecurrence:
     def test_row_zero(self):

@@ -6,7 +6,6 @@ import inspect
 import json
 import re
 from contextlib import nullcontext
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import factorial
@@ -20,10 +19,10 @@ from hypothesis import strategies as st
 from gkptri import closedforms as cf
 from gkptri import verify
 from gkptri.cli import main
-from gkptri.fps import TruncatedSeries, egf_levels, gen_levels
+from gkptri.fps import OdeSystem, TruncatedSeries, egf_levels, gen_levels
 from gkptri.grammar import hao_grammar, hao_seed
 from gkptri.polyring import LaurentPoly, monomial
-from gkptri.triangles import TriangleParams
+from gkptri.triangles import Triangle, TriangleParams
 from gkptri.verify import CLOSED_FORMS, ORACLES, SUITES, VerifyOptions
 from series_reference import (
     exp_t,
@@ -37,6 +36,22 @@ from series_reference import (
 def verify_json(capsys, *argv):
     code = main(["verify", *argv, "--format", "json"])
     return code, json.loads(capsys.readouterr().out)
+
+
+def test_check_report_defaults_and_own_params():
+    a, b = verify.CheckReport("x"), verify.CheckReport("x")
+    a.params["k"] = 1
+    assert b.params == {} and a.params is not b.params
+    assert (b.name, b.order, b.passed, b.failure) == ("x", None, True, None)
+    c = verify.CheckReport("y", {"m": 2}, 5)
+    assert (c.params, c.order) == ({"m": 2}, 5)
+
+
+def test_verify_options_defaults():
+    opts = VerifyOptions()
+    assert (opts.max_n, opts.order, opts.budget) == (None, None, None)
+    assert opts.y_values == (Fraction(1, 2), Fraction(2))
+    assert VerifyOptions(3, 4, 5).cap_n(6) == 3
 
 
 def test_json_schema(capsys):
@@ -237,7 +252,8 @@ def test_ode_gen_reports_first_failure(monkeypatch):
 
     def doubled_u(g):
         system = grammar_ode(g)
-        return replace(system, initial={**system.initial, "u": system.initial["u"] * 2})
+        return OdeSystem(system.variables, system.rhs,
+                         {**system.initial, "u": system.initial["u"] * 2})
     monkeypatch.setattr(verify, "grammar_ode", doubled_u)
     [report] = SUITES["ode-gen"](VerifyOptions())
     assert report.record() == {
@@ -281,7 +297,7 @@ def _entry_bumped(fn, n, k):
         tri = fn(*args)
         rows = [list(row) for row in tri.rows]
         rows[n][k] += 1
-        return replace(tri, rows=rows)
+        return Triangle(tri.params, rows, tri.family)
     return patched
 
 
