@@ -18,11 +18,10 @@ the words of every size, and has no other size cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
 from itertools import chain, permutations, repeat
 from math import factorial
 from operator import ge
-from typing import Mapping
 
 from .errors import (
     BudgetExceeded,
@@ -37,12 +36,15 @@ from .triangles import second_order_params
 DEFAULT_BUDGET = 10_000_000
 
 
-@dataclass
 class StructureCensus:
     """Counts of enumerated structures bucketed by an integer statistic."""
 
-    statistic: str
-    counts: dict[int, int]
+    def __init__(self, statistic: str, counts: dict[int, int]):
+        self.statistic = statistic
+        self.counts = counts
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
 
     @property
     def total(self) -> int:

@@ -10,6 +10,8 @@ check failed, 2 usage or parse error, 3 an enumeration budget was exceeded,
 4 an internal error (any other exception, one `internal error: Type: message`
 line).  The enumeration budget (`--budget`, else the GKPTRI_BUDGET variable,
 else 10**7) is a positive integer such as `10` or `1e6`; else a usage error.
+`oracle` and `verify` spend it on census objects, `triangle` on the
+(N+1)(N+2)/2 entries of rows 0..N, all of them before the first row.
 So is an option that the chosen source (family, six-tuple, oracle kind or
 the tree function) does not read: it is rejected, never ignored.
 """
@@ -109,8 +111,12 @@ def _triangle_from_args(args) -> Triangle:
 
 
 def cmd_triangle(args) -> int:
-    """Write each row as it is filled, in exact Decimal or in Fraction."""
+    """Write each row as it is filled, in exact Decimal or in Fraction, after
+    spending the (N+1)(N+2)/2 entries of rows 0..N against the budget."""
     t = _triangle_from_args(args)
+    entries, budget = (args.rows + 1) * (args.rows + 2) // 2, _default_budget(args)
+    if entries > budget:
+        raise BudgetExceeded(f"{entries} triangle entries pass the budget of {budget}")
     with decimal.localcontext(EXACT):
         one = decimal.Decimal(1) if t.params.is_integral() else 1
         rows = triangle_rows(t.params, args.rows, one)
@@ -227,6 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int)
     p.add_argument("--rows", type=int, required=True, help="compute rows 0..N")
     p.add_argument("--format", choices=FORMATS, default="oeis")
+    p.add_argument("--budget", help=BUDGET_HELP)
     p.set_defaults(fn=cmd_triangle)
 
     p = sub.add_parser("grammar", help="print D^0..D^n of a seed polynomial")

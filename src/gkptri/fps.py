@@ -18,12 +18,11 @@ exp requires a zero constant term.  Truncation orders are nonnegative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
 from operator import add, sub
-from typing import Any, Callable, Iterable, Mapping
 
 from .errors import NonInvertibleConstantTerm, NonZeroConstantTerm, UnknownVariable
 from .grammar import Grammar, _derive, _pack, _unpack
@@ -180,7 +179,6 @@ def gen_series(g: Grammar, x: LaurentPoly, order: int) -> TruncatedSeries:
 # -- exact ODE solving ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class OdeSystem:
     """y_i' = rhs_i(y), y_i(0) = initial_i, with polynomial right-hand sides.
 
@@ -189,22 +187,22 @@ class OdeSystem:
     initial value, such as 0 or u+v, only nonnegative exponents work.
     """
 
-    variables: tuple[str, ...]
-    rhs: Mapping[str, LaurentPoly]
-    initial: Mapping[str, Any]
-
-    def __post_init__(self):
-        if set(self.rhs) != set(self.variables) or set(self.initial) != set(self.variables):
+    def __init__(self, variables: tuple[str, ...], rhs: Mapping[str, LaurentPoly],
+                 initial: Mapping[str, object]):
+        if set(rhs) != set(variables) or set(initial) != set(variables):
             raise ValueError("rhs and initial must cover exactly the system variables")
-        for v, p in self.rhs.items():
-            extra = p.variables() - set(self.variables)
+        for v, p in rhs.items():
+            extra = p.variables() - set(variables)
             if extra:
                 raise UnknownVariable(
                     f"rhs of {v!r} mentions {sorted(extra)} outside the system"
                 )
+        self.variables = variables
+        self.rhs = rhs
+        self.initial = initial
 
 
-def grammar_ode(g: Grammar, initial: Mapping[str, Any] | None = None) -> OdeSystem:
+def grammar_ode(g: Grammar, initial: Mapping[str, object] | None = None) -> OdeSystem:
     """The analytic system attached to a grammar; by default each letter
     starts at itself, so the solutions are the letter generating functions."""
     if initial is None:

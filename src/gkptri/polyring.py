@@ -14,8 +14,8 @@ structural equality is mathematical equality.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .errors import (
     MissingVariable,

@@ -18,29 +18,35 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import NonIntegerParams, RowOutOfRange
 from .polyring import Scalar, normalize_scalar, parse_rational
 
 
-@dataclass(frozen=True)
 class TriangleParams:
-    """The six coefficients of the two-term triangular recurrence."""
+    """The six coefficients of the two-term triangular recurrence: an
+    immutable, hashable value whose entries are ints or Fractions."""
 
-    a0: Scalar
-    a1: Scalar
-    a2: Scalar
-    b0: Scalar
-    b1: Scalar
-    b2: Scalar
+    def __init__(self, a0: Scalar, a1: Scalar, a2: Scalar, b0: Scalar, b1: Scalar, b2: Scalar):
+        six = (a0, a1, a2, b0, b1, b2)
+        if not type(a0) is type(a1) is type(a2) is type(b0) is type(b1) is type(b2) is int:
+            six = map(normalize_scalar, six)
+        fields = self.__dict__  # written directly: __setattr__ refuses
+        fields["a0"], fields["a1"], fields["a2"], fields["b0"], fields["b1"], fields["b2"] = six
 
-    def __post_init__(self):
-        for name in ("a0", "a1", "a2", "b0", "b1", "b2"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                object.__setattr__(self, name, normalize_scalar(value))
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        return self.as_tuple() == other.as_tuple() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.as_tuple())
+
+    def __repr__(self):
+        return f"TriangleParams({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     @classmethod
     def parse(cls, text: str) -> TriangleParams:
@@ -55,6 +61,12 @@ class TriangleParams:
 
     def is_integral(self) -> bool:
         return Fraction not in map(type, self.as_tuple())
+
+    def cleared(self) -> tuple[int, TriangleParams]:
+        """(d, d·p) with d the lcm of the denominators: row n of the integer
+        six-tuple d·p is d^n times row n of p (induction on n)."""
+        d = lcm(*(v.denominator for v in self.as_tuple()))
+        return d, TriangleParams(*(d * v for v in self.as_tuple()))
 
     def require_integral(self) -> None:
         if not self.is_integral():
@@ -86,13 +98,14 @@ def stirling2_params() -> TriangleParams:
     return TriangleParams(0, 1, 0, 1, 0, 0)
 
 
-@dataclass
 class Triangle:
     """Computed rows of a triangular array, rows[n] = [T(n,0), ..., T(n,n)]."""
 
-    params: TriangleParams | None
-    rows: list[list[Scalar]]
-    family: str | None = None
+    def __init__(self, params: TriangleParams | None, rows: list[list[Scalar]],
+                 family: str | None = None):
+        self.params = params
+        self.rows = rows
+        self.family = family
 
     @property
     def n_max(self) -> int:
@@ -130,11 +143,15 @@ class Triangle:
 
 def triangle_rows(params: TriangleParams, n_max: int, one=1) -> Iterator[list]:
     """Yield rows 0..n_max, holding only row n-1.  Row 0 is [one]; integer
-    six-tuples keep the type of `one` (int, or an exact Decimal)."""
+    six-tuples keep the type of `one` (int, or an exact Decimal).  A rational
+    six-tuple fills the integer rows of its cleared six-tuple and unscales them."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    if not params.is_integral():
+        d, cleared = params.cleared()
+        yield from unscaled_rows(triangle_rows(cleared, n_max, one), d)
+        return
     a0, a1, a2, b0, b1, b2 = params.as_tuple()
-    integral = params.is_integral()
     prev = [one]
     yield prev
     for n in range(1, n_max + 1):
@@ -143,8 +160,17 @@ def triangle_rows(params: TriangleParams, n_max: int, one=1) -> Iterator[list]:
         for k in range(1, n):
             row.append((a + a1 * k) * prev[k] + (b + b1 * k) * prev[k - 1])
         row.append((b + b1 * n) * prev[n - 1])
-        prev = row if integral else list(map(normalize_scalar, row))
-        yield prev
+        prev = row
+        yield row
+
+
+def unscaled_rows(rows: Iterable[list], d: int) -> Iterator[list]:
+    """Row n of `rows` divided by d^n: the rows of a rational six-tuple p read
+    off the rows of its cleared six-tuple d·p (TriangleParams.cleared)."""
+    scale = 1
+    for row in rows:
+        yield [normalize_scalar(Fraction(v, scale)) for v in row]
+        scale *= d
 
 
 def recurrence_triangle(params: TriangleParams, n_max: int,

@@ -19,12 +19,11 @@ from ORACLES, which `gkptri oracle` reads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections.abc import Callable
 from fractions import Fraction
 from functools import partial
 from itertools import product
 from math import comb, factorial
-from typing import Callable
 
 from . import census as census_mod
 from . import closedforms as cf
@@ -60,15 +59,16 @@ from .triangles import (
 )
 
 
-@dataclass
 class CheckReport:
     """Outcome of one exact identity check."""
 
-    name: str
-    params: dict = field(default_factory=dict)
-    order: int | None = None
-    passed: bool = True
-    failure: str | None = None
+    def __init__(self, name: str, params: dict | None = None, order: int | None = None,
+                 passed: bool = True, failure: str | None = None):
+        self.name = name
+        self.params = {} if params is None else params
+        self.order = order
+        self.passed = passed
+        self.failure = failure
 
     def fail(self, locus: str) -> "CheckReport":
         self.passed = False
@@ -93,14 +93,16 @@ class CheckReport:
         return f"{self.name} [{extras}]{order}: {status}"
 
 
-@dataclass
 class VerifyOptions:
     """Grid overrides shared by all suites."""
 
-    max_n: int | None = None
-    order: int | None = None
-    budget: int | None = None
-    y_values: tuple[Fraction, ...] = (Fraction(1, 2), Fraction(2))
+    def __init__(self, max_n: int | None = None, order: int | None = None,
+                 budget: int | None = None,
+                 y_values: tuple[Fraction, ...] = (Fraction(1, 2), Fraction(2))):
+        self.max_n = max_n
+        self.order = order
+        self.budget = budget
+        self.y_values = y_values
 
     def cap_n(self, default: int) -> int:
         return default if self.max_n is None else min(default, self.max_n)
@@ -183,7 +185,6 @@ def suite_expansion_golden(opts: VerifyOptions) -> list[CheckReport]:
 # -- closed forms ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ClosedForm:
     """A closed form and the recurrence triangle it must equal.  For each
     `(label, args)` in `grid`, the triangle with six-tuple `params(*args)` is
@@ -192,12 +193,10 @@ class ClosedForm:
     `row(triangle, n)`.  The report prints the grid as `grid_text`.
     """
 
-    grid: tuple[tuple[str, tuple], ...]
-    params: Callable
-    form: Callable
-    n_max: int
-    grid_text: str
-    row: Callable | None = None
+    def __init__(self, grid: tuple[tuple[str, tuple], ...], params: Callable, form: Callable,
+                 n_max: int, grid_text: str, row: Callable | None = None):
+        self.grid, self.grid_text, self.n_max = grid, grid_text, n_max
+        self.params, self.form, self.row = params, form, row
 
     def run(self, name: str, opts: VerifyOptions) -> list[CheckReport]:
         """The verify suite `name`: every grid point, rows 0..n_max."""
@@ -501,7 +500,6 @@ def suite_closed_solutions(opts: VerifyOptions) -> list[CheckReport]:
 # -- oracle equivalences -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Oracle:
     """A brute-force census and the triangle row it must equal: entry k of
     row n of the triangle with six-tuple `params(arg)` is the count in bucket
@@ -511,16 +509,12 @@ class Oracle:
     row `n_max` and reports `report`.
     """
 
-    census: Callable
-    params: Callable
-    option: str | None
-    suite: str
-    grid: tuple[tuple[str, str], ...]
-    n_max: int
-    report: dict
-    usage: str = ""
-    parse: Callable = int
-    bucket: Callable = lambda arg, n, k: k
+    def __init__(self, census: Callable, params: Callable, option: str | None, suite: str,
+                 grid: tuple[tuple[str, str], ...], n_max: int, report: dict, usage: str = "",
+                 parse: Callable = int, bucket: Callable = lambda arg, n, k: k):
+        self.census, self.params, self.bucket = census, params, bucket
+        self.option, self.usage, self.parse = option, usage, parse
+        self.suite, self.grid, self.n_max, self.report = suite, grid, n_max, report
 
     def census_row(self, census, arg, n: int) -> list[int]:
         """The census read as row n, for comparison with the triangle's."""

@@ -521,11 +521,13 @@ BAD_BUDGETS = ("inf", "nan", "abc", "-1", "0", "1.5", "1e-3", "", "1e99999")
 class TestBudget:
     # An empty GKPTRI_BUDGET reads as unset, so "" is only bad as a flag.
     @pytest.mark.parametrize("source, text", [
-        (source, text) for source in ("verify", "oracle", "env")
+        (source, text) for source in ("verify", "oracle", "triangle", "env")
         for text in BAD_BUDGETS if text or source != "env"])
     def test_bad_budget_is_usage_error(self, capsys, monkeypatch, source, text):
         if source == "verify":
             argv = ["verify", "partition-oracle", "--max-n", "2", "--budget", text]
+        elif source == "triangle":
+            argv = ["triangle", "--family", "stirling2", "--rows", "2", "--budget", text]
         elif source == "oracle":
             argv = ["oracle", "partitions", "--n", "2", "--budget", text]
         else:
@@ -544,6 +546,9 @@ class TestBudget:
         assert got == code
         got, _, _ = run(capsys, "verify", "partition-oracle", "--budget", text)
         assert got == code
+        got, _, _ = run(capsys, "triangle", "--family", "stirling2", "--rows", "7",
+                        "--budget", text)
+        assert got == code
 
     @pytest.mark.parametrize("argv", [
         ("partitions",), ("components", "--params", "0,1,1"), ("cadets", "--r", "2")])
@@ -556,8 +561,22 @@ class TestBudget:
         assert out == ""
         assert err == "budget exceeded: enumeration passed the budget of 10000000 objects\n"
 
+    def test_triangle_spends_its_entries_before_the_first_row(self, capsys, monkeypatch):
+        monkeypatch.delenv("GKPTRI_BUDGET", raising=False)
+        code, out, err = run(capsys, "triangle", "--family", "whitney", "--m", "3", "--r", "2",
+                             "--rows", "100000")
+        assert (code, out) == (3, "")
+        assert err == "budget exceeded: 5000150001 triangle entries pass the budget of 10000000\n"
+        # Rows 0..5 hold 21 entries.
+        for budget, expected in (("20", 3), ("21", 0), ("1e12", 0)):
+            code, out, _ = run(capsys, "triangle", "--family", "stirling2", "--rows", "5",
+                               "--budget", budget)
+            assert code == expected and (out == "") == (expected == 3)
+        monkeypatch.setenv("GKPTRI_BUDGET", "20")
+        assert run(capsys, "triangle", "--family", "stirling2", "--rows", "5")[0] == 3
+
     def test_budget_help_is_shared(self, capsys):
-        for command in ("verify", "oracle"):
+        for command in ("verify", "oracle", "triangle"):
             code, out, _ = run(capsys, command, "--help")
             assert code == 0
             assert f"--budget BUDGET {BUDGET_HELP}" in " ".join(out.split())

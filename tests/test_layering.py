@@ -3,10 +3,14 @@ imports inside a function body, the series layer (fps) imports nothing
 from the layers built on it, the closed forms import nothing from fps, and
 the packed polynomial format stays inside the two series engines (grammar
 and fps), the checks in verify build no closed series, and no function in
-the closed forms or the censuses calls itself.  Also, every name in
-`gkptri.__all__` exists and is listed once."""
+the closed forms or the censuses calls itself.  No module imports
+dataclasses or typing, and `import gkptri, gkptri.cli` loads neither, nor
+inspect.  Also, every name in `gkptri.__all__` exists and is listed once."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -21,6 +25,9 @@ ENGINES = {SRC / "grammar.py", SRC / "fps.py"}
 SERIES_BUILDERS = {"exp_t", "scalar_mul", "map_coefficients", "first_difference", "inverse",
                    "pow_int"}
 RECURSION_FREE = [SRC / "closedforms.py", SRC / "census.py"]
+# Each CLI call pays for the package import: dataclasses brings inspect, ast,
+# dis and tokenize, and typing is not needed with collections.abc.
+SLOW_IMPORTS = {"dataclasses", "typing"}
 
 
 def function_level_imports(source: str) -> list[str]:
@@ -60,6 +67,17 @@ def package_imports(source: str) -> set[str]:
     return names
 
 
+def imported_modules(source: str) -> set[str]:
+    """The top-level module each absolute import statement in the source names."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
 def names_used(source: str) -> set[str]:
     """Every identifier, attribute and imported name the source mentions."""
     names = set()
@@ -79,6 +97,8 @@ def test_checkers_see_every_import_form():
     assert function_level_imports(source) == ["f:5", "f:6"]
     assert package_imports(source) == {"cli", "verify", "triangles", "closedforms", "census"}
     assert package_imports("import json\nfrom math import comb\n") == set()
+    assert imported_modules(source + "import os.path\nfrom typing import Any\n") == {
+        "gkptri", "os", "typing"}
     uses = "from .grammar import _pack as p\nimport gkptri.grammar\ngrammar._unpack\n_derive\n"
     assert PACKED_HELPERS <= names_used(uses)
 
@@ -86,6 +106,21 @@ def test_checkers_see_every_import_form():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_function_level_imports(path):
     assert function_level_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_slow_stdlib_imports(path):
+    assert imported_modules(path.read_text()) & SLOW_IMPORTS == set()
+
+
+def test_cli_import_loads_no_slow_modules():
+    # -S skips site-packages, whose .pth files may import typing themselves.
+    probe = ("import gkptri, gkptri.cli, sys; "
+             "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_fps_imports_nothing_above_it():

@@ -74,6 +74,11 @@ class TestParams:
         with pytest.raises(TypeError):
             TriangleParams(0.5, 1, 0, 1, 0, 0)
 
+    def test_cleared_six_tuple_is_integral(self):
+        p = TriangleParams.parse("1/2,1,1/3,1,-1,2")
+        assert p.cleared() == (6, TriangleParams(3, 6, 2, 6, -6, 12))
+        assert whitney_params(2, 1).cleared() == (1, whitney_params(2, 1))
+
     def test_keyword_and_positional_construction_agree(self):
         p = TriangleParams(a0=1, a1=2, a2=0, b0=1, b1=-2, b2=Fraction(1, 2))
         assert p == TriangleParams(1, 2, 0, 1, -2, Fraction(1, 2))
