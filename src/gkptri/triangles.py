@@ -36,8 +36,10 @@ class TriangleParams:
         fields = self.__dict__  # written directly: __setattr__ refuses
         fields["a0"], fields["a1"], fields["a2"], fields["b0"], fields["b1"], fields["b2"] = six
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"TriangleParams is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     def __eq__(self, other):
         return self.as_tuple() == other.as_tuple() if type(other) is type(self) else NotImplemented

@@ -65,6 +65,8 @@ class TestParams:
         for name in ("a0", "b2"):
             with pytest.raises(AttributeError):
                 setattr(p, name, 5)
+            with pytest.raises(AttributeError):
+                delattr(p, name)
         assert p == whitney_params(2, 1)
 
     def test_entries_are_normalized(self):
