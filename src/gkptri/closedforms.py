@@ -96,11 +96,9 @@ def f_gram_explicit(a0, a1, a2, n: int, k: int) -> Scalar:
 def t_b2zero_explicit(a0, a1, a2, b0, b1, n: int, k: int) -> Scalar:
     """Entry of the triangle with coefficients a2*n + a1*k + a0 and
     b1*k + b0: the rising-step prefactor (b0+b1 | b1)^(rising k) times the
-    b = 1 entry."""
+    b = 1 entry, for any a2."""
     if a1 == 0:
         raise ZeroA1("the explicit formula needs a1 != 0")
-    if a2 == 0:
-        raise ZeroA2("the explicit formula needs a2 != 0")
     return normalize_scalar(rising_step(b0 + b1, b1, k) * f_gram_explicit(a0, a1, a2, n, k))
 
 

@@ -5,18 +5,6 @@ class GkpError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class MissingVariable(GkpError):
-    """A polynomial was evaluated without a value for one of its variables."""
-
-
-class ZeroToNegativePower(GkpError):
-    """Evaluation hit 0 raised to a negative exponent."""
-
-
-class NonInvertibleElement(GkpError):
-    """Multiplicative inverse requested for a non-invertible value."""
-
-
 class PolyParseError(GkpError):
     """Malformed polynomial / grammar text.  Carries line and column."""
 
@@ -60,7 +48,8 @@ class NonZeroConstantTerm(GkpError):
 
 
 class NonInvertibleConstantTerm(GkpError):
-    """Series inversion/division needs an invertible constant coefficient."""
+    """`egf_levels` needs a negative power of a y(0) that is not a single
+    nonzero term, so has no inverse."""
 
 
 class DegeneratePoint(GkpError):

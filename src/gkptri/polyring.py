@@ -14,15 +14,10 @@ structural equality is mathematical equality.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from fractions import Fraction
 
-from .errors import (
-    MissingVariable,
-    NonInvertibleElement,
-    PolyParseError,
-    ZeroToNegativePower,
-)
+from .errors import PolyParseError
 
 # ((variable, exponent), ...) sorted by variable, every exponent nonzero.
 Monomial = tuple[tuple[str, int], ...]
@@ -122,9 +117,6 @@ class LaurentPoly:
     def variables(self) -> frozenset[str]:
         return frozenset(v for mono in self._terms for v, _ in mono)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -200,70 +192,6 @@ class LaurentPoly:
         return result
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> LaurentPoly:
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inv() ** (-n)
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def inv(self) -> LaurentPoly:
-        """Multiplicative inverse; only single-term polynomials have one."""
-        if len(self._terms) != 1:
-            raise NonInvertibleElement(
-                f"not invertible in the Laurent ring: {self}"
-            )
-        (mono, coeff), = self._terms.items()
-        inv_mono = tuple((v, -e) for v, e in mono)
-        return LaurentPoly({inv_mono: Fraction(1, 1) / coeff})
-
-    # -- calculus and evaluation --------------------------------------------
-
-    def partial(self, var: str) -> LaurentPoly:
-        """Formal partial derivative (Laurent power rule, exponents may be
-        negative)."""
-        out: dict[Monomial, Scalar] = {}
-        for mono, coeff in self._terms.items():
-            for i, (v, e) in enumerate(mono):
-                if v == var:
-                    rest = mono[:i] + (((v, e - 1),) if e != 1 else ()) + mono[i + 1:]
-                    # d/dx is injective on monomials containing x: no merging,
-                    # and dropping/decrementing one exponent keeps sort order.
-                    out[rest] = normalize_scalar(coeff * e)
-                    break
-        result = LaurentPoly.__new__(LaurentPoly)
-        result._terms = out
-        return result
-
-    def evaluate(self, assignment: Mapping[str, Scalar]) -> Fraction:
-        """Exact value at a rational point.
-
-        Every variable of the polynomial must be assigned, and variables
-        with negative exponents must get nonzero values.
-        """
-        total = Fraction(0)
-        for mono, coeff in self._terms.items():
-            value = Fraction(coeff)
-            for var, e in mono:
-                if var not in assignment:
-                    raise MissingVariable(f"no value for variable {var!r}")
-                x = Fraction(assignment[var])
-                if x == 0 and e < 0:
-                    raise ZeroToNegativePower(
-                        f"variable {var!r} is 0 but appears with exponent {e}"
-                    )
-                value *= x ** e
-            total += value
-        return total
 
     # -- rendering -----------------------------------------------------------
 

@@ -131,12 +131,6 @@ class Triangle:
         row = self.row(n)
         return normalize_scalar(sum(row[::2]) - sum(row[1::2]))
 
-    def assert_integral(self) -> None:
-        for n, row in enumerate(self.rows):
-            for k, v in enumerate(row):
-                if not isinstance(v, int):
-                    raise AssertionError(f"T({n},{k}) = {v} is not an integer")
-
     def label(self) -> str:
         if self.family:
             return self.family

@@ -1,17 +1,38 @@
-"""Test-only series references: routes through series inversion and
-powers, rational-arithmetic generating-function checks, and a packed
-product kernel, that the package itself no longer takes, kept as
-independent references for the checks that compare against them."""
+"""Test-only references that the package itself no longer takes, kept as
+independent references for the checks that compare against them:
+routes through series inversion and powers, rational-arithmetic
+generating-function checks, a packed product kernel, and the Laurent
+polynomial's power-rule derivative (`partial`), its value at a rational
+point (`evaluate`) and the inverse of a single term (inside `inverse`)."""
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 from operator import add
 
 from gkptri import verify
-from gkptri.errors import (
-    DegeneratePoint, DegenerateY, NonInvertibleConstantTerm, NonInvertibleElement)
+from gkptri.errors import DegeneratePoint, DegenerateY, NonInvertibleConstantTerm
 from gkptri.fps import OdeSystem, TruncatedSeries
-from gkptri.polyring import LaurentPoly, normalize_scalar
+from gkptri.polyring import LaurentPoly, monomial, normalize_scalar
+
+
+def partial(p, var):
+    """The formal partial derivative of p by the Laurent power rule; d/dvar
+    is injective on the monomials containing var, so no terms merge."""
+    out = {}
+    for mono, c in p.terms().items():
+        exps = dict(mono)
+        e = exps.get(var, 0)
+        if e:
+            exps[var] = e - 1
+            out[monomial(exps)] = c * e
+    return LaurentPoly(out)
+
+
+def evaluate(p, point):
+    """The exact value of p at a point giving each of its variables a
+    rational, nonzero where the exponent is negative."""
+    return sum((Fraction(c) * prod(Fraction(point[v]) ** e for v, e in mono)
+                for mono, c in p.terms().items()), Fraction(0))
 
 
 def exp_t(scale, order):
@@ -20,14 +41,18 @@ def exp_t(scale, order):
 
 
 def inverse(f):
-    """1/f; the constant term must be a nonzero rational or a single term."""
+    """1/f; the constant term must be a nonzero rational or a single term,
+    whose inverse negates its exponents."""
     c = f.coeffs[0]
     if c == 0:
         raise NonInvertibleConstantTerm("constant term 0 is not invertible")
-    try:
-        out = [c.inv() if isinstance(c, LaurentPoly) else normalize_scalar(Fraction(1) / c)]
-    except NonInvertibleElement as exc:
-        raise NonInvertibleConstantTerm(str(exc)) from exc
+    if not isinstance(c, LaurentPoly):
+        out = [normalize_scalar(Fraction(1) / c)]
+    elif len(c) == 1:
+        (mono, coeff), = c.terms().items()
+        out = [LaurentPoly({tuple((v, -e) for v, e in mono): Fraction(1) / coeff})]
+    else:
+        raise NonInvertibleConstantTerm(f"not invertible in the Laurent ring: {c}")
     for n in range(1, f.order + 1):
         out.append(-(out[0] * sum((f.coeffs[j] * out[n - j] for j in range(1, n + 1)), 0)))
     return TruncatedSeries(out)

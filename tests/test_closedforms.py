@@ -90,14 +90,14 @@ class TestFractionParity:
         n, k = nk
         assert same(f_gram_explicit(a0, a1, a2, n, k), f_gram_fraction(a0, a1, a2, n, k))
 
-    @given(scalars, nonzero, nonzero, scalars, scalars, entries())
+    @given(scalars, nonzero, scalars, scalars, scalars, entries())
     @settings(max_examples=200)
     def test_t_b2zero_explicit(self, a0, a1, a2, b0, b1, nk):
         n, k = nk
         assert same(t_b2zero_explicit(a0, a1, a2, b0, b1, n, k),
                     t_b2zero_fraction(a0, a1, a2, b0, b1, n, k))
 
-    @given(st.tuples(*[st.integers(-4, 4)] * 5).filter(lambda t: t[1] and t[2]), entries())
+    @given(st.tuples(*[st.integers(-4, 4)] * 5).filter(lambda t: t[1]), entries())
     @settings(max_examples=100)
     def test_int_arguments(self, args, nk):
         a0, a1, a2, b0, b1 = args
@@ -228,8 +228,9 @@ class TestB2ZeroExplicit:
     def test_errors(self):
         with pytest.raises(ZeroA1):
             t_b2zero_explicit(1, 0, 1, 1, 1, 2, 1)
-        with pytest.raises(ZeroA2):
-            t_b2zero_explicit(1, 1, 0, 1, 1, 2, 1)
+        # a2 = 0 is no error: the factorization holds for any a2.
+        tri = recurrence_triangle(TriangleParams(1, 1, 0, 1, 1, 0), 2)
+        assert t_b2zero_explicit(1, 1, 0, 1, 1, 2, 1) == tri.entry(2, 1)
 
     def test_matches_recurrence(self):
         for a0, a1, a2 in A_GRID:

@@ -26,6 +26,7 @@ from gkptri.grammar import (
 )
 from gkptri.polyring import LaurentPoly, parse_poly
 from gkptri.triangles import TriangleParams, recurrence_triangle, whitney_params
+from series_reference import partial
 
 WHITNEY_32 = Grammar.from_text("u -> u*v^3\nv -> u^3*v")
 BELLISH = Grammar.from_text("u -> u*v^2\nv -> v")
@@ -149,7 +150,7 @@ def grammar_and_poly(draw):
 
 def reference_D(g, p):
     """The textbook derivation step, sum of rule(x) * dp/dx over the letters."""
-    return sum((g.rules[x] * p.partial(x) for x in g.alphabet), LaurentPoly.zero())
+    return sum((g.rules[x] * partial(p, x) for x in g.alphabet), LaurentPoly.zero())
 
 
 class TestPackedEngineAgainstPartials:

@@ -5,7 +5,9 @@ the packed polynomial format stays inside the two series engines (grammar
 and fps), the checks in verify build no closed series, and no function in
 the closed forms or the censuses calls itself.  No module imports
 dataclasses or typing, and `import gkptri, gkptri.cli` loads neither, nor
-inspect.  Also, every name in `gkptri.__all__` exists and is listed once."""
+inspect.  Also, every name in `gkptri.__all__` exists and is listed once,
+and every error class but the base `GkpError` is raised somewhere in the
+package."""
 
 import ast
 import os
@@ -17,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import gkptri
+from gkptri import errors
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gkptri"
 ABOVE_FPS = {"closedforms", "triangles", "verify", "cli"}
@@ -91,6 +94,19 @@ def names_used(source: str) -> set[str]:
     return names
 
 
+def raised_names(source: str) -> set[str]:
+    """The class or function name each `raise` statement in the source names."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(target, ast.Name):
+                names.add(target.id)
+            elif isinstance(target, ast.Attribute):
+                names.add(target.attr)
+    return names
+
+
 def test_checkers_see_every_import_form():
     source = ("import gkptri.cli\nfrom gkptri import verify\nfrom gkptri.triangles import T\n"
               "def f():\n    from .closedforms import stirling2\n    from . import census\n")
@@ -159,3 +175,17 @@ def test_exports_resolve_once():
     # A deleted function must leave no dangling or doubled name in __all__.
     assert [name for name in gkptri.__all__ if not hasattr(gkptri, name)] == []
     assert [name for name, n in Counter(gkptri.__all__).items() if n > 1] == []
+
+
+def test_raise_checker_sees_calls_names_and_attributes():
+    source = ("def f():\n    raise A('x') from None\n    raise B\n"
+              "    raise errors.C(1)\n    raise\n    raise D()()\n")
+    assert raised_names(source) == {"A", "B", "C"}
+
+
+def test_every_error_is_raised():
+    # An error nothing raises is dead code, as is the code that once raised it.
+    defined = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, errors.GkpError)}
+    raised = set().union(*(raised_names(path.read_text()) for path in SRC.glob("*.py")))
+    assert sorted(defined - raised - {"GkpError"}) == []
