@@ -1,9 +1,10 @@
 """Test-only references that the package itself no longer takes, kept as
 independent references for the checks that compare against them:
 routes through series inversion and powers, rational-arithmetic
-generating-function checks, a packed product kernel, and the Laurent
-polynomial's power-rule derivative (`partial`), its value at a rational
-point (`evaluate`) and the inverse of a single term (inside `inverse`)."""
+generating-function checks, the packed derivation and product kernels as
+they were before the first-insert kernels, and the Laurent polynomial's
+power-rule derivative (`partial`), its value at a rational point
+(`evaluate`) and the inverse of a single term (inside `inverse`)."""
 
 from fractions import Fraction
 from math import comb, factorial, prod
@@ -75,19 +76,46 @@ def euler_at_zero_by_series(order):
             for k in range(order + 1)]
 
 
-def accumulate_by_map(out, a, b, w):
-    """`fps._accumulate` with every key built as `tuple(map(add, ...))`:
-    out += w * a * b on packed dicts, dropping the keys that cancel."""
+def accumulate_by_get(out, a, b, w):
+    """`fps._accumulate` with every product added as `get(key, 0) + ...`:
+    out += w * a * b on packed dicts, dropping the keys that cancel;
+    two-letter keys add as pairs, others through `map(add, ...)`."""
     get = out.get
     for ka, ca in a.items():
         cw = ca * w
+        pair = len(ka) == 2
         for kb, cb in b.items():
-            key = tuple(map(add, ka, kb))
+            key = (ka[0] + kb[0], ka[1] + kb[1]) if pair else tuple(map(add, ka, kb))
             s = get(key, 0) + cw * cb
             if s:
                 out[key] = s
             else:
                 del out[key]
+
+
+def derive_by_get(steps, level, n):
+    """The list of packed levels seed, D(seed), ..., D^n(seed) that
+    `grammar._derive` yields, with every product added as `get(key, 0) + ...`
+    and dropping the keys that cancel."""
+    levels = [level]
+    pairs = all(len(shift) == 2 for _, shift, _ in steps)
+    for _ in range(n):
+        out = {}
+        get = out.get
+        for vec, c in level.items():
+            for i, shift, rc in steps:
+                e = vec[i]
+                if e:
+                    key = ((vec[0] + shift[0], vec[1] + shift[1]) if pairs
+                           else tuple(map(add, vec, shift)))
+                    s = get(key, 0) + c * (e * rc)
+                    if s:
+                        out[key] = s
+                    else:
+                        del out[key]
+        level = out
+        levels.append(level)
+    return levels
 
 
 def reference_solve(system: OdeSystem, order: int) -> dict[str, TruncatedSeries]:

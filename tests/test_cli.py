@@ -231,6 +231,18 @@ class TestGrammarCommand:
         assert code == 0
         assert out.splitlines()[-1] == "u*v^8 + 13*u^4*v^5 + 4*u^7*v^2"
 
+    def test_rules_file_with_unsorted_alphabet(self, capsys, tmp_path):
+        rules = tmp_path / "rules.txt"
+        rules.write_text("z -> a*z^2\na -> z\n")
+        code, out, _ = run(capsys, "grammar", "--rules", str(rules),
+                           "--seed", "z*a^-1 + 2*a", "--n", "2")
+        assert (code, out) == (0, "2*a + a^-1*z\nz^2 + 2*z - a^-2*z^2\n"
+                                  "2*a*z^3 + 2*a*z^2 - 2*a^-1*z^3 + 2*a^-3*z^3\n")
+        code, out, _ = run(capsys, "series", "--rules", str(rules), "--seed", "z",
+                           "--order", "3")
+        assert (code, out) == (0, "t^0: z\nt^1: a*z^2\nt^2: a^2*z^3 + 1/2*z^3\n"
+                                  "t^3: a^3*z^4 + 7/6*a*z^4\n")
+
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run(capsys, "grammar", "--hao", "2,3,0,1,-3,3",
                            "--seed", "u*%", "--n", "1")

@@ -38,7 +38,7 @@ from gkptri.verify import (
     verify_sol_a1zero,
     verify_sol_a2zero,
 )
-from series_reference import accumulate_by_map, evaluate, reference_solve
+from series_reference import accumulate_by_get, evaluate, reference_solve
 
 
 def series(*coeffs):
@@ -229,17 +229,17 @@ def packed_products(draw):
     out, a, b, w = draw(packed), draw(packed), draw(packed), draw(exact_coeffs)
     if draw(st.booleans()):
         prefix = dict(list(b.items())[:draw(st.integers(0, len(b)))])
-        accumulate_by_map(out, a, prefix, -w)
+        accumulate_by_get(out, a, prefix, -w)
     return out, a, b, w
 
 
 class TestAccumulate:
     @given(packed_products())
     @settings(max_examples=300)
-    def test_equals_the_map_add_kernel(self, case):
+    def test_equals_the_get_kernel(self, case):
         out, a, b, w = case
         expected = dict(out)
-        accumulate_by_map(expected, a, b, w)
+        accumulate_by_get(expected, a, b, w)
         fps._accumulate(out, a, b, w)
         assert list(out.items()) == list(expected.items())
         assert list(map(type, out.values())) == list(map(type, expected.values()))
@@ -249,9 +249,24 @@ class TestAccumulate:
         a = {(1,) * width: Fraction(2, 3), (-1,) * width: 3}
         b = {(0,) * width: 1, (2,) * width: -2}
         out = {}
-        accumulate_by_map(out, a, b, -5)
+        accumulate_by_get(out, a, b, -5)
         fps._accumulate(out, a, b, 5)
         assert out == {}
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_cancelled_key_reappears_last(self, width):
+        # (1, ...) cancels on the first product and comes back on the last,
+        # after the keys first met in between; a Fraction product stays one.
+        pad, zeros = (1, -1)[:width - 1], (0, 0)[:width - 1]
+        a = {(0, *pad): 1, (1, *pad): Fraction(1, 2)}
+        b = {(1, *zeros): 2, (0, *zeros): 3}
+        out = {(1, *pad): -2}
+        expected = dict(out)
+        accumulate_by_get(expected, a, b, 1)
+        fps._accumulate(out, a, b, 1)
+        assert list(out.items()) == list(expected.items()) == [
+            ((0, *pad), 3), ((2, *pad), 1), ((1, *pad), Fraction(3, 2))]
+        assert list(map(type, out.values())) == [int, Fraction, Fraction]
 
 
 class TestOdeEngineParity:
@@ -270,6 +285,22 @@ class TestOdeEngineParity:
         assert names == ("x", "y")
         for x in g.alphabet:
             assert ys[x] == gen_levels(g, LaurentPoly.variable(x), 8)
+
+    def test_unsorted_alphabet_unpacks_to_canonical_monomials(self):
+        # z is declared before a; every unpacked monomial is still sorted by
+        # letter, and the text is the one of the sorted packing.
+        g = Grammar.from_text("z -> a*z^2\na -> z")
+        levels = iterate_D(g, parse_poly("z*a^-1 + 2*a"), 2)
+        series = gen_series(g, LaurentPoly.variable("z"), 3)
+        sol = solve_ode(grammar_ode(g), 3)
+        polys = [*levels, *series.coeffs, *sol["z"].coeffs, *sol["a"].coeffs]
+        assert all(mono == monomial(dict(mono)) for p in polys for mono in p.terms())
+        assert list(map(str, levels)) == [
+            "2*a + a^-1*z", "z^2 + 2*z - a^-2*z^2",
+            "2*a*z^3 + 2*a*z^2 - 2*a^-1*z^3 + 2*a^-3*z^3"]
+        assert sol["z"] == series
+        assert str(series) == "z, a*z^2, a^2*z^3 + 1/2*z^3, a^3*z^4 + 7/6*a*z^4"
+        assert str(sol["a"]) == "a, z, 1/2*a*z^2, 1/3*a^2*z^3 + 1/6*z^3"
 
     @given(ode_systems())
     @settings(max_examples=60, deadline=None)

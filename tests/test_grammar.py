@@ -1,5 +1,6 @@
 """Grammars, the derivation operator, and triangle extraction."""
 
+from fractions import Fraction
 from itertools import product
 from math import factorial
 from unittest import mock
@@ -26,7 +27,7 @@ from gkptri.grammar import (
 )
 from gkptri.polyring import LaurentPoly, parse_poly
 from gkptri.triangles import TriangleParams, recurrence_triangle, whitney_params
-from series_reference import partial
+from series_reference import derive_by_get, partial
 
 WHITNEY_32 = Grammar.from_text("u -> u*v^3\nv -> u^3*v")
 BELLISH = Grammar.from_text("u -> u*v^2\nv -> v")
@@ -191,6 +192,62 @@ class TestPackedEngineAgainstPartials:
     def test_extract_triangle_matches_recurrence(self, six, n):
         params = TriangleParams(*six)
         assert extract_triangle(params, n).rows == recurrence_triangle(params, n).rows
+
+
+exact_coeffs = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool),
+)
+
+
+@st.composite
+def steps_and_seeds(draw):
+    """Steps as in `Grammar._steps` and a packed seed over one to three
+    letters, with seed exponents in [-2, 2] and shifts in [-1, 1] so that
+    keys collide and cancel, int or Fraction coefficients, and sometimes
+    no steps at all."""
+    width = draw(st.integers(1, 3))
+    step = st.tuples(st.integers(0, width - 1), st.tuples(*[st.integers(-1, 1)] * width),
+                     exact_coeffs)
+    seed = st.dictionaries(st.tuples(*[st.integers(-2, 2)] * width), exact_coeffs,
+                           max_size=6)
+    return draw(st.lists(step, max_size=4)), draw(seed)
+
+
+def items_and_types(levels):
+    return [(list(level.items()), list(map(type, level.values()))) for level in levels]
+
+
+class TestDeriveKernel:
+    @given(steps_and_seeds(), st.integers(0, 4))
+    @settings(max_examples=300)
+    def test_equals_the_get_kernel(self, case, n):
+        steps, seed = case
+        assert items_and_types(grammar_module._derive(steps, seed, n)) == items_and_types(
+            derive_by_get(steps, seed, n))
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_cancelled_key_reappears_last(self, width):
+        # The rule x -> x^2 + x + 1 on 2x - x^2 + x^3: x^2 gets 2, then -2,
+        # which deletes it, then 3, which puts it back after x^0, x^3, x^4.
+        pad, zeros = (1, -1)[:width - 1], (0, 0)[:width - 1]
+        steps = [(0, (s, *zeros), 1) for s in (1, 0, -1)]
+        seed = {(1, *pad): 2, (2, *pad): -1, (3, *pad): 1}
+        level = list(grammar_module._derive(steps, seed, 1))[1]
+        assert list(level.items()) == [((0, *pad), 2), ((3, *pad), 1), ((4, *pad), 3),
+                                       ((2, *pad), 3)]
+        assert items_and_types([level]) == items_and_types(derive_by_get(steps, seed, 1)[1:])
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_no_steps(self, width):
+        seed = {(1,) * width: 2, (-1,) * width: Fraction(1, 2)}
+        assert list(grammar_module._derive([], seed, 3)) == [seed, {}, {}, {}]
+
+    def test_grammar_without_steps(self):
+        g = Grammar.from_text("u -> 0\nv -> 0\nw -> 0")
+        assert g._steps == []
+        assert iterate_D(g, parse_poly("u*v*w + 2"), 2) == [
+            parse_poly("u*v*w + 2"), LaurentPoly.zero(), LaurentPoly.zero()]
 
 
 class TestExtractTriangle:

@@ -6,8 +6,8 @@ and fps), the checks in verify build no closed series, and no function in
 the closed forms or the censuses calls itself.  No module imports
 dataclasses or typing, and `import gkptri, gkptri.cli` loads neither, nor
 inspect.  Also, every name in `gkptri.__all__` exists and is listed once,
-and every error class but the base `GkpError` is raised somewhere in the
-package."""
+every error class but the base `GkpError` is raised somewhere in the
+package, and no module but `__init__` imports a name it never uses."""
 
 import ast
 import os
@@ -94,6 +94,18 @@ def names_used(source: str) -> set[str]:
     return names
 
 
+def unused_imports(source: str) -> list[str]:
+    """`name:line` for each name an import statement binds and the source
+    never reads; `from __future__` imports bind nothing."""
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for name in (a.asname or a.name.split(".")[0] for a in node.names)
+            if name not in read]
+
+
 def raised_names(source: str) -> set[str]:
     """The class or function name each `raise` statement in the source names."""
     names = set()
@@ -175,6 +187,20 @@ def test_exports_resolve_once():
     # A deleted function must leave no dangling or doubled name in __all__.
     assert [name for name in gkptri.__all__ if not hasattr(gkptri, name)] == []
     assert [name for name, n in Counter(gkptri.__all__).items() if n > 1] == []
+
+
+def test_unused_import_checker_sees_aliases_dotted_names_and_future():
+    source = ("from __future__ import annotations\nimport os.path\nimport re as regex\n"
+              "from .polyring import LaurentPoly, monomial\nfrom math import comb as c\n"
+              "x: LaurentPoly = regex.compile(os.sep)\n")
+    assert unused_imports(source) == ["monomial:4", "c:5"]
+
+
+@pytest.mark.parametrize("path", sorted(set(SRC.glob("*.py")) - {SRC / "__init__.py"}),
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    # `__init__` imports what it re-exports.
+    assert unused_imports(path.read_text()) == []
 
 
 def test_raise_checker_sees_calls_names_and_attributes():
