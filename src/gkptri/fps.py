@@ -211,18 +211,32 @@ def grammar_ode(g: Grammar, initial: Mapping[str, object] | None = None) -> OdeS
 
 
 def _accumulate(out: Packed, a: Packed, b: Packed, w: Scalar) -> None:
-    """out += w * a * b.  Two-letter keys add as pairs, without map()."""
+    """out += w * a * b.  Coefficients and w must be nonzero: a new key stores
+    its first product, later products add, and a zero sum deletes the key.
+    Two-letter keys are unpacked once per term, without map()."""
     get = out.get
-    for ka, ca in a.items():
-        cw = ca * w
-        pair = len(ka) == 2
-        for kb, cb in b.items():
-            key = (ka[0] + kb[0], ka[1] + kb[1]) if pair else tuple(map(add, ka, kb))
-            s = get(key, 0) + cw * cb
-            if s:
-                out[key] = s
-            else:
-                del out[key]
+    if len(next(iter(a), ())) == 2:
+        for (x, y), ca in a.items():
+            cw = ca * w
+            for (xb, yb), cb in b.items():
+                key, p = (x + xb, y + yb), cw * cb
+                if (s := get(key)) is None:
+                    out[key] = p
+                elif s := s + p:
+                    out[key] = s
+                else:
+                    del out[key]
+    else:
+        for ka, ca in a.items():
+            cw = ca * w
+            for kb, cb in b.items():
+                key, p = tuple(map(add, ka, kb)), cw * cb
+                if (s := get(key)) is None:
+                    out[key] = p
+                elif s := s + p:
+                    out[key] = s
+                else:
+                    del out[key]
 
 
 def egf_levels(system: OdeSystem,

@@ -20,20 +20,20 @@ Derivation packs monomials as exponent vectors over the grammar's sorted
 alphabet (Monagan & Pearce, ISSAC 2009) and precomputes each rule(x) d/dx as
 (exponent shift, coefficient) pairs.  One level of D is one fused pass: a
 term c*m whose letter x has exponent e adds c*(e*r) at m + s - x for each
-term r*s of rule(x), with no partial, product or sum temporaries; two-letter
-vectors add as pairs, without map().  `LaurentPoly` appears only at the
-boundary; `extract_triangle` builds its steps and seed vector straight from
-the six-tuple, with no `Grammar` or `LaurentPoly`.
+term r*s of rule(x).  A new key stores its first product, later products
+add, and a zero sum deletes the key, so coefficients must be nonzero;
+two-letter keys are unpacked once per term.  `LaurentPoly` appears only at
+the boundary, and `extract_triangle` builds its steps from the six-tuple.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
-from operator import add
+from operator import add, itemgetter
 
 from .errors import NonTriangularExpansion, UnknownVariable
-from .polyring import LaurentPoly, Scalar, monomial, parse_poly
+from .polyring import LaurentPoly, Scalar, parse_poly
 from .triangles import Triangle, TriangleParams
 
 
@@ -108,34 +108,50 @@ def _pack(alphabet, p: LaurentPoly, what="polynomial") -> dict[tuple[int, ...], 
 
 
 def _unpack(alphabet, packed: Mapping[tuple[int, ...], Scalar], divisor: int = 1) -> LaurentPoly:
-    """The packed polynomial with every coefficient divided by `divisor`."""
+    """The packed polynomial with every coefficient divided by `divisor`;
+    `alphabet` must be sorted, as canonical monomials are."""
     if divisor != 1:
         packed = {vec: Fraction(c, divisor) for vec, c in packed.items()}
-    return LaurentPoly({monomial(dict(zip(alphabet, vec))): c for vec, c in packed.items()})
+    return LaurentPoly({tuple(filter(itemgetter(1), zip(alphabet, vec))): c
+                        for vec, c in packed.items()})
 
 
 def _derive(steps, level: dict[tuple[int, ...], Scalar], n: int) -> Iterator[dict]:
     """Yield the packed levels seed, D(seed), ..., D^n(seed) for `steps` as in
     `Grammar._steps` and the packed seed `level`; callers must not change a
-    yielded level, the next one is computed from it."""
+    yielded level, the next one is computed from it.  Coefficients must be
+    nonzero: a new key stores its first product, later products add, and a
+    zero sum deletes the key.  Two-letter keys are unpacked once per term."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     yield level
-    pairs = all(len(shift) == 2 for _, shift, _ in steps)  # two letters: add without map()
+    pairs = len(next(iter(level), ())) == 2  # not from the steps: there may be none
+    flat = [(not i, s0, s1, rc) for i, (s0, s1), rc in steps] if pairs else []
     for _ in range(n):
         out: dict[tuple[int, ...], Scalar] = {}
         get = out.get
-        for vec, c in level.items():
-            for i, shift, rc in steps:
-                e = vec[i]
-                if e:
-                    key = ((vec[0] + shift[0], vec[1] + shift[1]) if pairs
-                           else tuple(map(add, vec, shift)))
-                    s = get(key, 0) + c * (e * rc)
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
+        if pairs:
+            for (x, y), c in level.items():
+                for is_u, s0, s1, rc in flat:
+                    if e := (x if is_u else y):
+                        key, p = (x + s0, y + s1), c * (e * rc)
+                        if (s := get(key)) is None:
+                            out[key] = p
+                        elif s := s + p:
+                            out[key] = s
+                        else:
+                            del out[key]
+        else:
+            for vec, c in level.items():
+                for i, shift, rc in steps:
+                    if e := vec[i]:
+                        key, p = tuple(map(add, vec, shift)), c * (e * rc)
+                        if (s := get(key)) is None:
+                            out[key] = p
+                        elif s := s + p:
+                            out[key] = s
+                        else:
+                            del out[key]
         level = out
         yield level
 
