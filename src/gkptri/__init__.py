@@ -24,7 +24,6 @@ from .closedforms import (
     rising_step,
     stirling2,
     t_b2zero_explicit,
-    touchard_check,
     a1zero_rowsum,
 )
 from .errors import GkpError
@@ -105,7 +104,6 @@ __all__ = [
     "stirling2_triangle",
     "stirling_descent_census",
     "t_b2zero_explicit",
-    "touchard_check",
     "tree_function",
     "type_e_check",
     "verify_closed_form_whitney",

@@ -7,7 +7,10 @@ arguments stay on int, and a formula that divides by a1^k k! divides once,
 at the end.  The integrality of its result is a statement to test, not an
 assumption, so callers that expect integers should assert them.
 Empty products are 1 throughout, and 0^0 = 1 (forced by row 0 of every
-triangle).
+triangle).  `f_a2zero_explicit` and `touchard_row` evaluate one Stirling
+sum, per entry and as a row.  This module imports nothing from the
+recurrence (`triangles`) or the series engine (`fps`) that its forms are
+checked against.
 """
 
 from __future__ import annotations
@@ -16,8 +19,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .errors import ZeroA1, ZeroA2
-from .polyring import LaurentPoly, Scalar, monomial, normalize_scalar
-from .triangles import TriangleParams, recurrence_triangle
+from .polyring import Scalar, normalize_scalar
 
 
 _stirling2_columns: list[list[int]] = []  # column k holds S(k,k), S(k+1,k), ...
@@ -104,41 +106,24 @@ def t_b2zero_explicit(a0, a1, a2, b0, b1, n: int, k: int) -> Scalar:
 
 def f_a2zero_explicit(a0, a1, n: int, k: int) -> Scalar:
     """Entry of the b = 1, a2 = 0 triangle:
-    sum_{j=k..n} C(n,j) a0^(n-j) a1^(j-k) S(j,k)."""
+    sum_{j=k..n} C(n,j) a0^(n-j) a1^(j-k) S(j,k); `touchard_row` is its row."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    total = sum(
-        comb(n, j) * a0 ** (n - j) * a1 ** (j - k) * stirling2(j, k)
-        for j in range(k, n + 1)
-    )
+    total, binomial = 0, comb(n, k)  # C(n,j), stepped along j, not recomputed per term
+    for j in range(k, n + 1):
+        total += binomial * a0 ** (n - j) * a1 ** (j - k) * stirling2(j, k)
+        binomial = binomial * (n - j) // (j + 1)
     return normalize_scalar(total)
 
 
 def touchard_row(a0, a1, n: int) -> list[Scalar]:
     """Coefficients of alpha^0..alpha^n in
-    sum_k C(n,k) a1^k a0^(n-k) B_k(alpha/a1), the Bell-polynomial form of
-    row n of the b = 1, a2 = 0 triangle."""
+    sum_j C(n,j) a1^j a0^(n-j) B_j(alpha/a1), the Bell-polynomial form of
+    row n of the b = 1, a2 = 0 triangle.  Coefficient k regroups to the
+    Stirling sum of `f_a2zero_explicit`, which evaluates it."""
     if a1 == 0:
         raise ZeroA1("the identity needs a1 != 0")
-    weights = [comb(n, k) * a1 ** k * a0 ** (n - k) for k in range(n + 1)]
-    return [
-        normalize_scalar(Fraction(1, a1) ** j * sum(
-            weights[k] * stirling2(k, j) for k in range(j, n + 1)))
-        for j in range(n + 1)
-    ]
-
-
-def touchard_check(a0, a1, n: int) -> tuple[LaurentPoly, LaurentPoly]:
-    """Both sides of the Bell-polynomial row identity, as polynomials in a
-    formal symbol `alpha`:
-
-        LHS = sum_k F(n,k) alpha^k          (F from the b = 1, a2 = 0 recurrence)
-        RHS = sum_k C(n,k) a1^k a0^(n-k) B_k(alpha/a1)
-    """
-    rhs = touchard_row(a0, a1, n)
-    lhs = recurrence_triangle(TriangleParams(a0, a1, 0, 1, 0, 0), n).row(n)
-    return tuple(LaurentPoly({monomial({"alpha": k}): c for k, c in enumerate(side)})
-                 for side in (lhs, rhs))
+    return [f_a2zero_explicit(a0, a1, n, k) for k in range(n + 1)]
 
 
 def a1zero_rowsum(a0, a2, n: int) -> Scalar:

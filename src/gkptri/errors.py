@@ -43,10 +43,6 @@ class ZeroA2(GkpError):
     """Closed form requires the linear-in-n coefficient a2 to be nonzero."""
 
 
-class NonZeroConstantTerm(GkpError):
-    """exp needs a series with constant coefficient 0."""
-
-
 class NonInvertibleConstantTerm(GkpError):
     """`egf_levels` needs a negative power of a y(0) that is not a single
     nonzero term, so has no inverse."""

@@ -4,16 +4,15 @@ generating series of a grammar (`gen_series`) and the exact ODE engine
 (`gen_levels`, `egf_levels`).  The identity checks built on them live in
 `verify`; this module imports nothing above the grammar layer.
 
-Coefficients are exact rationals (int or Fraction) or Laurent polynomials
-(for series whose coefficients still carry the letters u, v), mixed freely:
-a LaurentPoly adds, multiplies and compares with a scalar, so the series
-arithmetic needs no coefficient ring.  Floats are rejected with TypeError.
-A series of order N stores the N+1 coefficients of t^0..t^N as plain t-power
-coefficients; factorial weights appear only when a series is built from or
-compared against exponential generating functions.
-
-Binary operations truncate to the smaller order and never read beyond it.
-exp requires a zero constant term.  Truncation orders are nonnegative.
+A TruncatedSeries is a value with no arithmetic: the engines compute on
+packed EGF-normal levels, and every identity check in `verify` compares
+n! [t^n] coefficients, so nothing in the package adds, multiplies or
+exponentiates a series.  Its coefficients are exact rationals (int or
+Fraction) or Laurent polynomials (for series whose coefficients still carry
+the letters u, v), mixed freely, since a LaurentPoly compares and hashes
+with a scalar.  Floats are rejected with TypeError.  A series of order N
+stores the N+1 coefficients of t^0..t^N as plain t-power coefficients, and
+`coefficient` never reads beyond them.  Truncation orders are nonnegative.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from functools import cache
 from math import comb, factorial
 from operator import add, sub
 
-from .errors import NonInvertibleConstantTerm, NonZeroConstantTerm, UnknownVariable
+from .errors import NonInvertibleConstantTerm, UnknownVariable
 from .grammar import Grammar, _derive, _pack, _unpack
 from .polyring import LaurentPoly, Monomial, Scalar, normalize_scalar
 
@@ -45,31 +44,6 @@ class TruncatedSeries:
             raise ValueError("a series needs at least the t^0 coefficient")
         self.coeffs = cs
 
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def constant(cls, value, order: int) -> TruncatedSeries:
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        return cls([value] + [0] * order)
-
-    @classmethod
-    def zero(cls, order: int) -> TruncatedSeries:
-        return cls.constant(0, order)
-
-    @classmethod
-    def one(cls, order: int) -> TruncatedSeries:
-        return cls.constant(1, order)
-
-    @classmethod
-    def t_term(cls, scale, order: int) -> TruncatedSeries:
-        """The series scale * t."""
-        if order < 1:
-            return cls.zero(order)
-        return cls([0, scale] + [0] * (order - 1))
-
-    # -- basics ----------------------------------------------------------------
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
@@ -78,16 +52,6 @@ class TruncatedSeries:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
         return self.coeffs[n]
-
-    def truncate(self, order: int) -> TruncatedSeries:
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.coeffs[: order + 1])
-
-    def _common(self, other: TruncatedSeries) -> int:
-        if not isinstance(other, TruncatedSeries):
-            raise TypeError("expected a TruncatedSeries")
-        return min(self.order, other.order)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -102,54 +66,6 @@ class TruncatedSeries:
 
     def __str__(self):
         return ", ".join(str(c) for c in self.coeffs)
-
-    # -- linear operations -------------------------------------------------------
-
-    def __add__(self, other) -> TruncatedSeries:
-        n = self._common(other)
-        return TruncatedSeries(
-            [a + b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1])]
-        )
-
-    def __sub__(self, other) -> TruncatedSeries:
-        n = self._common(other)
-        return TruncatedSeries(
-            [a - b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1])]
-        )
-
-    def __neg__(self) -> TruncatedSeries:
-        return TruncatedSeries([-c for c in self.coeffs])
-
-    def differentiate(self) -> TruncatedSeries:
-        """d/dt, honest to order N-1."""
-        if self.order == 0:
-            raise ValueError("cannot differentiate an order-0 truncation")
-        return TruncatedSeries([self.coeffs[n] * n for n in range(1, self.order + 1)])
-
-    # -- multiplicative operations -------------------------------------------------
-
-    def __mul__(self, other) -> TruncatedSeries:
-        n = self._common(other)
-        a, b = self.coeffs, other.coeffs
-        out = []
-        for m in range(n + 1):
-            acc = 0
-            for j in range(m + 1):
-                acc = acc + a[j] * b[m - j]
-            out.append(acc)
-        return TruncatedSeries(out)
-
-    def exp(self) -> TruncatedSeries:
-        """exp of a series with zero constant term."""
-        if self.coeffs[0] != 0:
-            raise NonZeroConstantTerm("exp needs constant coefficient 0")
-        out = [1]
-        for n in range(1, self.order + 1):
-            acc = 0
-            for j in range(1, n + 1):
-                acc = acc + (self.coeffs[j] * j) * out[n - j]
-            out.append(acc * Fraction(1, n))
-        return TruncatedSeries(out)
 
 
 # -- packed levels and the generating function of a grammar ----------------------

@@ -5,7 +5,8 @@ A CheckReport is one check's outcome; its `record()` is the entry that
 the Whitney EGF, the two closed ODE solutions, the second-order EGF) are
 defined here, next to the suites that run them; they compare EGF-normal
 coefficients (n! [t^n]) with denominators cleared, so none inverts a series
-or divides by n!.
+or divides by n!; the `tree-function` suite checks its identities on the
+same integers.
 
 Each suite runs one identity battery over a documented default grid and
 returns a list of CheckReport records; the grids can be shrunk with the
@@ -37,7 +38,6 @@ from .errors import (
 )
 from .fps import (
     OdeSystem,
-    TruncatedSeries,
     egf_levels,
     gen_levels,
     grammar_ode,
@@ -455,20 +455,24 @@ def suite_ode_gen(opts: VerifyOptions) -> list[CheckReport]:
 
 @suite("tree-function")
 def suite_tree_function(opts: VerifyOptions) -> list[CheckReport]:
-    """Coefficients n^(n-1)/n! and the fixed point T = z exp(T)."""
+    """Coefficients n^(n-1)/n!, the fixed point T = z exp(T) and
+    T'(1-T) = exp(T), on t_n = n! [z^n] T and e_n = n! [z^n] exp(T)."""
     order = opts.cap_order(12)
     report = CheckReport(name="tree-function", params={}, order=order)
-    T = tree_function(order)
+    t = [normalize_scalar(c * factorial(n)) for n, c in enumerate(tree_function(order).coeffs)]
     for n in range(1, order + 1):
-        if T.coefficient(n) * factorial(n) != n ** (n - 1):
+        if t[n] != n ** (n - 1):
             report.fail(f"coefficient {n}")
-    z_exp = TruncatedSeries.t_term(1, order) * T.exp()
-    if T - z_exp != TruncatedSeries.zero(order):
+    # exp(T)' = T' exp(T) is a binomial convolution; it needs t_0 = 0, as the
+    # functional equation does.
+    e = [1]
+    for n in range(1, order):
+        e.append(sum(comb(n - 1, k - 1) * t[k] * e[n - k] for k in range(1, n + 1)))
+    if t[0] != 0 or any(t[n] != n * e[n - 1] for n in range(1, order + 1)):
         report.fail("functional equation T - z*exp(T) != 0")
-    if order >= 1:
-        lhs = T.differentiate() * (TruncatedSeries.one(order) - T).truncate(order - 1)
-        if lhs != T.exp().truncate(order - 1):
-            report.fail("derivative identity T'(1-T) != exp(T)")
+    if any(t[n + 1] - sum(comb(n, j) * t[j + 1] * t[n - j] for j in range(n + 1)) != e[n]
+           for n in range(order)):
+        report.fail("derivative identity T'(1-T) != exp(T)")
     return [report]
 
 

@@ -1,6 +1,7 @@
 """Test-only references that the package itself no longer takes, kept as
 independent references for the checks that compare against them:
-routes through series inversion and powers, rational-arithmetic
+truncated series arithmetic (`map` and each product stop at the smaller
+order), routes through series inversion and powers, rational-arithmetic
 generating-function checks, the packed derivation and product kernels as
 they were before the first-insert kernels, and the Laurent polynomial's
 power-rule derivative (`partial`), its value at a rational point
@@ -8,7 +9,7 @@ power-rule derivative (`partial`), its value at a rational point
 
 from fractions import Fraction
 from math import comb, factorial, prod
-from operator import add
+from operator import add, sub
 
 from gkptri import verify
 from gkptri.errors import DegeneratePoint, DegenerateY, NonInvertibleConstantTerm
@@ -36,9 +37,48 @@ def evaluate(p, point):
                 for mono, c in p.terms().items()), Fraction(0))
 
 
+def constant(c, order):
+    """The series c, truncated at the given order."""
+    return TruncatedSeries([c] + [0] * order)
+
+
+def t_term(scale, order):
+    """The series scale * t, truncated at the given order."""
+    return TruncatedSeries([0, scale, *[0] * order][:order + 1])
+
+
+def series_add(f, g):
+    return TruncatedSeries(map(add, f.coeffs, g.coeffs))
+
+
+def series_sub(f, g):
+    return TruncatedSeries(map(sub, f.coeffs, g.coeffs))
+
+
+def series_mul(f, g):
+    a, b = f.coeffs, g.coeffs
+    return TruncatedSeries(sum((a[j] * b[m - j] for j in range(m + 1)), 0)
+                           for m in range(min(f.order, g.order) + 1))
+
+
+def series_exp(f):
+    """exp(f) for f with constant term 0: n e_n = sum_(j=1..n) j f_j e_(n-j)."""
+    c, out = f.coeffs, [1]
+    if c[0] != 0:
+        raise ValueError("exp needs constant coefficient 0")
+    for n in range(1, f.order + 1):
+        out.append(sum((c[j] * j * out[n - j] for j in range(1, n + 1)), 0) * Fraction(1, n))
+    return TruncatedSeries(out)
+
+
+def series_derivative(f):
+    """d/dt, honest to order f.order - 1."""
+    return TruncatedSeries(c * n for n, c in enumerate(f.coeffs) if n)
+
+
 def exp_t(scale, order):
     """The series exp(scale * t)."""
-    return TruncatedSeries.t_term(scale, order).exp()
+    return series_exp(t_term(scale, order))
 
 
 def inverse(f):
@@ -62,16 +102,16 @@ def inverse(f):
 def series_pow(f, e):
     """f^e by repeated products; a negative e goes through `inverse`."""
     base = inverse(f) if e < 0 else f
-    result = TruncatedSeries.one(f.order)
+    result = constant(1, f.order)
     for _ in range(abs(e)):
-        result = result * base
+        result = series_mul(result, base)
     return result
 
 
 def euler_at_zero_by_series(order):
     """E_0(0)..E_order(0) as k! [t^k] 2/(e^t + 1), by series inversion."""
-    series = TruncatedSeries.constant(2, order) * inverse(
-        exp_t(1, order) + TruncatedSeries.one(order))
+    series = series_mul(constant(2, order),
+                        inverse(series_add(exp_t(1, order), constant(1, order))))
     return [normalize_scalar(Fraction(series.coefficient(k)) * factorial(k))
             for k in range(order + 1)]
 
@@ -126,12 +166,12 @@ def reference_solve(system: OdeSystem, order: int) -> dict[str, TruncatedSeries]
                    for v in system.variables}
         step = {}
         for v in system.variables:
-            acc = TruncatedSeries.zero(n)
+            acc = constant(0, n)
             for mono, c in system.rhs[v].terms().items():
-                term = TruncatedSeries.constant(c, n)
+                term = constant(c, n)
                 for x, e in mono:
-                    term = term * series_pow(partial[x], e)
-                acc = acc + term
+                    term = series_mul(term, series_pow(partial[x], e))
+                acc = series_add(acc, term)
             step[v] = acc.coefficient(n) * Fraction(1, n + 1)
         for v in system.variables:
             coeffs[v].append(step[v])

@@ -25,11 +25,16 @@ from gkptri.polyring import LaurentPoly, monomial
 from gkptri.triangles import Triangle, TriangleParams
 from gkptri.verify import CLOSED_FORMS, ORACLES, SUITES, VerifyOptions
 from series_reference import (
+    constant,
     exp_t,
     reference_closed_form_whitney,
     reference_secondorder_egf,
     reference_secondorder_w,
+    series_exp,
+    series_mul,
     series_pow,
+    series_sub,
+    t_term,
 )
 
 
@@ -468,11 +473,11 @@ def test_a2zero_rows_match_the_closed_series(a1):
     order = 10
     u, v = LaurentPoly.variable("u"), LaurentPoly.variable("v")
     v_a1 = LaurentPoly.from_exponents({"v": a1})
-    arg = ((exp_t(a1, order) - TruncatedSeries.one(order))
-           * TruncatedSeries.constant(v_a1 * Fraction(1, a1), order))
+    arg = series_mul(series_sub(exp_t(a1, order), constant(1, order)),
+                     constant(v_a1 * Fraction(1, a1), order))
     u_rows, v_rows = _a2zero_rows(a1, order)
-    assert TruncatedSeries.constant(u, order) * arg.exp() == _series_of_rows(u_rows)
-    assert TruncatedSeries.constant(v, order) * exp_t(1, order) == _series_of_rows(v_rows)
+    assert series_mul(constant(u, order), series_exp(arg)) == _series_of_rows(u_rows)
+    assert series_mul(constant(v, order), exp_t(1, order)) == _series_of_rows(v_rows)
     assert all(verify.verify_sol_a2zero(a0, a1, o).passed for a0 in (0, 2) for o in (0, order))
 
 
@@ -483,9 +488,9 @@ def test_a1zero_rows_satisfy_the_relations(a2):
     u, v = LaurentPoly.variable("u"), LaurentPoly.variable("v")
     v_a2 = LaurentPoly.from_exponents({"v": a2})
     us, vs = map(_series_of_rows, _a1zero_rows(a2, order))
-    linear = TruncatedSeries.one(order) - TruncatedSeries.t_term(v_a2 * a2, order)
-    assert series_pow(vs, a2) * linear == TruncatedSeries.constant(v_a2, order)
-    assert us * TruncatedSeries.constant(v, order) == vs * TruncatedSeries.constant(u, order)
+    linear = series_sub(constant(1, order), t_term(v_a2 * a2, order))
+    assert series_mul(series_pow(vs, a2), linear) == constant(v_a2, order)
+    assert series_mul(us, constant(v, order)) == series_mul(vs, constant(u, order))
     assert all(verify.verify_sol_a1zero(a0, a2, o).passed for a0 in (0, 2) for o in (0, order))
 
 
@@ -530,17 +535,21 @@ def test_hao_system_seed_letter_carries_the_derivatives():
         assert ys["w"] == gen_levels(hao_grammar(p), hao_seed(p), 6), p
 
 
-def test_tree_function_reports_first_coefficient(monkeypatch):
+@pytest.mark.parametrize("k, locus", [(0, "functional equation T - z*exp(T) != 0"),
+                                      (5, "coefficient 5")],
+                         ids=["constant-term", "coefficient-5"])
+def test_tree_function_reports_first_coefficient(monkeypatch, k, locus):
+    # A wrong constant term is a failed functional equation, not an error.
     tree_function = verify.tree_function
 
-    def off_at_5(order):
+    def off_at_k(order):
         coeffs = list(tree_function(order).coeffs)
-        coeffs[5] += 1
-        return verify.TruncatedSeries(coeffs)
-    monkeypatch.setattr(verify, "tree_function", off_at_5)
+        coeffs[k] += 1
+        return TruncatedSeries(coeffs)
+    monkeypatch.setattr(verify, "tree_function", off_at_k)
     [report] = SUITES["tree-function"](VerifyOptions())
     assert report.record() == {"name": "tree-function", "params": {}, "order": 12,
-                               "status": "fail", "locus": "coefficient 5"}
+                               "status": "fail", "locus": locus}
 
 
 def test_grammar_recurrence_reports_first_tuple(monkeypatch):
