@@ -322,6 +322,10 @@ class TestMixedCoefficients:
 
 class TestNegativeOrder:
     @pytest.mark.parametrize("build", [
+        lambda: gen_levels(WHITNEY_32, LaurentPoly.variable("u"), -1),
+        lambda: gen_series(WHITNEY_32, LaurentPoly.variable("u"), -1),
+        lambda: egf_levels(grammar_ode(WHITNEY_32), -1),
+        lambda: solve_ode(OdeSystem(("x",), {"x": parse_poly("1 + x^2")}, {"x": 0}), -1),
         lambda: tree_function(-1),
         lambda: solve_ode(grammar_ode(WHITNEY_32), -1),
     ])
