@@ -8,7 +8,11 @@ ints whenever the denominator is 1, so integer-only computations stay on
 fast int arithmetic.  The zero polynomial has no terms.
 
 Canonical form is unique: no zero coefficients, no zero exponents, so
-structural equality is mathematical equality.
+structural equality is mathematical equality.  The constructor is the one
+place that normalises coefficients and drops zero terms: each ring
+operation builds its result's term map and passes it to `LaurentPoly`.
+The operators are conveniences at the boundary (parsing, rules, printing,
+tests); the engines in `grammar` and `fps` compute on packed levels.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ def normalize_scalar(value) -> Scalar:
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return value
+        return int(value)  # an int subclass such as bool
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
@@ -52,21 +56,6 @@ def monomial(exponents: Mapping[str, int]) -> Monomial:
     return tuple(sorted((v, e) for v, e in exponents.items() if e != 0))
 
 
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    exps = dict(a)
-    for var, e in b:
-        ne = exps.get(var, 0) + e
-        if ne:
-            exps[var] = ne
-        else:
-            del exps[var]
-    return tuple(sorted(exps.items()))
-
-
 class LaurentPoly:
     """Immutable sparse Laurent polynomial with rational coefficients."""
 
@@ -76,7 +65,7 @@ class LaurentPoly:
         data: dict[Monomial, Scalar] = {}
         if terms:
             for mono, coeff in terms.items():
-                c = normalize_scalar(coeff)
+                c = coeff if type(coeff) is int else normalize_scalar(coeff)
                 if c:
                     data[mono] = c
         self._terms = data
@@ -139,21 +128,13 @@ class LaurentPoly:
             return NotImplemented
         out = dict(self._terms)
         for mono, coeff in q._terms.items():
-            s = out.get(mono, 0) + coeff
-            if s:
-                out[mono] = normalize_scalar(s)
-            else:
-                out.pop(mono, None)
-        result = LaurentPoly.__new__(LaurentPoly)
-        result._terms = out
-        return result
+            out[mono] = out.get(mono, 0) + coeff
+        return LaurentPoly(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> LaurentPoly:
-        result = LaurentPoly.__new__(LaurentPoly)
-        result._terms = {m: -c for m, c in self._terms.items()}
-        return result
+        return self * -1
 
     def __sub__(self, other) -> LaurentPoly:
         q = self._coerce(other)
@@ -169,27 +150,18 @@ class LaurentPoly:
 
     def __mul__(self, other) -> LaurentPoly:
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return LaurentPoly()
-            result = LaurentPoly.__new__(LaurentPoly)
-            result._terms = {
-                m: normalize_scalar(c * other) for m, c in self._terms.items()
-            }
-            return result
+            return LaurentPoly({m: c * other for m, c in self._terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         out: dict[Monomial, Scalar] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
-                mono = monomial_mul(m1, m2)
-                s = out.get(mono, 0) + c1 * c2
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
-        result = LaurentPoly.__new__(LaurentPoly)
-        result._terms = {m: normalize_scalar(c) for m, c in out.items()}
-        return result
+                exps = dict(m1)
+                for var, e in m2:
+                    exps[var] = exps.get(var, 0) + e
+                mono = monomial(exps)
+                out[mono] = out.get(mono, 0) + c1 * c2
+        return LaurentPoly(out)
 
     __rmul__ = __mul__
 
@@ -254,7 +226,8 @@ def parse_poly(text: str, line: int = 1) -> LaurentPoly:
     integer or p/q coefficients, `+`/`-` sums.
 
     The language has no nesting, so one left-to-right pass over the tokens
-    reads it, building each term as a coefficient and an exponent map."""
+    reads it, building each term as a coefficient and an exponent map and
+    summing the terms into one map, which the constructor then normalises."""
     tokens, pos = [], 0
     while m := _TOKEN.match(text, pos):
         group = m.lastindex  # 1 a number, 2 a name, 3 an operator, its own kind
@@ -274,7 +247,7 @@ def parse_poly(text: str, line: int = 1) -> LaurentPoly:
     def accept(*ops: str) -> str | None:
         return tokens.pop()[0] if tokens[-1][0] in ops else None
 
-    result = LaurentPoly.zero()
+    terms: dict[Monomial, Scalar] = {}
     coeff, exponents = -1 if accept("-", "+") == "-" else 1, {}
     while True:
         kind, value, _ = take("expected a number or variable", "num", "name")
@@ -294,11 +267,12 @@ def parse_poly(text: str, line: int = 1) -> LaurentPoly:
             exponents[value] = exponents.get(value, 0) + exponent
         op = accept("*", "+", "-")
         if op != "*":
-            result = result + LaurentPoly.from_exponents(exponents, coeff)
+            mono = monomial(exponents)
+            terms[mono] = terms.get(mono, 0) + coeff
             if op is None:
                 break
             coeff, exponents = -1 if op == "-" else 1, {}
     kind, value, col = tokens[-1]
     if kind != "end":
         raise PolyParseError(f"unexpected {value!r}", line, col)
-    return result
+    return LaurentPoly(terms)

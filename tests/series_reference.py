@@ -5,7 +5,9 @@ order), routes through series inversion and powers, rational-arithmetic
 generating-function checks, the packed derivation and product kernels as
 they were before the first-insert kernels, and the Laurent polynomial's
 power-rule derivative (`partial`), its value at a rational point
-(`evaluate`) and the inverse of a single term (inside `inverse`)."""
+(`evaluate`), the inverse of a single term (inside `inverse`), and its sum
+and product as they were built past the constructor (`add_terms`,
+`mul_terms` and `monomial_mul`)."""
 
 from fractions import Fraction
 from math import comb, factorial, prod
@@ -35,6 +37,48 @@ def evaluate(p, point):
     rational, nonzero where the exponent is negative."""
     return sum((Fraction(c) * prod(Fraction(point[v]) ** e for v, e in mono)
                 for mono, c in p.terms().items()), Fraction(0))
+
+
+def monomial_mul(a, b):
+    """The product of two canonical monomials, merging exponent pairs."""
+    if not a or not b:
+        return a or b
+    exps = dict(a)
+    for var, e in b:
+        ne = exps.get(var, 0) + e
+        if ne:
+            exps[var] = ne
+        else:
+            del exps[var]
+    return tuple(sorted(exps.items()))
+
+
+def add_terms(a, b):
+    """The term map of the sum of two canonical term maps, zero sums dropped."""
+    out = dict(a)
+    for mono, coeff in b.items():
+        s = out.get(mono, 0) + coeff
+        if s:
+            out[mono] = normalize_scalar(s)
+        else:
+            out.pop(mono, None)
+    return out
+
+
+def mul_terms(a, b):
+    """The term map of a canonical term map times a scalar or another term map."""
+    if isinstance(b, (int, Fraction)):
+        return {m: normalize_scalar(c * b) for m, c in a.items()} if b else {}
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            mono = monomial_mul(m1, m2)
+            s = out.get(mono, 0) + c1 * c2
+            if s:
+                out[mono] = s
+            else:
+                out.pop(mono, None)
+    return {m: normalize_scalar(c) for m, c in out.items()}
 
 
 def constant(c, order):

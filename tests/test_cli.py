@@ -592,3 +592,66 @@ class TestBudget:
             code, out, _ = run(capsys, command, "--help")
             assert code == 0
             assert f"--budget BUDGET {BUDGET_HELP}" in " ".join(out.split())
+
+
+# -- argv fuzz: every outcome is a documented exit code, with no traceback ----
+# Sizes stay at most 5; `all`, `grammar-recurrence` and `ode-gen` are left out,
+# being the suites too slow to run this often.
+
+# Mostly valid values and a few bad ones, so that argvs reach the commands'
+# work as well as their usage errors.
+SIZES = st.sampled_from([0, 1, 2, 3, 4, 5, -1])
+SIX_TUPLES = st.sampled_from(["1,1,0,1,0,0", "2,3,0,1,-3,3", "1/2,1,0,1,0,0", "0,1,0,1,0,0",
+                              "1,1,0", "1,x,0,1,0,0"])
+BUDGETS = st.sampled_from(["1e6", "100", "1", "0", "many"])
+SEEDS = st.sampled_from(["u*v^2", "u", "v^-1", "3/4*u + v", "0", "u^", "1/0", "w"])
+FUZZ_SUITES = sorted(set(cli.SUITES) - {"grammar-recurrence", "ode-gen"}) + ["no-such-suite"]
+
+
+def options(name, values):
+    """A one-item list `--name=value`, so that negative values stay values."""
+    return values.map(lambda value: [f"{name}={value}"])
+
+
+def argvs(command, leading, required, optional):
+    """`command`, its leading tokens, then each option as `--name=value`;
+    the ones in `required` always, a flag given as None standing alone."""
+    return st.tuples(leading, st.fixed_dictionaries(required, optional=optional)).map(
+        lambda pair: [command, *pair[0], *(name if value is None else f"{name}={value}"
+                                           for name, value in pair[1].items())])
+
+
+NO_TOKENS = st.just([])
+GRAMMAR_SOURCES = st.one_of(NO_TOKENS, options("--hao", SIX_TUPLES),
+                            st.just(["--rules", "no-such-rules-file"]))
+FUZZ_ARGVS = st.one_of(
+    argvs("triangle",
+          st.one_of(NO_TOKENS, options("--family", st.sampled_from([*cli.FAMILIES, "gkp"])),
+                    options("--params", SIX_TUPLES)),
+          {"--rows": SIZES},
+          {"--m": SIZES, "--r": SIZES, "--format": st.sampled_from([*FORMATS, "xml"]),
+           "--budget": BUDGETS}),
+    argvs("grammar", GRAMMAR_SOURCES, {}, {"--seed": SEEDS, "--n": SIZES}),
+    argvs("series", st.one_of(GRAMMAR_SOURCES, st.just(["--tree-function"])),
+          {"--order": SIZES}, {"--seed": SEEDS}),
+    argvs("verify", st.lists(st.sampled_from(FUZZ_SUITES), min_size=1, max_size=2),
+          {"--max-n": SIZES, "--order": SIZES},
+          {"--budget": BUDGETS, "--y": st.sampled_from(["1/2", "-3/7", "2", "1", "y"]),
+           "--format": st.sampled_from(["plain", "json", "csv"])}),
+    argvs("oracle", st.sampled_from([*cli.ORACLES, "trees"]).map(lambda kind: [kind]),
+          {"--n": SIZES},
+          {"--r": SIZES, "--params": st.sampled_from(["1,1,0", "-1,2,1", "1,2", "x"]),
+           "--hao": SIX_TUPLES, "--diff": st.none(), "--budget": BUDGETS}),
+)
+
+
+@given(FUZZ_ARGVS)
+@settings(max_examples=150, deadline=None)
+def test_argv_fuzz_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert "Traceback" not in err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    # Exit 1 means a check failed, and only verify and oracle --diff check.
+    assert code != 1 or argv[0] == "verify" or (argv[0] == "oracle" and "--diff" in argv)

@@ -8,7 +8,9 @@ the closed forms or the censuses calls itself.  No module imports
 dataclasses or typing, and `import gkptri, gkptri.cli` loads neither, nor
 inspect.  Also, every name in `gkptri.__all__` exists and is listed once,
 every error class but the base `GkpError` is raised somewhere in the
-package, and no module but `__init__` imports a name it never uses."""
+package, and no module but `__init__` imports a name it never uses.  No
+module names `__new__`, and `polyring` defines one monomial canonicaliser,
+so every polynomial is made by `LaurentPoly`'s constructor."""
 
 import ast
 import os
@@ -95,6 +97,12 @@ def names_used(source: str) -> set[str]:
     return names
 
 
+def defined_names(source: str) -> set[str]:
+    """Every function and class name the source defines, nested ones included."""
+    return {node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+
+
 def unused_imports(source: str) -> list[str]:
     """`name:line` for each name an import statement binds and the source
     never reads; `from __future__` imports bind nothing."""
@@ -130,6 +138,9 @@ def test_checkers_see_every_import_form():
         "gkptri", "os", "typing"}
     uses = "from .grammar import _pack as p\nimport gkptri.grammar\ngrammar._unpack\n_derive\n"
     assert PACKED_HELPERS <= names_used(uses)
+    defines = "class A:\n    def __new__(cls):\n        def inner():\n            pass\n"
+    assert defined_names(defines) == {"A", "__new__", "inner"}
+    assert "__new__" in names_used("x = A.__new__(A)\n")
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -203,6 +214,18 @@ def test_unused_import_checker_sees_aliases_dotted_names_and_future():
 def test_no_unused_imports(path):
     # `__init__` imports what it re-exports.
     assert unused_imports(path.read_text()) == []
+
+
+def test_no_module_names_new():
+    # A `__new__` bypass would make polynomials the constructor never normalised.
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert [name for name, source in sources.items()
+            if "__new__" in names_used(source) | defined_names(source)] == []
+
+
+def test_polyring_has_one_monomial_canonicaliser():
+    defined = defined_names((SRC / "polyring.py").read_text())
+    assert {"monomial", "monomial_mul"} & defined == {"monomial"}
 
 
 def test_raise_checker_sees_calls_names_and_attributes():

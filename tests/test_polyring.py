@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkptri.errors import PolyParseError
+from gkptri.fps import TruncatedSeries
 from gkptri.polyring import LaurentPoly, monomial, parse_poly
-from series_reference import evaluate, partial
+from gkptri.triangles import TriangleParams
+from series_reference import add_terms, evaluate, mul_terms, partial
 
 U = LaurentPoly.variable("u")
 V = LaurentPoly.variable("v")
@@ -344,6 +346,49 @@ class TestRingLaws:
         assert c == value
         assert hash(c) == hash(value)
         assert len({c, value}) == 1
+
+
+# -- the ring operations against the copies that built terms past the constructor
+
+exact_coefficients = st.one_of(st.integers(-5, 5), coefficients)
+term_polys = st.dictionaries(monomials.map(monomial), exact_coefficients, max_size=4).map(
+    LaurentPoly)
+scalars = st.sampled_from([0, 1, -1, 2, Fraction(-3, 4)])
+
+
+@given(term_polys, term_polys, scalars)
+@settings(max_examples=150)
+def test_ring_operations_match_the_reference(p, q, s):
+    P, Q, S = p.terms(), q.terms(), LaurentPoly.constant(s).terms()
+    cases = [
+        (p + q, add_terms(P, Q)),
+        (p - q, add_terms(P, mul_terms(Q, -1))),
+        (s - p, add_terms(S, mul_terms(P, -1))),
+        (-p, mul_terms(P, -1)),
+        (p * q, mul_terms(P, Q)),
+        (p * s, mul_terms(P, s)),
+        (s * p, mul_terms(P, s)),
+    ]
+    for result, expected in cases:
+        terms = result.terms()
+        assert terms == expected
+        # Equality cannot tell 2 from Fraction(2), so the types are compared too.
+        assert {m: type(c) for m, c in terms.items()} == {
+            m: type(c) for m, c in expected.items()}
+        assert all(c and all(e for _, e in m) for m, c in terms.items())
+    with pytest.raises(TypeError):
+        p + 0.5
+    with pytest.raises(TypeError):
+        p * 0.5
+
+
+@pytest.mark.parametrize("render, text", [
+    (lambda: str(TriangleParams(True, 1, 0, 1, 0, 0)), "1,1,0,1,0,0"),
+    (lambda: repr(LaurentPoly.constant(True).terms()), "{(): 1}"),
+    (lambda: str(TruncatedSeries([True, False])), "1, 0"),
+], ids=["triangle-params", "constant", "series"])
+def test_bools_normalise_to_ints(render, text):
+    assert render() == text
 
 
 def test_monomial_helper_drops_zero_exponents():

@@ -293,6 +293,27 @@ def test_readme_closed_form_table_lists_the_table():
     assert rows == {name: (form.grid_text, form.n_max) for name, form in CLOSED_FORMS.items()}
 
 
+def test_readme_quick_tour_values():
+    # Each line of the "Library quick tour" with a trailing comment evaluates to
+    # it: a polynomial prints as the comment, and any other value has the repr
+    # of the comment's value, so that 1 and True differ.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Library quick tour\n\n```python\n", 1)[1].split("```", 1)[0]
+    namespace, checked = {}, 0
+    for line in block.splitlines():
+        code, _, comment = (part.strip() for part in line.partition("#"))
+        if code and not comment:
+            exec(code, namespace)
+        elif code:
+            value = eval(code, namespace)
+            if isinstance(value, LaurentPoly):
+                assert str(value) == comment, line
+            else:
+                assert repr(value) == repr(eval(comment, namespace)), line
+            checked += 1
+    assert checked == 8
+
+
 # -- first failure loci of the generating-function checks and hand-written suites
 
 
