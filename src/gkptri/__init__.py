@@ -42,7 +42,6 @@ from .grammar import (
     hao_grammar,
     hao_seed,
     iterate_D,
-    type_e_check,
 )
 from .polyring import LaurentPoly, Monomial, parse_poly
 from .triangles import (
@@ -105,7 +104,6 @@ __all__ = [
     "stirling_descent_census",
     "t_b2zero_explicit",
     "tree_function",
-    "type_e_check",
     "verify_closed_form_whitney",
     "verify_secondorder_egf",
     "verify_sol_a1zero",

@@ -1,7 +1,8 @@
 """Truncated formal power series in t with exact coefficients, the
 generating series of a grammar (`gen_series`) and the exact ODE engine
 (`solve_ode`), each a wrapper over its producer of packed EGF-normal levels
-(`gen_levels`, `egf_levels`).  The identity checks built on them live in
+(`gen_levels`, and `egf_levels`, whose one product loop adds Kronecker int
+keys for every alphabet).  The identity checks built on them live in
 `verify`; this module imports nothing above the grammar layer.
 
 A TruncatedSeries is a value with no arithmetic: the engines compute on
@@ -20,8 +21,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
-from operator import add, sub
+from math import comb, factorial, lcm
 
 from .errors import NonInvertibleConstantTerm, UnknownVariable
 from .grammar import Grammar, _derive, _pack, _unpack
@@ -72,6 +72,7 @@ class TruncatedSeries:
 
 # A packed polynomial maps exponent vectors to coefficients, as in grammar._derive.
 Packed = dict[tuple[int, ...], Scalar]
+Keyed = dict[int, Scalar]  # the same on Kronecker int keys, inside `egf_levels`
 
 
 def _egf(names: tuple[str, ...], levels: list[Packed]) -> TruncatedSeries:
@@ -110,9 +111,7 @@ class OdeSystem:
         for v, p in rhs.items():
             extra = p.variables() - set(variables)
             if extra:
-                raise UnknownVariable(
-                    f"rhs of {v!r} mentions {sorted(extra)} outside the system"
-                )
+                raise UnknownVariable(f"rhs of {v!r} mentions {sorted(extra)} outside the system")
         self.variables = variables
         self.rhs = rhs
         self.initial = initial
@@ -126,33 +125,21 @@ def grammar_ode(g: Grammar, initial: Mapping[str, object] | None = None) -> OdeS
     return OdeSystem(variables=g.alphabet, rhs=dict(g.rules), initial=dict(initial))
 
 
-def _accumulate(out: Packed, a: Packed, b: Packed, w: Scalar) -> None:
-    """out += w * a * b.  Coefficients and w must be nonzero: a new key stores
-    its first product, later products add, and a zero sum deletes the key.
-    Two-letter keys are unpacked once per term, without map()."""
+def _accumulate(out: Keyed, a: Keyed, b: Keyed, w: Scalar) -> None:
+    """out += w * a * b on Kronecker-keyed polynomials, so a product's key is
+    ka + kb for every alphabet.  Coefficients and w must be nonzero: a new key
+    stores its first product, later products add, and a zero sum deletes it."""
     get = out.get
-    if len(next(iter(a), ())) == 2:
-        for (x, y), ca in a.items():
-            cw = ca * w
-            for (xb, yb), cb in b.items():
-                key, p = (x + xb, y + yb), cw * cb
-                if (s := get(key)) is None:
-                    out[key] = p
-                elif s := s + p:
-                    out[key] = s
-                else:
-                    del out[key]
-    else:
-        for ka, ca in a.items():
-            cw = ca * w
-            for kb, cb in b.items():
-                key, p = tuple(map(add, ka, kb)), cw * cb
-                if (s := get(key)) is None:
-                    out[key] = p
-                elif s := s + p:
-                    out[key] = s
-                else:
-                    del out[key]
+    for ka, ca in a.items():
+        cw = ca * w
+        for kb, cb in b.items():
+            key, p = ka + kb, cw * cb
+            if (s := get(key)) is None:
+                out[key] = p
+            elif s := s + p:
+                out[key] = s
+            else:
+                del out[key]
 
 
 def egf_levels(system: OdeSystem,
@@ -177,45 +164,51 @@ def egf_levels(system: OdeSystem,
     # Adding to the zero polynomial lifts a scalar initial value to a constant.
     initial = {v: LaurentPoly.zero() + _coerce(system.initial[v]) for v in system.variables}
     names = tuple(sorted(set().union(*(p.variables() for p in initial.values()))))
-    ys = {v: [_pack(names, p)] for v, p in initial.items()}
+    # Exponent vectors e over `names` become Kronecker keys sum_i e_i 2^(bits i):
+    # a product's key is the sum of its factors' keys, and keys stay distinct
+    # while every |e_i| < 2^(bits-1).  With D y_i = rhs_i, n! [t^n] f(y(t)) is
+    # (D^n f)(y(0)); D adds at most 1 + l1(rhs) to |e|_1, and y(0) multiplies it by
+    # at most l1(initial).  Every stream entry, and Miller's unshifted entry, is a
+    # product of such coefficients, so |e|_1 <= (order+1) (1 + l1(rhs)) l1(initial).
+    def l1(polys) -> int:  # the largest |e|_1 of a term of any of `polys`
+        return max((sum(abs(e) for _, e in m) for p in polys for m in p.terms()), default=0)
+    bits = ((order + 1) * (1 + l1(system.rhs.values())) * l1(initial.values())).bit_length() + 1
+    ys = {v: [{sum(e << bits * names.index(x) for x, e in m): c for m, c in p.terms().items()}]
+          for v, p in initial.items()}
     jobs: list[Callable[[int], None]] = []  # job(n) appends entry n of its stream
 
-    def convolution(a: list[Packed], b: list[Packed]) -> list[Packed]:
-        out: list[Packed] = []
+    def convolution(a: list[Keyed], b: list[Keyed]) -> list[Keyed]:
+        out: list[Keyed] = []
 
         def job(n):
-            entry: Packed = {}
+            entry: Keyed = {}
             for k in range(n + 1):
                 _accumulate(entry, a[k], b[n - k], comb(n, k))
             out.append(entry)
         jobs.append(job)
         return out
 
-    def miller(y: list[Packed], e: int) -> list[Packed]:
+    def miller(y: list[Keyed], e: int) -> list[Keyed]:
         (shift, c), = y[0].items()
-        out = [{tuple(e * s for s in shift): normalize_scalar(Fraction(c) ** e)}]
+        out = [{e * shift: normalize_scalar(Fraction(c) ** e)}]
         inv = normalize_scalar(Fraction(1, c))  # an int for c = +-1, so no Fraction per k
 
         def job(n):
             if n:
-                entry: Packed = {}
+                entry: Keyed = {}
                 for k in range(1, n + 1):
                     w = (e + 1) * comb(n - 1, k - 1) - comb(n, k)
                     if w:
                         _accumulate(entry, y[k], out[n - k], w * inv)
-                if len(shift) == 2:
-                    s0, s1 = shift
-                    out.append({(k0 - s0, k1 - s1): cy for (k0, k1), cy in entry.items()})
-                else:
-                    out.append({tuple(map(sub, k, shift)): cy for k, cy in entry.items()})
+                out.append({k - shift: cy for k, cy in entry.items()})
         jobs.append(job)
         return out
 
     @cache
-    def stream(mono: Monomial) -> list[Packed]:
+    def stream(mono: Monomial) -> list[Keyed]:
         """EGF-normal coefficients of the product of y^e over (y, e) in mono."""
         if not mono:
-            return [{(0,) * len(names): 1}] + [{}] * order
+            return [{0: 1}] + [{}] * order
         if len(mono) > 1:
             return convolution(stream(mono[:-1]), stream(mono[-1:]))
         (x, e), = mono
@@ -227,7 +220,10 @@ def egf_levels(system: OdeSystem,
             raise NonInvertibleConstantTerm(f"constant term {system.initial[x]} is not invertible")
         return convolution(stream(((x, e // 2),)), stream(((x, e - e // 2),)))
 
-    rhs = {v: [(stream(mono), c) for mono, c in system.rhs[v].terms().items()]
+    # z(s) = y(d s) solves z' = d rhs(z) and has Z_n = d^n Y_n, so with d the
+    # common denominator of the rules, rational rules run on ints as well.
+    d = lcm(*(c.denominator for p in system.rhs.values() for c in p.terms().values()))
+    rhs = {v: [(stream(m), normalize_scalar(c * d)) for m, c in system.rhs[v].terms().items()]
            for v in system.variables}
     unit = stream(())[0]
     for n in range(order):
@@ -237,7 +233,11 @@ def egf_levels(system: OdeSystem,
             ys[v].append({})
             for s, c in terms:
                 _accumulate(ys[v][-1], s[n], unit, c)
-    return names, ys
+    half, mask, fields = 1 << bits - 1, (1 << bits) - 1, range(0, bits * len(names), bits)
+    offset = sum(half << f for f in fields)  # makes every field nonnegative
+    return names, {v: [{tuple(((k + offset) >> f & mask) - half for f in fields):
+                        c if d == 1 else Fraction(c, d ** n) for k, c in level.items()}
+                       for n, level in enumerate(y)] for v, y in ys.items()}
 
 
 def solve_ode(system: OdeSystem, order: int) -> dict[str, TruncatedSeries]:

@@ -212,17 +212,3 @@ def extract_triangle(p: TriangleParams, n_max: int) -> Triangle:
             row[k] = c
         rows.append(row)
     return Triangle(params=p, rows=rows, family=None)
-
-
-def type_e_check(g: Grammar, z: str) -> bool:
-    """True iff the rule of z is z times a polynomial in the other letters
-    and no other rule mentions z."""
-    if z not in g.rules:
-        raise UnknownVariable(f"{z!r} is not in the alphabet")
-    for letter, rhs in g.rules.items():
-        if letter != z and z in rhs.variables():
-            return False
-    for mono, _coeff in g.rules[z].terms().items():
-        if dict(mono).get(z, 0) != 1:
-            return False
-    return True

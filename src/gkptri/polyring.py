@@ -9,7 +9,8 @@ fast int arithmetic.  The zero polynomial has no terms.
 
 Canonical form is unique: no zero coefficients, no zero exponents, so
 structural equality is mathematical equality.  The constructor is the one
-place that normalises coefficients and drops zero terms: each ring
+place that normalises coefficients and drops zero terms, and it raises
+ValueError on a monomial key that `monomial` would not return: each ring
 operation builds its result's term map and passes it to `LaurentPoly`.
 The operators are conveniences at the boundary (parsing, rules, printing,
 tests); the engines in `grammar` and `fps` compute on packed levels.
@@ -65,6 +66,8 @@ class LaurentPoly:
         data: dict[Monomial, Scalar] = {}
         if terms:
             for mono, coeff in terms.items():
+                if mono != monomial(dict(mono)):
+                    raise ValueError(f"monomial {mono!r} is not in canonical form")
                 c = coeff if type(coeff) is int else normalize_scalar(coeff)
                 if c:
                     data[mono] = c

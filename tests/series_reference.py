@@ -161,15 +161,15 @@ def euler_at_zero_by_series(order):
 
 
 def accumulate_by_get(out, a, b, w):
-    """`fps._accumulate` with every product added as `get(key, 0) + ...`:
-    out += w * a * b on packed dicts, dropping the keys that cancel;
-    two-letter keys add as pairs, others through `map(add, ...)`."""
+    """`fps._accumulate` on exponent-tuple keys, with every product added as
+    `get(key, 0) + ...`: out += w * a * b on packed dicts, dropping the keys
+    that cancel.  The kernel adds Kronecker int keys instead; this reference
+    stays on tuples, added through `map(add, ...)`."""
     get = out.get
     for ka, ca in a.items():
         cw = ca * w
-        pair = len(ka) == 2
         for kb, cb in b.items():
-            key = (ka[0] + kb[0], ka[1] + kb[1]) if pair else tuple(map(add, ka, kb))
+            key = tuple(map(add, ka, kb))
             s = get(key, 0) + cw * cb
             if s:
                 out[key] = s

@@ -215,8 +215,8 @@ def ode_systems(draw):
 
 @st.composite
 def packed_products(draw):
-    """out, a, b and w for `fps._accumulate` over one to three letters, with
-    exponents in [-2, 2] so that keys collide, and int or Fraction
+    """width, out, a, b and w for `fps._accumulate` over one to three letters,
+    on exponent tuples in [-2, 2] so that keys collide, and int or Fraction
     coefficients; half the draws start `out` at -w*a*b' for a prefix b' of
     b, so that the keys of a*b' cancel and are deleted."""
     width = draw(st.integers(1, 3))
@@ -226,19 +226,49 @@ def packed_products(draw):
     if draw(st.booleans()):
         prefix = dict(list(b.items())[:draw(st.integers(0, len(b)))])
         accumulate_by_get(out, a, prefix, -w)
-    return out, a, b, w
+    return width, out, a, b, w
+
+
+# The kernel tests' exponents stay in [-4, 4], well inside 8-bit balanced fields.
+BITS = 8
+
+
+def kron(packed):
+    """Exponent tuples to the Kronecker int keys of `fps.egf_levels`, in order."""
+    return {sum(e << BITS * i for i, e in enumerate(vec)): c for vec, c in packed.items()}
+
+
+def unkron(keyed, width):
+    """Kronecker keys back to exponent tuples, one balanced residue at a time."""
+    half, out = 1 << BITS - 1, {}
+    for key, c in keyed.items():
+        vec = []
+        for _ in range(width):
+            vec.append((key + half) % (1 << BITS) - half)
+            key = (key - vec[-1]) >> BITS
+        assert key == 0
+        out[tuple(vec)] = c
+    return out
+
+
+def accumulate_kron(out, a, b, w, width):
+    """`fps._accumulate` run on the Kronecker keys of tuple-keyed out, a and b,
+    and its result decoded back to tuples."""
+    keyed = kron(out)
+    fps._accumulate(keyed, kron(a), kron(b), w)
+    return unkron(keyed, width)
 
 
 class TestAccumulate:
     @given(packed_products())
     @settings(max_examples=300)
     def test_equals_the_get_kernel(self, case):
-        out, a, b, w = case
+        width, out, a, b, w = case
         expected = dict(out)
         accumulate_by_get(expected, a, b, w)
-        fps._accumulate(out, a, b, w)
-        assert list(out.items()) == list(expected.items())
-        assert list(map(type, out.values())) == list(map(type, expected.values()))
+        got = accumulate_kron(out, a, b, w, width)
+        assert list(got.items()) == list(expected.items())
+        assert list(map(type, got.values())) == list(map(type, expected.values()))
 
     @pytest.mark.parametrize("width", [1, 2, 3])
     def test_cancelled_keys_are_deleted(self, width):
@@ -246,8 +276,8 @@ class TestAccumulate:
         b = {(0,) * width: 1, (2,) * width: -2}
         out = {}
         accumulate_by_get(out, a, b, -5)
-        fps._accumulate(out, a, b, 5)
-        assert out == {}
+        assert out != {}
+        assert accumulate_kron(out, a, b, 5, width) == {}
 
     @pytest.mark.parametrize("width", [1, 2, 3])
     def test_cancelled_key_reappears_last(self, width):
@@ -259,10 +289,10 @@ class TestAccumulate:
         out = {(1, *pad): -2}
         expected = dict(out)
         accumulate_by_get(expected, a, b, 1)
-        fps._accumulate(out, a, b, 1)
-        assert list(out.items()) == list(expected.items()) == [
+        got = accumulate_kron(out, a, b, 1, width)
+        assert list(got.items()) == list(expected.items()) == [
             ((0, *pad), 3), ((2, *pad), 1), ((1, *pad), Fraction(3, 2))]
-        assert list(map(type, out.values())) == [int, Fraction, Fraction]
+        assert list(map(type, got.values())) == [int, Fraction, Fraction]
 
 
 class TestOdeEngineParity:
@@ -274,6 +304,18 @@ class TestOdeEngineParity:
         assert names == tuple(sorted(g.alphabet))
         for x in g.alphabet:
             assert ys[x] == gen_levels(g, LaurentPoly.variable(x), 16)
+
+    @pytest.mark.parametrize("text", [
+        f"u -> u^{2 ** 70}*v^-{2 ** 70}\nv -> 3*u^-1*v^2",
+        f"x -> x^{2 ** 70}*y^-{2 ** 69}*z^3\ny -> 2*x^-1*z^{2 ** 71} + y^-2\nz -> x^-5*y*z^2",
+    ], ids=["two-letter", "three-letter"])
+    def test_huge_exponents_get_wide_enough_key_fields(self, text):
+        # egf_levels sizes its Kronecker fields from the system and the order;
+        # fixed 64-bit fields alias distinct exponent vectors on both grammars.
+        g = Grammar.from_text(text)
+        names, ys = egf_levels(grammar_ode(g), 4)
+        for x in g.alphabet:
+            assert ys[x] == gen_levels(g, LaurentPoly.variable(x), 4)
 
     def test_packed_levels_agree_on_an_unsorted_alphabet(self):
         g = Grammar.from_text("y -> x*y^2\nx -> 2*x^-1*y")

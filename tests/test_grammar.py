@@ -23,7 +23,6 @@ from gkptri.grammar import (
     hao_grammar,
     hao_seed,
     iterate_D,
-    type_e_check,
 )
 from gkptri.polyring import LaurentPoly, parse_poly
 from gkptri.triangles import TriangleParams, recurrence_triangle, whitney_params
@@ -326,23 +325,6 @@ class TestExtractTriangle:
                     extract_triangle(whitney_params(m, r), 6).rows
                     == whitney_eulerian(m, r, 6).rows
                 )
-
-
-class TestTypeE:
-    def test_matching_pattern(self):
-        g = Grammar.from_text("u -> u*v^3\nv -> v^3")
-        assert type_e_check(g, "u") is True
-
-    def test_other_rule_mentions_letter(self):
-        assert type_e_check(WHITNEY_32, "u") is False
-
-    def test_b_unit_grammar_is_type_e(self):
-        g = Grammar.from_text("u -> u*v^3\nv -> v^2")
-        assert type_e_check(g, "u") is True
-
-    def test_unknown_letter(self):
-        with pytest.raises(UnknownVariable):
-            type_e_check(WHITNEY_32, "z")
 
 
 def test_absolute_row_sums_count_histories():

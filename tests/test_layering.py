@@ -10,7 +10,8 @@ inspect.  Also, every name in `gkptri.__all__` exists and is listed once,
 every error class but the base `GkpError` is raised somewhere in the
 package, and no module but `__init__` imports a name it never uses.  No
 module names `__new__`, and `polyring` defines one monomial canonicaliser,
-so every polynomial is made by `LaurentPoly`'s constructor."""
+so every polynomial is made by `LaurentPoly`'s constructor.  The ODE engine
+in fps adds int keys, so it names neither `operator.add` nor `sub`."""
 
 import ast
 import os
@@ -226,6 +227,12 @@ def test_no_module_names_new():
 def test_polyring_has_one_monomial_canonicaliser():
     defined = defined_names((SRC / "polyring.py").read_text())
     assert {"monomial", "monomial_mul"} & defined == {"monomial"}
+
+
+def test_fps_adds_no_exponent_tuples():
+    # One product loop on Kronecker int keys serves every alphabet; a tuple
+    # branch would bring back `map(add, ...)` or `map(sub, ...)`.
+    assert names_used((SRC / "fps.py").read_text()) & {"add", "sub"} == set()
 
 
 def test_raise_checker_sees_calls_names_and_attributes():

@@ -393,3 +393,16 @@ def test_bools_normalise_to_ints(render, text):
 
 def test_monomial_helper_drops_zero_exponents():
     assert monomial({"u": 0, "v": 2}) == (("v", 2),)
+
+
+@pytest.mark.parametrize("key", [
+    (("v", 1), ("u", 1)),
+    (("u", 1), ("u", 1)),
+    (("u", 1), ("v", 0)),
+], ids=["unsorted", "repeated-letter", "zero-exponent"])
+def test_constructor_rejects_non_canonical_monomials(key):
+    # Such a key would make a polynomial equal to none with the same value:
+    # LaurentPoly({(("v", 1), ("u", 1)): 1}) would differ from u*v.
+    with pytest.raises(ValueError, match="canonical"):
+        LaurentPoly({key: 1})
+    assert LaurentPoly({monomial({"u": 1, "v": 1}): 1}) == parse_poly("u*v")
