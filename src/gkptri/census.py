@@ -18,7 +18,6 @@ the words of every size, and has no other size cap.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from itertools import chain, permutations, repeat
 from math import factorial
 from operator import ge
@@ -117,34 +116,29 @@ def _monomial_replacements(g: Grammar) -> dict[str, tuple[str, ...]]:
     return table
 
 
-def _seed_leaves(g: Grammar, seed) -> tuple[str, ...]:
-    if isinstance(seed, LaurentPoly):
-        terms = seed.terms()
-        if len(terms) != 1:
-            raise GrammarNotEnumerable("seed must be a single monomial")
-        (mono, coeff), = terms.items()
-        if coeff != 1 or any(e < 0 for _, e in mono):
-            raise GrammarNotEnumerable("seed must be a coefficient-1 monomial with "
-                                       "nonnegative exponents")
-        exponents: Mapping[str, int] = dict(mono)
-    else:
-        exponents = seed
-    if any(e < 0 for e in exponents.values()):
-        raise GrammarNotEnumerable("seed exponents must be nonnegative")
-    leaves = tuple(v for v, e in sorted(exponents.items()) for _ in range(e))
+def _seed_leaves(g: Grammar, seed: LaurentPoly) -> tuple[str, ...]:
+    terms = seed.terms()
+    if len(terms) != 1:
+        raise GrammarNotEnumerable("seed must be a single monomial")
+    (mono, coeff), = terms.items()
+    if coeff != 1 or any(e < 0 for _, e in mono):
+        raise GrammarNotEnumerable("seed must be a coefficient-1 monomial with "
+                                   "nonnegative exponents")
+    leaves = tuple(v for v, e in mono for _ in range(e))
     extra = set(leaves) - set(g.alphabet)
     if extra:
         raise UnknownVariable(f"seed mentions {sorted(extra)} outside the alphabet")
     return leaves
 
 
-def census_vleaves(g: Grammar, seed, n: int, leaf_letter: str,
+def census_vleaves(g: Grammar, seed: LaurentPoly, n: int, leaf_letter: str,
                    budget: int = DEFAULT_BUDGET) -> StructureCensus:
     """Enumerate all n-step derivation histories (a history picks one leaf
     to rewrite at each step) and bucket them by the final number of
     `leaf_letter` leaves.
 
-    `seed` is a monomial, given as a LaurentPoly or an exponent map.
+    `seed` is a LaurentPoly monomial with coefficient 1 and nonnegative
+    exponents: the leaves at step 0.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -170,7 +164,7 @@ def census_vleaves(g: Grammar, seed, n: int, leaf_letter: str,
     return StructureCensus(f"{leaf_letter}-leaves", counts)
 
 
-def history_leaf_profile(g: Grammar, seed, n: int) -> list[int]:
+def history_leaf_profile(g: Grammar, seed: LaurentPoly, n: int) -> list[int]:
     """Leaf counts after 0..n steps, when they are path-independent (every
     rule spawns the same number of leaves); used for structural checks."""
     replacements = _monomial_replacements(g)

@@ -1,9 +1,10 @@
 """Truncated formal power series in t with exact coefficients, the
 generating series of a grammar (`gen_series`) and the exact ODE engine
-(`solve_ode`), each a wrapper over its producer of packed EGF-normal levels
-(`gen_levels`, and `egf_levels`, whose one product loop adds Kronecker int
-keys for every alphabet).  The identity checks built on them live in
-`verify`; this module imports nothing above the grammar layer.
+(`solve_ode`) for a grammar plus initial values, each a wrapper over its
+producer of packed EGF-normal levels (`gen_levels`, and `egf_levels`, whose
+one product loop adds Kronecker int keys for every alphabet).  The identity
+checks built on them live in `verify`; this module imports nothing above
+the grammar layer.
 
 A TruncatedSeries is a value with no arithmetic: the engines compute on
 packed EGF-normal levels, and every identity check in `verify` compares
@@ -23,7 +24,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial, lcm
 
-from .errors import NonInvertibleConstantTerm, UnknownVariable
+from .errors import NonInvertibleConstantTerm
 from .grammar import Grammar, _derive, _pack, _unpack
 from .polyring import LaurentPoly, Monomial, Scalar, normalize_scalar
 
@@ -97,32 +98,27 @@ def gen_series(g: Grammar, x: LaurentPoly, order: int) -> TruncatedSeries:
 
 
 class OdeSystem:
-    """y_i' = rhs_i(y), y_i(0) = initial_i, with polynomial right-hand sides.
+    """A grammar plus initial values: y_x' = rule(x)(y), y_x(0) = initial[x]
+    for each letter x.  `variables` and `rhs` are the grammar's alphabet and
+    rules; `initial` covers exactly its letters and may mention any letter.
 
-    A negative exponent of y_i in a right-hand side needs y_i(0) to be a
+    A negative exponent of y_x in a right-hand side needs y_x(0) to be a
     single nonzero term (c * monomial, or a nonzero scalar); for any other
     initial value, such as 0 or u+v, only nonnegative exponents work.
     """
 
-    def __init__(self, variables: tuple[str, ...], rhs: Mapping[str, LaurentPoly],
-                 initial: Mapping[str, object]):
-        if set(rhs) != set(variables) or set(initial) != set(variables):
-            raise ValueError("rhs and initial must cover exactly the system variables")
-        for v, p in rhs.items():
-            extra = p.variables() - set(variables)
-            if extra:
-                raise UnknownVariable(f"rhs of {v!r} mentions {sorted(extra)} outside the system")
-        self.variables = variables
-        self.rhs = rhs
-        self.initial = initial
+    def __init__(self, grammar: Grammar, initial: Mapping[str, object]):
+        if set(initial) != set(grammar.alphabet):
+            raise ValueError("initial values must cover exactly the grammar's letters")
+        self.variables = grammar.alphabet
+        self.rhs = grammar.rules
+        self.initial = dict(initial)
 
 
-def grammar_ode(g: Grammar, initial: Mapping[str, object] | None = None) -> OdeSystem:
-    """The analytic system attached to a grammar; by default each letter
-    starts at itself, so the solutions are the letter generating functions."""
-    if initial is None:
-        initial = {x: LaurentPoly.variable(x) for x in g.alphabet}
-    return OdeSystem(variables=g.alphabet, rhs=dict(g.rules), initial=dict(initial))
+def grammar_ode(g: Grammar) -> OdeSystem:
+    """The analytic system of a grammar with each letter starting at itself,
+    so the solutions are the letter generating functions."""
+    return OdeSystem(g, {x: LaurentPoly.variable(x) for x in g.alphabet})
 
 
 def _accumulate(out: Keyed, a: Keyed, b: Keyed, w: Scalar) -> None:
@@ -191,7 +187,6 @@ def egf_levels(system: OdeSystem,
     def miller(y: list[Keyed], e: int) -> list[Keyed]:
         (shift, c), = y[0].items()
         out = [{e * shift: normalize_scalar(Fraction(c) ** e)}]
-        inv = normalize_scalar(Fraction(1, c))  # an int for c = +-1, so no Fraction per k
 
         def job(n):
             if n:
@@ -199,8 +194,10 @@ def egf_levels(system: OdeSystem,
                 for k in range(1, n + 1):
                     w = (e + 1) * comb(n - 1, k - 1) - comb(n, k)
                     if w:
-                        _accumulate(entry, y[k], out[n - k], w * inv)
-                out.append({k - shift: cy for k, cy in entry.items()})
+                        _accumulate(entry, y[k], out[n - k], w)
+                # one division by c per finished entry keeps int entries int
+                out.append({k - shift: cy if c == 1 else normalize_scalar(Fraction(cy, c))
+                            for k, cy in entry.items()})
         jobs.append(job)
         return out
 

@@ -38,20 +38,15 @@ from .triangles import Triangle, TriangleParams
 
 
 class Grammar:
-    """Immutable map from alphabet letters to replacement polynomials."""
+    """Immutable map from letters to replacement polynomials.  The alphabet
+    is the rules' letters in the order given; a rule that mentions a letter
+    outside it raises UnknownVariable, the one check of rule letters."""
 
     __slots__ = ("alphabet", "rules", "_steps")
 
-    def __init__(self, rules: Mapping[str, LaurentPoly],
-                 alphabet: tuple[str, ...] | None = None):
-        if alphabet is None:
-            alphabet = tuple(rules.keys())
-        if set(alphabet) != set(rules.keys()):
-            raise ValueError("alphabet and rule keys must coincide")
-        if len(set(alphabet)) != len(alphabet):
-            raise ValueError("alphabet letters must be distinct")
-        self.alphabet = tuple(alphabet)
-        self.rules = {x: rules[x] for x in alphabet}
+    def __init__(self, rules: Mapping[str, LaurentPoly]):
+        self.alphabet = tuple(rules)
+        self.rules = dict(rules)
         # rule(x) d/dx as (index of x, exponent shift, coefficient) triples over
         # the sorted letters, which the packed levels of `fps` share
         names = sorted(self.alphabet)
@@ -61,10 +56,9 @@ class Grammar:
 
     @classmethod
     def from_text(cls, text: str) -> Grammar:
-        """Parse one `letter -> polynomial` rule per line; blank lines and
-        `#` comments are skipped."""
+        """Parse one `letter -> polynomial` rule per line, the alphabet in
+        line order; blank lines and `#` comments are skipped."""
         rules: dict[str, LaurentPoly] = {}
-        order: list[str] = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0]
             if not line.strip():
@@ -78,10 +72,9 @@ class Grammar:
             if letter in rules:
                 raise ValueError(f"line {lineno}: duplicate rule for {letter!r}")
             rules[letter] = parse_poly(right, line=lineno)
-            order.append(letter)
         if not rules:
             raise ValueError("no rules found")
-        return cls(rules, tuple(order))
+        return cls(rules)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Grammar):
@@ -172,7 +165,7 @@ def hao_grammar(p: TriangleParams) -> Grammar:
     p.require_integral()
     u_rule = LaurentPoly.from_exponents({"u": p.b1 + p.b2 + 1, "v": p.a1 + p.a2})
     v_rule = LaurentPoly.from_exponents({"u": p.b2, "v": p.a2 + 1})
-    return Grammar({"u": u_rule, "v": v_rule}, ("u", "v"))
+    return Grammar({"u": u_rule, "v": v_rule})
 
 
 def hao_seed(p: TriangleParams) -> LaurentPoly:

@@ -324,9 +324,8 @@ def _hao_system(p: TriangleParams) -> OdeSystem:
     ode = grammar_ode(hao_grammar(p))
     log_d = (LaurentPoly.from_exponents({"u": b1 + b2, "v": a1 + a2}, b0 + b1 + b2)
              + LaurentPoly.from_exponents({"u": b2, "v": a2}, a0 + a2))
-    return OdeSystem(variables=("u", "v", "w"),
-                     rhs={**ode.rhs, "w": LaurentPoly.variable("w") * log_d},
-                     initial={**ode.initial, "w": hao_seed(p)})
+    return OdeSystem(Grammar({**ode.rhs, "w": LaurentPoly.variable("w") * log_d}),
+                     {**ode.initial, "w": hao_seed(p)})
 
 
 def verify_sol_a2zero(a0: int, a1: int, order: int) -> CheckReport:
@@ -435,8 +434,8 @@ def suite_ode_gen(opts: VerifyOptions) -> list[CheckReport]:
         order=order,
     )
     span = range(-2, 3)
-    grammars = list(dict.fromkeys(hao_grammar(TriangleParams(0, a1, a2, 0, b1, b2))
-                                  for a1, a2, b1, b2 in product(span, repeat=4) if a1 or b1))
+    grammars = [hao_grammar(TriangleParams(0, a1, a2, 0, b1, b2))
+                for a1, a2, b1, b2 in product(span, repeat=4) if a1 or b1]
     grammars.append(Grammar.from_text("x -> x^2*y\ny -> x^2*y"))
     for a1 in (1, 2, 3):
         grammars.append(Grammar.from_text(f"u -> u*v^{a1}\nv -> v"))

@@ -31,7 +31,7 @@ from gkptri.errors import (
     UnknownVariable,
 )
 from gkptri.grammar import Grammar, hao_grammar, hao_seed, iterate_D
-from gkptri.polyring import LaurentPoly
+from gkptri.polyring import LaurentPoly, parse_poly
 from gkptri.triangles import (
     TriangleParams,
     r_eulerian,
@@ -130,8 +130,8 @@ def monomial_grammars(draw):
     exps = st.integers(0, 2)
     rules = {x: LaurentPoly.from_exponents({"u": draw(exps), "v": draw(exps)})
              for x in ("u", "v")}
-    seed = {"u": draw(exps), "v": draw(exps)}
-    return Grammar(rules, ("u", "v")), seed, draw(st.integers(0, 4)), draw(st.sampled_from("uv"))
+    seed = LaurentPoly.from_exponents({"u": draw(exps), "v": draw(exps)})
+    return Grammar(rules), seed, draw(st.integers(0, 4)), draw(st.sampled_from("uv"))
 
 
 def random_tree(fanouts):
@@ -224,11 +224,11 @@ def insertion_levels(n, r):
 
 class TestVLeafCensus:
     def test_matches_displayed_coefficients(self):
-        census = census_vleaves(WHITNEY_32, {"u": 1, "v": 2}, 2, "v")
+        census = census_vleaves(WHITNEY_32, parse_poly("u*v^2"), 2, "v")
         assert census.counts == {8: 1, 5: 13, 2: 4}
 
     def test_zero_steps(self):
-        census = census_vleaves(WHITNEY_32, {"u": 1, "v": 2}, 0, "v")
+        census = census_vleaves(WHITNEY_32, parse_poly("u*v^2"), 0, "v")
         assert census.counts == {2: 1}
         assert census.total == 1
 
@@ -251,23 +251,28 @@ class TestVLeafCensus:
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceeded):
-            census_vleaves(WHITNEY_32, {"u": 1, "v": 2}, 5, "v", budget=100)
+            census_vleaves(WHITNEY_32, parse_poly("u*v^2"), 5, "v", budget=100)
 
     def test_rejects_sum_rules(self):
         g = Grammar.from_text("u -> u + v\nv -> v")
         with pytest.raises(GrammarNotEnumerable):
-            census_vleaves(g, {"u": 1}, 1, "v")
+            census_vleaves(g, parse_poly("u"), 1, "v")
 
     def test_rejects_coefficient_rules(self):
         g = Grammar.from_text("u -> 2*u*v\nv -> v")
         with pytest.raises(GrammarNotEnumerable):
-            census_vleaves(g, {"u": 1}, 1, "v")
+            census_vleaves(g, parse_poly("u"), 1, "v")
+
+    @pytest.mark.parametrize("seed", ["u + v", "2*u*v", "u*v^-1"])
+    def test_rejects_seed_that_is_no_leaf_monomial(self, seed):
+        with pytest.raises(GrammarNotEnumerable, match="^seed must be"):
+            census_vleaves(WHITNEY_32, parse_poly(seed), 1, "v")
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_rejects_seed_letter_outside_alphabet(self, n):
         g = Grammar.from_text("u -> u*v\nv -> v")
         with pytest.raises(UnknownVariable, match="'w'"):
-            census_vleaves(g, {"u": 1, "w": 1}, n, "v")
+            census_vleaves(g, parse_poly("u*w"), n, "v")
 
     def test_leaf_profile(self):
         for m in (1, 2, 3):
@@ -280,13 +285,13 @@ class TestVLeafCensus:
     def test_leaf_profile_path_dependent(self):
         g = Grammar.from_text("u -> u*v\nv -> v")
         with pytest.raises(GrammarNotEnumerable):
-            history_leaf_profile(g, {"u": 1}, 3)
+            history_leaf_profile(g, parse_poly("u"), 3)
 
 
 class TestHistories:
     def test_deep_walk_needs_no_recursion(self):
         g = Grammar.from_text("u -> u\nv -> v")
-        assert census_vleaves(g, {"u": 1}, 1500, "u").counts == {1: 1}
+        assert census_vleaves(g, parse_poly("u"), 1500, "u").counts == {1: 1}
 
     @pytest.mark.parametrize("m, r", [(m, r) for m in (1, 2, 3) for r in range(m + 1)])
     def test_matches_recursive_walk(self, m, r):
@@ -489,7 +494,7 @@ class TestCadetCensus:
     def test_matches_the_hand_built_grammar(self, r):
         # x -> x^r y, y -> x^r y from the seed y, counting y-leaves.
         rule = LaurentPoly.from_exponents({"x": r, "y": 1})
-        g = Grammar({"x": rule, "y": rule}, ("x", "y"))
+        g = Grammar({"x": rule, "y": rule})
 
         def outcome(census, *args):
             try:
@@ -500,7 +505,7 @@ class TestCadetCensus:
             assert cadet_leaf_census(n, r).statistic == "cadet-leaves"
             for budget in (1, 10, 100, 1000, 10 ** 4, 10 ** 5, 10 ** 6):
                 assert (outcome(cadet_leaf_census, n, r, budget)
-                        == outcome(census_vleaves, g, {"y": 1}, n, "y", budget))
+                        == outcome(census_vleaves, g, parse_poly("y"), n, "y", budget))
 
     def test_needs_positive_r(self):
         with pytest.raises(ValueError, match="^r must be >= 1$"):

@@ -106,16 +106,12 @@ class TestSolveOde:
         assert sol["u"] == gen_series(g, LaurentPoly.variable("u"), 3)
 
     def test_zero_rhs(self):
-        sys = OdeSystem(
-            variables=("x",),
-            rhs={"x": LaurentPoly.zero()},
-            initial={"x": Fraction(5)},
-        )
+        sys = OdeSystem(Grammar({"x": LaurentPoly.zero()}), {"x": Fraction(5)})
         assert solve_ode(sys, 4) == {"x": constant(5, 4)}
 
     def test_rational_initials_match_evaluated_gen_series(self):
         g = Grammar.from_text("x -> x^2*y\ny -> x^2*y")
-        sol = solve_ode(grammar_ode(g, initial={"x": 2, "y": 1}), 5)
+        sol = solve_ode(OdeSystem(g, {"x": 2, "y": 1}), 5)
         for letter in ("x", "y"):
             gs = gen_series(g, LaurentPoly.variable(letter), 5)
             expected = TruncatedSeries(evaluate(p, {"x": 2, "y": 1}) for p in gs.coeffs)
@@ -128,18 +124,18 @@ class TestSolveOde:
             assert sol[letter] == gen_series(g, LaurentPoly.variable(letter), 6)
 
     def test_system_rejects_mismatched_keys_and_foreign_letters(self):
+        # Initial values cover the letters; the grammar checks rule letters.
         x = parse_poly("x")
         with pytest.raises(ValueError, match="cover exactly"):
-            OdeSystem(("x",), {"x": x, "y": x}, {"x": 1})
+            OdeSystem(Grammar({"x": x, "y": x}), {"x": 1})
         with pytest.raises(ValueError, match="cover exactly"):
-            OdeSystem(variables=("x",), rhs={"x": x}, initial={})
-        with pytest.raises(UnknownVariable, match="outside the system"):
-            OdeSystem(("x",), {"x": parse_poly("x*y")}, {"x": 1})
+            OdeSystem(Grammar({"x": x}), {})
+        with pytest.raises(UnknownVariable, match="outside the alphabet"):
+            OdeSystem(Grammar({"x": parse_poly("x*y")}), {"x": 1})
 
     def test_tan_from_zero_initial(self):
         # x' = 1 + x^2, x(0) = 0: x0 is no unit, so x^2 is a plain product.
-        sys = OdeSystem(variables=("x",), rhs={"x": parse_poly("1 + x^2")},
-                        initial={"x": 0})
+        sys = OdeSystem(Grammar({"x": parse_poly("1 + x^2")}), {"x": 0})
         assert solve_ode(sys, 7)["x"] == series(
             0, 1, 0, Fraction(1, 3), 0, Fraction(2, 15), 0, Fraction(17, 315)
         )
@@ -147,24 +143,29 @@ class TestSolveOde:
     def test_square_from_binomial_initial(self):
         # x' = x^2, x(0) = u+v: x = (u+v)/(1 - (u+v)t), c_n = (u+v)^(n+1).
         s = parse_poly("u + v")
-        sys = OdeSystem(variables=("x",), rhs={"x": parse_poly("x^2")},
-                        initial={"x": s})
+        sys = OdeSystem(Grammar({"x": parse_poly("x^2")}), {"x": s})
         assert solve_ode(sys, 6)["x"] == TruncatedSeries(accumulate([s] * 7, mul))
 
     def test_high_power_of_binomial_initial(self):
         # x' = x^900, x(0) = u+v: x^900 is built by halving the exponent, so
         # its streams nest O(log 900) deep; c_1 = (u+v)^900.
-        sys = OdeSystem(variables=("x",), rhs={"x": parse_poly("x^900")},
-                        initial={"x": parse_poly("u + v")})
+        sys = OdeSystem(Grammar({"x": parse_poly("x^900")}), {"x": parse_poly("u + v")})
         c1 = solve_ode(sys, 1)["x"].coeffs[1]
         assert len(c1) == 901
         assert c1.coefficient(monomial({"u": 450, "v": 450})) == comb(900, 450)
 
     def test_negative_power_of_binomial_initial(self):
-        sys = OdeSystem(variables=("x",), rhs={"x": parse_poly("x^-1")},
-                        initial={"x": parse_poly("u + v")})
+        sys = OdeSystem(Grammar({"x": parse_poly("x^-1")}), {"x": parse_poly("u + v")})
         with pytest.raises(NonInvertibleConstantTerm):
             solve_ode(sys, 4)
+
+    def test_miller_stream_of_a_scaled_unit_stays_int(self):
+        # x' = x^2, x(0) = 2u: x^2 follows Miller's recurrence, which divides
+        # by the constant 2 once per finished entry, and X_n = n! (2u)^(n+1).
+        sys = OdeSystem(Grammar({"x": parse_poly("x^2")}), {"x": parse_poly("2*u")})
+        names, ys = egf_levels(sys, 3)
+        assert ys["x"] == [{(1,): 2}, {(2,): 4}, {(3,): 16}, {(4,): 96}]
+        assert [type(c) for level in ys["x"] for c in level.values()] == [int] * 4
 
 
 exact_coeffs = st.one_of(
@@ -185,7 +186,7 @@ def monomial_grammars(draw):
         )
         for x in letters
     }
-    return Grammar(rules, letters)
+    return Grammar(rules)
 
 
 INITIALS = st.sampled_from([
@@ -210,7 +211,7 @@ def ode_systems(draw):
                LaurentPoly.zero())
         for x in variables
     }
-    return OdeSystem(variables=variables, rhs=rhs, initial=initial)
+    return OdeSystem(Grammar(rhs), initial)
 
 
 @st.composite
@@ -367,7 +368,7 @@ class TestNegativeOrder:
         lambda: gen_levels(WHITNEY_32, LaurentPoly.variable("u"), -1),
         lambda: gen_series(WHITNEY_32, LaurentPoly.variable("u"), -1),
         lambda: egf_levels(grammar_ode(WHITNEY_32), -1),
-        lambda: solve_ode(OdeSystem(("x",), {"x": parse_poly("1 + x^2")}, {"x": 0}), -1),
+        lambda: solve_ode(OdeSystem(Grammar({"x": parse_poly("1 + x^2")}), {"x": 0}), -1),
         lambda: tree_function(-1),
         lambda: solve_ode(grammar_ode(WHITNEY_32), -1),
     ])

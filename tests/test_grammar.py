@@ -57,7 +57,12 @@ class TestGrammarConstruction:
 
     def test_rule_outside_alphabet(self):
         with pytest.raises(UnknownVariable):
-            Grammar({"u": parse_poly("u*w")}, ("u",))
+            Grammar({"u": parse_poly("u*w")})
+
+    def test_alphabet_keeps_the_rule_order(self):
+        rules = {"v": parse_poly("u*v"), "u": parse_poly("u")}
+        assert Grammar(rules).alphabet == ("v", "u")
+        assert Grammar.from_text("v -> u*v\nu -> u").alphabet == ("v", "u")
 
     def test_text_round_trip(self):
         text = "u -> u*v^3\nv -> u^3*v"
@@ -145,7 +150,7 @@ def grammar_and_poly(draw):
     letters = draw(st.sampled_from([("u", "v"), ("v", "u"), ("u", "v", "w")]))
     coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
     rules = {x: draw(_laurent_over(letters, coeffs)) for x in letters}
-    return Grammar(rules, letters), draw(_laurent_over(letters, coeffs))
+    return Grammar(rules), draw(_laurent_over(letters, coeffs))
 
 
 def reference_D(g, p):

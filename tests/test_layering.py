@@ -11,7 +11,8 @@ every error class but the base `GkpError` is raised somewhere in the
 package, and no module but `__init__` imports a name it never uses.  No
 module names `__new__`, and `polyring` defines one monomial canonicaliser,
 so every polynomial is made by `LaurentPoly`'s constructor.  The ODE engine
-in fps adds int keys, so it names neither `operator.add` nor `sub`."""
+in fps adds int keys, so it names neither `operator.add` nor `sub`, and
+it raises no UnknownVariable: `Grammar` alone checks rule letters."""
 
 import ast
 import os
@@ -233,6 +234,12 @@ def test_fps_adds_no_exponent_tuples():
     # One product loop on Kronecker int keys serves every alphabet; a tuple
     # branch would bring back `map(add, ...)` or `map(sub, ...)`.
     assert names_used((SRC / "fps.py").read_text()) & {"add", "sub"} == set()
+
+
+def test_fps_checks_no_rule_letters():
+    # An ODE system is a grammar plus initial values, so `Grammar` is the one
+    # place that rejects a rule letter outside the alphabet.
+    assert "UnknownVariable" not in raised_names((SRC / "fps.py").read_text())
 
 
 def test_raise_checker_sees_calls_names_and_attributes():

@@ -257,8 +257,7 @@ def test_ode_gen_reports_first_failure(monkeypatch):
 
     def doubled_u(g):
         system = grammar_ode(g)
-        return OdeSystem(system.variables, system.rhs,
-                         {**system.initial, "u": system.initial["u"] * 2})
+        return OdeSystem(g, {**system.initial, "u": system.initial["u"] * 2})
     monkeypatch.setattr(verify, "grammar_ode", doubled_u)
     [report] = SUITES["ode-gen"](VerifyOptions())
     assert report.record() == {
