@@ -81,9 +81,6 @@ class Grammar:
             return NotImplemented
         return self.alphabet == other.alphabet and self.rules == other.rules
 
-    def __hash__(self) -> int:
-        return hash((self.alphabet, tuple(self.rules[x] for x in self.alphabet)))
-
     def __str__(self) -> str:
         return "\n".join(f"{x} -> {self.rules[x]}" for x in self.alphabet)
 

@@ -8,6 +8,11 @@ coefficients (n! [t^n]) with denominators cleared, so none inverts a series
 or divides by n!; the `tree-function` suite checks its identities on the
 same integers.
 
+Every check is a stream of `(expected, got, locus, *args)` comparisons
+that `CheckReport.first_mismatch` runs in turn: it reports the first
+difference and stops there, so nothing after it is computed and a locus is
+formatted only when it fails.
+
 Each suite runs one identity battery over a documented default grid and
 returns a list of CheckReport records; the grids can be shrunk with the
 `max_n` / `order` options so CI runs stay deterministic and fast.  Suites
@@ -62,18 +67,25 @@ from .triangles import (
 class CheckReport:
     """Outcome of one exact identity check."""
 
-    def __init__(self, name: str, params: dict | None = None, order: int | None = None,
-                 passed: bool = True, failure: str | None = None):
+    def __init__(self, name: str, params: dict | None = None, order: int | None = None):
         self.name = name
         self.params = {} if params is None else params
         self.order = order
-        self.passed = passed
-        self.failure = failure
+        self.passed = True
+        self.failure = None
 
     def fail(self, locus: str) -> "CheckReport":
         self.passed = False
         if self.failure is None:
             self.failure = locus
+        return self
+
+    def first_mismatch(self, comparisons) -> "CheckReport":
+        """Fail on `locus.format(*args)` at the first `(expected, got, locus,
+        *args)` of `comparisons` with expected != got, and stop there."""
+        for c in comparisons:  # indexed: a starred unpack costs more than the loop
+            if c[0] != c[1]:
+                return self.fail(c[2].format(*c[3:]))
         return self
 
     def record(self) -> dict:
@@ -97,7 +109,7 @@ class VerifyOptions:
     """Grid overrides shared by all suites."""
 
     def __init__(self, max_n: int | None = None, order: int | None = None,
-                 budget: int | None = None,
+                 budget: int = census_mod.DEFAULT_BUDGET,
                  y_values: tuple[Fraction, ...] = (Fraction(1, 2), Fraction(2))):
         self.max_n = max_n
         self.order = order
@@ -109,9 +121,6 @@ class VerifyOptions:
 
     def cap_order(self, default: int) -> int:
         return default if self.order is None else self.order
-
-    def cap_budget(self, default: int) -> int:
-        return default if self.budget is None else self.budget
 
 
 SUITES: dict[str, callable] = {}
@@ -147,39 +156,31 @@ def suite_grammar_recurrence(opts: VerifyOptions) -> list[CheckReport]:
         name="grammar-recurrence",
         params={"grid": "a,b in [-2,2]^6, (a1,b1) != (0,0)", "n_max": n_max},
     )
-    span = range(-2, 3)
-    checked = 0
-    for a0, a1, a2, b0, b1, b2 in product(span, span, span, span, span, span):
-        if a1 == 0 and b1 == 0:
-            continue
-        params = TriangleParams(a0, a1, a2, b0, b1, b2)
-        extracted = extract_triangle(params, n_max)
-        direct = recurrence_triangle(params, n_max)
-        checked += 1
-        if extracted.rows != direct.rows:
-            return [report.fail(f"params {params}")]
-    report.params["tuples"] = checked
-    return [report]
+
+    def comparisons():
+        tuples = 0
+        for six in product(range(-2, 3), repeat=6):
+            if six[1] or six[4]:
+                params = TriangleParams(*six)
+                tuples += 1
+                yield (recurrence_triangle(params, n_max).rows,
+                       extract_triangle(params, n_max).rows, "params {}", params)
+        report.params["tuples"] = tuples  # reached only when every tuple matched
+    return [report.first_mismatch(comparisons())]
 
 
 @suite("expansion-golden")
 def suite_expansion_golden(opts: VerifyOptions) -> list[CheckReport]:
     """Bit-exact reproduction of the displayed derivative expansions."""
     report = CheckReport(name="expansion-golden", params={"cases": 2})
-    g1 = Grammar.from_text("u -> u*v^3\nv -> u^3*v")
     seed = parse_poly("u*v^2")
-    levels = iterate_D(g1, seed, 2)
-    if levels[1] != parse_poly("u*v^5 + 2*u^4*v^2"):
-        report.fail(f"first grammar, D^1 = {levels[1]}")
-    if levels[2] != parse_poly("u*v^8 + 13*u^4*v^5 + 4*u^7*v^2"):
-        report.fail(f"first grammar, D^2 = {levels[2]}")
-    g2 = Grammar.from_text("u -> u*v^2\nv -> v")
-    levels = iterate_D(g2, seed, 2)
-    if levels[1] != parse_poly("u*v^4 + 2*u*v^2"):
-        report.fail(f"second grammar, D^1 = {levels[1]}")
-    if levels[2] != parse_poly("u*v^6 + 6*u*v^4 + 4*u*v^2"):
-        report.fail(f"second grammar, D^2 = {levels[2]}")
-    return [report]
+    cases = (("first", "u -> u*v^3\nv -> u^3*v", "u*v^5 + 2*u^4*v^2",
+              "u*v^8 + 13*u^4*v^5 + 4*u^7*v^2"),
+             ("second", "u -> u*v^2\nv -> v", "u*v^4 + 2*u*v^2", "u*v^6 + 6*u*v^4 + 4*u*v^2"))
+    return [report.first_mismatch(
+        (parse_poly(want), got, "{} grammar, D^{} = {}", which, n, got)
+        for which, rules, *wants in cases
+        for n, want, got in zip((1, 2), wants, iterate_D(Grammar.from_text(rules), seed, 2)[1:]))]
 
 
 # -- closed forms ----------------------------------------------------------------
@@ -202,20 +203,19 @@ class ClosedForm:
         """The verify suite `name`: every grid point, rows 0..n_max."""
         n_max = opts.cap_n(self.n_max)
         report = CheckReport(name=name, params={"grid": self.grid_text, "n_max": n_max})
+        return [report.first_mismatch(self._comparisons(n_max))]
+
+    def _comparisons(self, n_max: int):
         for label, args in self.grid:
             tri = recurrence_triangle(self.params(*args), n_max)
             for n in range(n_max + 1):
                 if self.row is not None:
-                    if self.form(*args, n) != self.row(tri, n):
-                        report.fail(f"{label}, n={n}")
+                    yield self.row(tri, n), self.form(*args, n), "{}, n={}", label, n
                     continue
                 for k in range(n + 1):
                     value = self.form(*args, n, k)
-                    if value != tri.entry(n, k):
-                        report.fail(f"{label}, n={n}, k={k}")
-                    if not isinstance(value, int):
-                        report.fail(f"non-integral {label}, n={n}, k={k}")
-        return [report]
+                    yield tri.entry(n, k), value, "{}, n={}, k={}", label, n, k
+                    yield True, isinstance(value, int), "non-integral {}, n={}, k={}", label, n, k
 
 
 # Each row calls `cf.*` when it runs, not when the table is built, so that a
@@ -270,14 +270,11 @@ SUITES.update((name, partial(form.run, name)) for name, form in CLOSED_FORMS.ite
 
 
 def _compare_rows(report: CheckReport, checks) -> CheckReport:
-    """For each (label, series, rows) of `checks` in turn, fail `report` at
-    the first n with n! [t^n] series != rows[n]; the first failure is kept."""
-    for label, series, rows in checks:
-        for n, row in enumerate(rows):
-            if series.coefficient(n) * factorial(n) != row:
-                report.fail(f"{label}: first mismatch at order {n}")
-                break
-    return report
+    """Fail `report` at the first (label, series, rows) of `checks`, in
+    turn, and the first n in it with n! [t^n] series != rows[n]."""
+    return report.first_mismatch(
+        (row, series.coefficient(n) * factorial(n), "{}: first mismatch at order {}", label, n)
+        for label, series, rows in checks for n, row in enumerate(rows))
 
 
 def verify_closed_form_whitney(m: int, r: int, order: int,
@@ -296,22 +293,25 @@ def verify_closed_form_whitney(m: int, r: int, order: int,
     if order < 0:
         raise ValueError("order must be nonnegative")
     tri = whitney_eulerian(m, r, order)
+    scaled = []
     for point in points:
-        u, v = map(normalize_scalar, point)
-        um, vm = u ** m, v ** m
+        um, vm = (normalize_scalar(x) ** m for x in point)
         if um == vm:
             raise DegeneratePoint(f"u^m = v^m at point {point}")
-        c = um - vm
-        u_pow, v_pow, cm_pow, cr_pow = ([x ** i for i in range(order + 1)]
-                                        for x in (um, vm, c * m, c * r))
-        rows = []
-        for n, row in enumerate(tri.rows):
-            rows.append(sum(t * u_pow[n - k] * v_pow[k] for k, t in enumerate(row)))
-            shifted = sum(comb(n, j) * rows[j] * cm_pow[n - j] for j in range(n + 1))
-            if um * rows[n] - vm * shifted != c * cr_pow[n]:
-                report.fail(f"point {point}: first mismatch at order {n}")
-                break
-    return report
+        scaled.append((point, um, vm))
+
+    def comparisons():
+        for point, um, vm in scaled:
+            c = um - vm
+            u_pow, v_pow, cm_pow, cr_pow = ([x ** i for i in range(order + 1)]
+                                            for x in (um, vm, c * m, c * r))
+            rows = []
+            for n, row in enumerate(tri.rows):
+                rows.append(sum(t * u_pow[n - k] * v_pow[k] for k, t in enumerate(row)))
+                shifted = sum(comb(n, j) * rows[j] * cm_pow[n - j] for j in range(n + 1))
+                yield (c * cr_pow[n], um * rows[n] - vm * shifted,
+                       "point {}: first mismatch at order {}", point, n)
+    return report.first_mismatch(comparisons())
 
 
 def _hao_system(p: TriangleParams) -> OdeSystem:
@@ -384,7 +384,8 @@ def verify_secondorder_egf(y, order: int) -> CheckReport:
     The division by s is exact: d/dt = (1-y)^2 x d/dx and x T' = T/(1-T) give
     W_n = (1-y) P_n(y) for n >= 1, where P_1 = T and P_(n+1) = T ((1-T) P_n'
     + (2n-1) P_n), so P_n is in Z[T] of degree <= n and Wh_n = s q^n P_n(p/q)
-    is an integer. A remainder would fail the report at order n+1.
+    is an integer. A remainder would fail the report at order n+1, as a
+    comparison of the remainder with 0.
     """
     y = Fraction(normalize_scalar(y))
     if y in (0, 1):
@@ -392,26 +393,23 @@ def verify_secondorder_egf(y, order: int) -> CheckReport:
     if order < 0:
         raise ValueError("order must be nonnegative")
     report = CheckReport(name="second-order-egf", params={"y": str(y)}, order=order)
-
     p, q = y.numerator, y.denominator
     s = q - p
-    w = [p]
-    for n in range(order):
-        acc = sum(comb(n, i) * w[i] * w[n + 1 - i] for i in range(1, n + 1))
-        nxt, rem = divmod(s * s * w[n] + acc, s)
-        if rem:
-            break
-        w.append(nxt)
-
     p_pow, q_pow = [p ** (k + 1) for k in range(order + 1)], [q ** k for k in range(order + 1)]
-    rows = []
-    for n, row in enumerate(second_order_eulerian(2, order).rows):
-        rows.append(sum(b * p_pow[k] * q_pow[n - k] for k, b in enumerate(row)))
-        if n == len(w) or (q * rows[n] - sum(comb(n, j) * rows[j] * w[n - j]
-                                             for j in range(n + 1)) != s * w[n]):
-            report.fail(f"first mismatch at order {n}")
-            break
-    return report
+
+    def comparisons():
+        w, rows = [p], []
+        for n, row in enumerate(second_order_eulerian(2, order).rows):
+            if n:
+                acc = sum(comb(n - 1, i) * w[i] * w[n - i] for i in range(1, n))
+                nxt, rem = divmod(s * s * w[n - 1] + acc, s)
+                yield 0, rem, "first mismatch at order {}", n
+                w.append(nxt)
+            rows.append(sum(b * p_pow[k] * q_pow[n - k] for k, b in enumerate(row)))
+            yield (s * w[n], q * rows[n] - sum(comb(n, j) * rows[j] * w[n - j]
+                                               for j in range(n + 1)),
+                   "first mismatch at order {}", n)
+    return report.first_mismatch(comparisons())
 
 
 @suite("whitney-egf")
@@ -442,14 +440,14 @@ def suite_ode_gen(opts: VerifyOptions) -> list[CheckReport]:
     for a1, a2 in product((1, 2, 3), (1, 2, 3)):
         grammars.append(Grammar.from_text(f"u -> u*v^{a1 + a2}\nv -> v^{a2 + 1}"))
     report.params["grammars"] = len(grammars)
-    for g in grammars:
-        names, ys = egf_levels(grammar_ode(g), order)
-        for letter in g.alphabet:
-            levels = gen_levels(g, LaurentPoly.variable(letter), order)
-            if names != tuple(sorted(g.alphabet)) or ys[letter] != levels:
-                report.fail(f"grammar [{g!r}], letter {letter}")
-                return [report]
-    return [report]
+
+    def comparisons():
+        for g in grammars:
+            names, ys = egf_levels(grammar_ode(g), order)
+            for x in g.alphabet:
+                yield ((tuple(sorted(g.alphabet)), gen_levels(g, LaurentPoly.variable(x), order)),
+                       (names, ys[x]), "grammar [{!r}], letter {}", g, x)
+    return [report.first_mismatch(comparisons())]
 
 
 @suite("tree-function")
@@ -459,20 +457,18 @@ def suite_tree_function(opts: VerifyOptions) -> list[CheckReport]:
     order = opts.cap_order(12)
     report = CheckReport(name="tree-function", params={}, order=order)
     t = [normalize_scalar(c * factorial(n)) for n, c in enumerate(tree_function(order).coeffs)]
-    for n in range(1, order + 1):
-        if t[n] != n ** (n - 1):
-            report.fail(f"coefficient {n}")
     # exp(T)' = T' exp(T) is a binomial convolution; it needs t_0 = 0, as the
     # functional equation does.
     e = [1]
     for n in range(1, order):
         e.append(sum(comb(n - 1, k - 1) * t[k] * e[n - k] for k in range(1, n + 1)))
-    if t[0] != 0 or any(t[n] != n * e[n - 1] for n in range(1, order + 1)):
-        report.fail("functional equation T - z*exp(T) != 0")
-    if any(t[n + 1] - sum(comb(n, j) * t[j + 1] * t[n - j] for j in range(n + 1)) != e[n]
-           for n in range(order)):
-        report.fail("derivative identity T'(1-T) != exp(T)")
-    return [report]
+    return [report.first_mismatch([
+        *((n ** (n - 1), t[n], "coefficient {}", n) for n in range(1, order + 1)),
+        ([0, *(n * e[n - 1] for n in range(1, order + 1))], t,
+         "functional equation T - z*exp(T) != 0"),
+        (e[:order], [t[n + 1] - sum(comb(n, j) * t[j + 1] * t[n - j] for j in range(n + 1))
+                     for n in range(order)], "derivative identity T'(1-T) != exp(T)"),
+    ])]
 
 
 @suite("second-order-egf")
@@ -526,16 +522,16 @@ class Oracle:
     def run(self, opts: VerifyOptions) -> list[CheckReport]:
         """The verify suite: every grid argument, rows 0..n_max."""
         n_max = opts.cap_n(self.n_max)
-        budget = opts.cap_budget(census_mod.DEFAULT_BUDGET)
         report = CheckReport(name=self.suite, params={**self.report, "n_max": n_max})
+        return [report.first_mismatch(self._comparisons(n_max, opts.budget))]
+
+    def _comparisons(self, n_max: int, budget: int):
         for label, text in self.grid:
             arg = self.parse(text)
             tri = recurrence_triangle(self.params(arg), n_max)
             for n in range(n_max + 1):
-                census = self.census(arg, n, budget)
-                if self.census_row(census, arg, n) != tri.rows[n]:
-                    report.fail(f"{label}, n={n}" if label else f"n={n}")
-        return [report]
+                row = self.census_row(self.census(arg, n, budget), arg, n)
+                yield tri.rows[n], row, "{}, n={}" if label else "{}n={}", label, n
 
 
 def _parse_a_triple(text: str) -> tuple[int, ...]:
@@ -597,20 +593,18 @@ SUITES.update((oracle.suite, oracle.run) for oracle in ORACLES.values())
 def suite_history_counts(opts: VerifyOptions) -> list[CheckReport]:
     """Structural counts: n! m^n histories and m(n+1) leaves."""
     n_max = opts.cap_n(5)
-    budget = opts.cap_budget(census_mod.DEFAULT_BUDGET)
     report = CheckReport(name="history-counts", params={"grid": _WHITNEY_TEXT, "n_max": n_max})
-    for label, (m, r) in _WHITNEY_LOCI:
-        params = whitney_params(m, r)
-        g = hao_grammar(params)
-        seed = hao_seed(params)
-        profile = census_mod.history_leaf_profile(g, seed, n_max)
-        if profile != [m * (i + 1) for i in range(n_max + 1)]:
-            report.fail(f"leaf profile, {label}")
-        for n in range(n_max + 1):
-            census = census_mod.census_vleaves(g, seed, n, "v", budget=budget)
-            if census.total != factorial(n) * m ** n:
-                report.fail(f"total histories, {label}, n={n}")
-    return [report]
+
+    def comparisons():
+        for label, (m, r) in _WHITNEY_LOCI:
+            params = whitney_params(m, r)
+            g, seed = hao_grammar(params), hao_seed(params)
+            yield ([m * (i + 1) for i in range(n_max + 1)],
+                   census_mod.history_leaf_profile(g, seed, n_max), "leaf profile, {}", label)
+            for n in range(n_max + 1):
+                census = census_mod.census_vleaves(g, seed, n, "v", budget=opts.budget)
+                yield factorial(n) * m ** n, census.total, "total histories, {}, n={}", label, n
+    return [report.first_mismatch(comparisons())]
 
 
 def run_suites(names: list[str], opts: VerifyOptions) -> list[CheckReport]:

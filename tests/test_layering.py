@@ -12,7 +12,9 @@ package, and no module but `__init__` imports a name it never uses.  No
 module names `__new__`, and `polyring` defines one monomial canonicaliser,
 so every polynomial is made by `LaurentPoly`'s constructor.  The ODE engine
 in fps adds int keys, so it names neither `operator.add` nor `sub`, and
-it raises no UnknownVariable: `Grammar` alone checks rule letters."""
+it raises no UnknownVariable: `Grammar` alone checks rule letters.  Every
+check in verify reports through `CheckReport.first_mismatch`: `fail` is
+called in at most two places and no loop there breaks."""
 
 import ast
 import os
@@ -130,6 +132,19 @@ def raised_names(source: str) -> set[str]:
     return names
 
 
+def fail_sites(source: str) -> list[str]:
+    """`fail:line` for each call of a `.fail` method and `break:line` for
+    each break statement in the source, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "fail"):
+            found.append((node.lineno, "fail"))
+        elif isinstance(node, ast.Break):
+            found.append((node.lineno, "break"))
+    return [f"{kind}:{line}" for line, kind in sorted(found)]
+
+
 def test_checkers_see_every_import_form():
     source = ("import gkptri.cli\nfrom gkptri import verify\nfrom gkptri.triangles import T\n"
               "def f():\n    from .closedforms import stirling2\n    from . import census\n")
@@ -183,6 +198,22 @@ def test_packed_format_stays_in_the_engines(path):
 def test_verify_builds_no_closed_series():
     # Solutions are compared with closed EGF-normal rows, n! [t^n] at a time.
     assert names_used((SRC / "verify.py").read_text()) & SERIES_BUILDERS == set()
+
+
+def test_fail_site_checker_sees_method_calls_and_breaks():
+    source = ("for x in y:\n    if x:\n        report.fail('a')\n        break\n"
+              "fail('b')\nwhile z:\n    self.fail(z).record()\n    break\n")
+    assert fail_sites(source) == ["fail:3", "break:4", "fail:7", "break:8"]
+
+
+def test_verify_reports_through_first_mismatch():
+    # Each check streams (expected, got, locus) comparisons into
+    # `first_mismatch`, which stops at the first difference; besides it, only
+    # the closed-solutions merge, which lists every failed sub-check, calls
+    # `fail`.  A loop that breaks on a mismatch of its own is a second rule.
+    sites = fail_sites((SRC / "verify.py").read_text())
+    assert [s for s in sites if s.startswith("break")] == []
+    assert len(sites) <= 2
 
 
 def test_self_call_checker_sees_direct_and_nested_calls():

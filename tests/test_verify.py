@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from gkptri import closedforms as cf
 from gkptri import verify
 from gkptri.cli import main
+from gkptri.errors import BudgetExceeded, DegeneratePoint
 from gkptri.fps import OdeSystem, TruncatedSeries, egf_levels, gen_levels
 from gkptri.grammar import hao_grammar, hao_seed
 from gkptri.polyring import LaurentPoly, monomial
@@ -52,9 +53,22 @@ def test_check_report_defaults_and_own_params():
     assert (c.params, c.order) == ({"m": 2}, 5)
 
 
+def test_first_mismatch_stops_there_and_formats_only_its_locus():
+    made = []
+
+    def comparisons():
+        yield 1, 1, "{never formatted}"
+        for i in range(5):
+            made.append(i)
+            yield i, min(i, 2), "{} at {}", "item", i
+    report = verify.CheckReport("x").first_mismatch(comparisons())
+    assert (report.passed, report.failure, made) == (False, "item at 3", [0, 1, 2, 3])
+    assert verify.CheckReport("y").first_mismatch([(1, 1, "{}")]).passed
+
+
 def test_verify_options_defaults():
     opts = VerifyOptions()
-    assert (opts.max_n, opts.order, opts.budget) == (None, None, None)
+    assert (opts.max_n, opts.order, opts.budget) == (None, None, verify.census_mod.DEFAULT_BUDGET)
     assert opts.y_values == (Fraction(1, 2), Fraction(2))
     assert VerifyOptions(3, 4, 5).cap_n(6) == 3
 
@@ -147,6 +161,24 @@ def test_oracle_registry_parity(capsys, kind):
         assert "diff: MISMATCH row n=3" in capsys.readouterr().out
 
 
+def test_oracle_suite_stops_at_first_mismatch(monkeypatch):
+    # The census after the first wrong row is never taken, so one that would
+    # pass the budget there leaves the failed check a failed check.
+    descent_census, calls = verify.census_mod.stirling_descent_census, []
+
+    def wrong_then_over_budget(n, r, budget):
+        calls.append((n, r))
+        if len(calls) > 1:
+            raise BudgetExceeded(f"census past the first mismatch, at n={n}, r={r}")
+        census = descent_census(n, r, budget=budget)
+        census.counts[0] += 1
+        return census
+    monkeypatch.setattr(verify.census_mod, "stirling_descent_census", wrong_then_over_budget)
+    [report] = SUITES["descent-oracle"](VerifyOptions())
+    assert (report.passed, report.failure) == (False, "r=1, n=0")
+    assert calls == [(0, 1)]
+
+
 def test_components_params_needs_three_values(capsys):
     assert main(["oracle", "components", "--n", "2", "--params", "1,2"]) == 2
     err = capsys.readouterr().err
@@ -233,6 +265,22 @@ def test_closed_form_suite_reports_first_failure(monkeypatch, name):
     monkeypatch.setattr(cf, attr, patch(getattr(cf, attr)))
     reports = SUITES[name](VerifyOptions())
     assert [(r.name, r.passed, r.failure) for r in reports] == [(name, False, locus)]
+
+
+def test_closed_form_suite_stops_at_first_mismatch(monkeypatch):
+    # No entry after the first mismatch is evaluated, so a closed form that
+    # raises there cannot turn the failed check into an error.
+    a_mr_explicit, calls = cf.a_mr_explicit, []
+
+    def wrong_then_raising(*args):
+        calls.append(args)
+        if len(calls) > 1:
+            raise RuntimeError(f"evaluated past the first mismatch, at {args}")
+        return a_mr_explicit(*args) + 1
+    monkeypatch.setattr(cf, "a_mr_explicit", wrong_then_raising)
+    [report] = SUITES["whitney-explicit"](VerifyOptions())
+    assert (report.passed, report.failure) == (False, "m=1, r=0, n=0, k=0")
+    assert calls == [(1, 0, 0, 0)]
 
 
 ODE_GEN_GRID = "hao rules (a1,a2,b1,b2) in [-2,2]^4 nondegenerate + named grammars"
@@ -368,6 +416,14 @@ def test_second_order_egf_inexact_division_fails_the_next_order(monkeypatch):
     monkeypatch.setattr(verify, "divmod", divmod_, raising=False)
     report = verify.verify_secondorder_egf(Fraction(1, 2), 6)
     assert (report.passed, report.failure) == (False, "first mismatch at order 4")
+
+
+def test_whitney_egf_checks_every_point_before_the_first_comparison(monkeypatch):
+    # (1, -1) has u^2 = v^2; it is rejected although (2, 1) already mismatches.
+    monkeypatch.setattr(verify, "whitney_eulerian", _entry_bumped(verify.whitney_eulerian, 0, 0))
+    assert verify.verify_closed_form_whitney(2, 1, 6, points=((2, 1),)).passed is False
+    with pytest.raises(DegeneratePoint, match=r"point \(1, -1\)"):
+        verify.verify_closed_form_whitney(2, 1, 6, points=((2, 1), (1, -1)))
 
 
 def test_whitney_egf_first_mismatch_at_high_order(monkeypatch):
