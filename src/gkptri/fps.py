@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 
 from .errors import NonInvertibleConstantTerm
 from .grammar import Grammar, _derive, _pack, _unpack
@@ -169,8 +169,10 @@ def egf_levels(system: OdeSystem,
     def l1(polys) -> int:  # the largest |e|_1 of a term of any of `polys`
         return max((sum(abs(e) for _, e in m) for p in polys for m in p.terms()), default=0)
     bits = ((order + 1) * (1 + l1(system.rhs.values())) * l1(initial.values())).bit_length() + 1
-    ys = {v: [{sum(e << bits * names.index(x) for x, e in m): c for m, c in p.terms().items()}]
-          for v, p in initial.items()}
+    # y_x = s_x w_x, s_x the coefficient of a single-term y_x(0) (else 1), so Miller runs on ints.
+    scale = {v: c for v, p in initial.items() if len(p) == 1 for c in p.terms().values()}
+    ys = {v: [{sum(e << bits * names.index(x) for x, e in m): 1 if v in scale else c
+               for m, c in p.terms().items()}] for v, p in initial.items()}
     jobs: list[Callable[[int], None]] = []  # job(n) appends entry n of its stream
 
     def convolution(a: list[Keyed], b: list[Keyed]) -> list[Keyed]:
@@ -185,8 +187,8 @@ def egf_levels(system: OdeSystem,
         return out
 
     def miller(y: list[Keyed], e: int) -> list[Keyed]:
-        (shift, c), = y[0].items()
-        out = [{e * shift: normalize_scalar(Fraction(c) ** e)}]
+        shift, = y[0]  # with coefficient 1, as y = s w makes it
+        out = [{e * shift: 1}]
 
         def job(n):
             if n:
@@ -195,9 +197,7 @@ def egf_levels(system: OdeSystem,
                     w = (e + 1) * comb(n - 1, k - 1) - comb(n, k)
                     if w:
                         _accumulate(entry, y[k], out[n - k], w)
-                # one division by c per finished entry keeps int entries int
-                out.append({k - shift: cy if c == 1 else normalize_scalar(Fraction(cy, c))
-                            for k, cy in entry.items()})
+                out.append({k - shift: cy for k, cy in entry.items()})
         jobs.append(job)
         return out
 
@@ -217,11 +217,15 @@ def egf_levels(system: OdeSystem,
             raise NonInvertibleConstantTerm(f"constant term {system.initial[x]} is not invertible")
         return convolution(stream(((x, e // 2),)), stream(((x, e - e // 2),)))
 
-    # z(s) = y(d s) solves z' = d rhs(z) and has Z_n = d^n Y_n, so with d the
-    # common denominator of the rules, rational rules run on ints as well.
-    d = lcm(*(c.denominator for p in system.rhs.values() for c in p.terms().values()))
-    rhs = {v: [(stream(m), normalize_scalar(c * d)) for m, c in system.rhs[v].terms().items()]
-           for v in system.variables}
+    # z(t) = w(d t) solves z' = d rhs(z) for the rules of w, c prod_j s_j^e_j / s_x for w_x; with
+    # d their common denominator, rational rules run on ints as well, and Y_n = s_x Z_n / d^n.
+    rules = {v: system.rhs[v].terms() for v in system.variables}
+    if set(scale.values()) - {1}:
+        rules = {v: {m: prod((Fraction(scale.get(x, 1)) ** e for x, e in m), start=Fraction(c))
+                     / scale.get(v, 1) for m, c in r.items()} for v, r in rules.items()}
+    d = lcm(*(c.denominator for r in rules.values() for c in r.values()))
+    rhs = {v: [(stream(m), normalize_scalar(c * d)) for m, c in r.items()]
+           for v, r in rules.items()}
     unit = stream(())[0]
     for n in range(order):
         for job in jobs:
@@ -230,11 +234,15 @@ def egf_levels(system: OdeSystem,
             ys[v].append({})
             for s, c in terms:
                 _accumulate(ys[v][-1], s[n], unit, c)
+    jobs.clear()  # frees the streams now, not at the next cycle collection
+    stream.cache_clear()
     half, mask, fields = 1 << bits - 1, (1 << bits) - 1, range(0, bits * len(names), bits)
     offset = sum(half << f for f in fields)  # makes every field nonnegative
     return names, {v: [{tuple(((k + offset) >> f & mask) - half for f in fields):
-                        c if d == 1 else Fraction(c, d ** n) for k, c in level.items()}
-                       for n, level in enumerate(y)] for v, y in ys.items()}
+                        c if q == 1 else c * q for k, c in level.items()}
+                       for n, level in enumerate(y)
+                       for q in [scale.get(v, 1) if d == 1 else Fraction(scale.get(v, 1), d ** n)]]
+                   for v, y in ys.items()}
 
 
 def solve_ode(system: OdeSystem, order: int) -> dict[str, TruncatedSeries]:

@@ -160,12 +160,33 @@ class TestSolveOde:
             solve_ode(sys, 4)
 
     def test_miller_stream_of_a_scaled_unit_stays_int(self):
-        # x' = x^2, x(0) = 2u: x^2 follows Miller's recurrence, which divides
-        # by the constant 2 once per finished entry, and X_n = n! (2u)^(n+1).
+        # x' = x^2, x(0) = 2u: x = 2w with w(0) = u, so w^2 follows Miller's
+        # recurrence from a unit start and divides by nothing; X_n = n! (2u)^(n+1).
         sys = OdeSystem(Grammar({"x": parse_poly("x^2")}), {"x": parse_poly("2*u")})
         names, ys = egf_levels(sys, 3)
         assert ys["x"] == [{(1,): 2}, {(2,): 4}, {(3,): 16}, {(4,): 96}]
         assert [type(c) for level in ys["x"] for c in level.values()] == [int] * 4
+
+
+# The three-letter system whose Miller streams, started at c^e and divided by
+# c, once ran on Fractions when an initial value had a coefficient c != +-1.
+SCALED_SYSTEM = Grammar.from_text("x -> x^2*y^-1*z\ny -> 2*x*z^-2 + y^3\nz -> x^-1*y*z")
+
+
+class TestScaledSingleTermInitials:
+    @pytest.mark.parametrize("initial", [
+        {"x": parse_poly("2*u"), "y": parse_poly("3*v"), "z": parse_poly("5*w")},
+        {"x": parse_poly("1/2*u"), "y": 3, "z": parse_poly("-5*w")},
+    ], ids=["2u,3v,5w", "u/2,3,-5w"])
+    def test_three_letter_system_matches_reference(self, initial):
+        system = OdeSystem(SCALED_SYSTEM, initial)
+        assert solve_ode(system, 8) == reference_solve(system, 8)
+
+    @pytest.mark.parametrize("e", [-2, -1, 2, 3])
+    @pytest.mark.parametrize("c", [2, -3, Fraction(1, 2)])
+    def test_power_of_a_scaled_unit_matches_reference(self, e, c):
+        system = OdeSystem(Grammar({"x": parse_poly(f"x^{e}")}), {"x": c * parse_poly("u")})
+        assert solve_ode(system, 8) == reference_solve(system, 8)
 
 
 exact_coeffs = st.one_of(

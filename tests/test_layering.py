@@ -11,8 +11,9 @@ every error class but the base `GkpError` is raised somewhere in the
 package, and no module but `__init__` imports a name it never uses.  No
 module names `__new__`, and `polyring` defines one monomial canonicaliser,
 so every polynomial is made by `LaurentPoly`'s constructor.  The ODE engine
-in fps adds int keys, so it names neither `operator.add` nor `sub`, and
-it raises no UnknownVariable: `Grammar` alone checks rule letters.  Every
+in fps adds int keys, so it names neither `operator.add` nor `sub`, its
+Miller streams build no Fraction, and it raises no UnknownVariable:
+`Grammar` alone checks rule letters.  Every
 check in verify reports through `CheckReport.first_mismatch`: `fail` is
 called in at most two places and no loop there breaks."""
 
@@ -265,6 +266,21 @@ def test_fps_adds_no_exponent_tuples():
     # One product loop on Kronecker int keys serves every alphabet; a tuple
     # branch would bring back `map(add, ...)` or `map(sub, ...)`.
     assert names_used((SRC / "fps.py").read_text()) & {"add", "sub"} == set()
+
+
+def nested_function(source: str, outer: str, inner: str) -> ast.FunctionDef:
+    """The one function named `inner` defined inside the function `outer`."""
+    tree = ast.parse(source)
+    out, = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == outer]
+    found, = [f for f in ast.walk(out) if isinstance(f, ast.FunctionDef) and f.name == inner]
+    return found
+
+
+def test_miller_streams_build_no_fraction():
+    # y = s w gives every single-term w(0) the coefficient 1, so Miller's
+    # recurrence divides by nothing and its streams stay on ints.
+    miller = nested_function((SRC / "fps.py").read_text(), "egf_levels", "miller")
+    assert "Fraction" not in names_used(ast.unparse(miller))
 
 
 def test_fps_checks_no_rule_letters():

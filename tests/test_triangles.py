@@ -9,14 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gkptri import cli
 from gkptri.errors import RowOutOfRange
 from gkptri.polyring import normalize_scalar
 from gkptri.triangles import (
+    FORMATS,
     Triangle,
     TriangleParams,
     format_triangle,
     r_eulerian,
     recurrence_triangle,
+    render_triangle,
     second_order_eulerian,
     stirling2_params,
     stirling2_triangle,
@@ -275,3 +278,69 @@ class TestFormats:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             format_triangle(whitney_eulerian(1, 1, 1), "yaml")
+
+
+def one_piece_per_row(t, rows, fmt):
+    """The renderer as it was before rows went out in pieces: each row joined
+    whole, prefix and all, into one piece."""
+    def text(v):
+        return str(v) if v else "0"
+
+    def trim(row):
+        end = len(row)
+        while end > 1 and row[end - 1] == 0:
+            end -= 1
+        return row[:end]
+
+    head = '{"label":%s,"params":%s,"rows":[' % (
+        json.dumps(t.label()), json.dumps(str(t.params) if t.params else None))
+    for n, row in enumerate(rows):
+        if fmt == "json":
+            line = ",".join(f'"{v}"' if type(v) is Fraction else text(v) for v in row)
+            yield ("," if n else head) + "[" + line + "]"
+        else:
+            line = ",".join(map(text, row if fmt == "csv" else trim(row)))
+            yield ("\n" if n else "") + (f"n={n}: " if fmt == "plain" else "") + line
+    if fmt == "json":
+        yield "]}"
+
+
+def cli_rows(params, n_max):
+    """Rows 0..n_max filled as `gkptri triangle` fills them: exact Decimals
+    for an integer six-tuple, ints and Fractions for a rational one."""
+    with decimal.localcontext(cli.EXACT):
+        one = decimal.Decimal(1) if params.is_integral() else 1
+        return list(triangle_rows(params, n_max, one))
+
+
+class TestStreamedRendering:
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_no_piece_holds_more_than_64_entries(self, fmt):
+        # 200 rows of 1-200 entries; the JSON head's label and params hold 9
+        # comma-separated fields, every other piece one field per entry.
+        p = whitney_params(3, 2)
+        t, rows = recurrence_triangle(p, 0), cli_rows(p, 199)
+        pieces = list(render_triangle(t, rows, fmt))
+        assert max(len(piece.lstrip(",").split(",")) for piece in pieces) == 64
+        assert "".join(pieces) == "".join(one_piece_per_row(t, rows, fmt))
+
+    @given(st.one_of(st.tuples(*[st.integers(-4, 4)] * 6), st.tuples(*[scalars] * 6)),
+           st.integers(0, 140))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_one_piece_per_row(self, six, n_max):
+        # Rows of up to 141 entries cross the 64-entry piece boundary twice.
+        params = TriangleParams(*six)
+        t, rows = recurrence_triangle(params, 0), cli_rows(params, n_max)
+        for fmt in FORMATS:
+            assert "".join(render_triangle(t, rows, fmt)) == "".join(
+                one_piece_per_row(t, rows, fmt))
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_decimal_negative_zero_prints_as_zero(self, fmt):
+        # a0 = -1 and every other coefficient 0: (-1)*0 is Decimal -0.
+        params = TriangleParams(-1, 0, 0, 0, 0, 0)
+        t, rows = recurrence_triangle(params, 0), cli_rows(params, 140)
+        assert any(str(v) == "-0" for row in rows for v in row)
+        text = "".join(render_triangle(t, rows, fmt))
+        assert text == "".join(one_piece_per_row(t, rows, fmt))
+        assert "-0" not in text
