@@ -11,7 +11,9 @@ same integers.
 Every check is a stream of `(expected, got, locus, *args)` comparisons
 that `CheckReport.first_mismatch` runs in turn: it reports the first
 difference and stops there, so nothing after it is computed and a locus is
-formatted only when it fails.
+formatted only when it fails.  `closed-solutions` chains the streams of its
+18 sub-checks, each solving its ODE system only when read, and reports the
+first failure as `{name}{params}: {locus}`.
 
 Each suite runs one identity battery over a documented default grid and
 returns a list of CheckReport records; the grids can be shrunk with the
@@ -152,20 +154,16 @@ def suite_grammar_recurrence(opts: VerifyOptions) -> list[CheckReport]:
     """Triangle extraction from D^n equals the direct recurrence for every
     integer six-tuple in [-2,2]^6 with a nondegenerate lattice."""
     n_max = opts.cap_n(6)
-    report = CheckReport(
-        name="grammar-recurrence",
-        params={"grid": "a,b in [-2,2]^6, (a1,b1) != (0,0)", "n_max": n_max},
-    )
+    report = CheckReport(name="grammar-recurrence", params={
+        "grid": "a,b in [-2,2]^6, (a1,b1) != (0,0)", "n_max": n_max, "tuples": 0})
 
     def comparisons():
-        tuples = 0
         for six in product(range(-2, 3), repeat=6):
             if six[1] or six[4]:
                 params = TriangleParams(*six)
-                tuples += 1
+                report.params["tuples"] += 1
                 yield (recurrence_triangle(params, n_max).rows,
                        extract_triangle(params, n_max).rows, "params {}", params)
-        report.params["tuples"] = tuples  # reached only when every tuple matched
     return [report.first_mismatch(comparisons())]
 
 
@@ -269,12 +267,10 @@ SUITES.update((name, partial(form.run, name)) for name, form in CLOSED_FORMS.ite
 # -- generating functions ---------------------------------------------------------
 
 
-def _compare_rows(report: CheckReport, checks) -> CheckReport:
-    """Fail `report` at the first (label, series, rows) of `checks`, in
-    turn, and the first n in it with n! [t^n] series != rows[n]."""
-    return report.first_mismatch(
-        (row, series.coefficient(n) * factorial(n), "{}: first mismatch at order {}", label, n)
-        for label, series, rows in checks for n, row in enumerate(rows))
+def _compare_rows(checks):
+    """n! [t^n] series against rows[n], for each (label, series, rows) of `checks` in turn."""
+    return ((row, series.coefficient(n) * factorial(n), "{}: first mismatch at order {}", label, n)
+            for label, series, rows in checks for n, row in enumerate(rows))
 
 
 def verify_closed_form_whitney(m: int, r: int, order: int,
@@ -328,6 +324,20 @@ def _hao_system(p: TriangleParams) -> OdeSystem:
                      {**ode.initial, "w": hao_seed(p)})
 
 
+def _a2zero_rows(a0: int, a1: int, order: int):
+    """The (label, series, rows) triples of `verify_sol_a2zero`: the system
+    is solved when the first is read, and each row is built when compared."""
+    sol = solve_ode(_hao_system(TriangleParams(a0, a1, 0, 1, 0, 0)), order)
+    ns = range(order + 1)
+    yield "U", sol["u"], (LaurentPoly({monomial({"u": 1, "v": a1 * j}): a1 ** (n - j)
+                                       * cf.stirling2(n, j) for j in range(n + 1)}) for n in ns)
+    yield "V", sol["v"], [LaurentPoly.variable("v")] * len(ns)
+    # Row n of U V^a0 is u v^a0 times the Bell-polynomial row at alpha = v^a1.
+    yield "U*V^a0", sol["w"], (LaurentPoly({monomial({"u": 1, "v": a0 + a1 * j}): c
+                                            for j, c in enumerate(cf.touchard_row(a0, a1, n))})
+                               for n in ns)
+
+
 def verify_sol_a2zero(a0: int, a1: int, order: int) -> CheckReport:
     """Check the closed solution U = u exp(v^a1 (e^(a1 t) - 1)/a1), V = v e^t
     of U' = U V^a1, V' = V through its EGF-normal rows (Bell/Touchard):
@@ -337,18 +347,20 @@ def verify_sol_a2zero(a0: int, a1: int, order: int) -> CheckReport:
     if a1 == 0:
         raise ZeroA1("the check needs a1 != 0")
     report = CheckReport(name="a2zero-solution", params={"a0": a0, "a1": a1}, order=order)
-    sol = solve_ode(_hao_system(TriangleParams(a0, a1, 0, 1, 0, 0)), order)
-    ns = range(order + 1)
-    u_rows = [LaurentPoly({monomial({"u": 1, "v": a1 * j}): a1 ** (n - j) * cf.stirling2(n, j)
-                           for j in range(n + 1)}) for n in ns]
-    # Row n of U V^a0 is u v^a0 times the Bell-polynomial row at alpha = v^a1.
-    uv_rows = [LaurentPoly({monomial({"u": 1, "v": a0 + a1 * j}): c
-                            for j, c in enumerate(cf.touchard_row(a0, a1, n))}) for n in ns]
-    return _compare_rows(report, (
-        ("U", sol["u"], u_rows),
-        ("V", sol["v"], [LaurentPoly.variable("v")] * len(ns)),
-        ("U*V^a0", sol["w"], uv_rows),
-    ))
+    return report.first_mismatch(_compare_rows(_a2zero_rows(a0, a1, order)))
+
+
+def _a1zero_rows(a0: int, a2: int, order: int):
+    """Like `_a2zero_rows`, the lazy (label, series, rows) triples of `verify_sol_a1zero`."""
+    sol = solve_ode(_hao_system(TriangleParams(a0, 0, a2, 1, 0, 0)), order)
+    rho = [cf.rising_step(1, a2, n) for n in range(order + 1)]
+    yield "V", sol["v"], (LaurentPoly.from_exponents({"v": 1 + a2 * n}, r)
+                          for n, r in enumerate(rho))
+    yield "U", sol["u"], (LaurentPoly.from_exponents({"u": 1, "v": a2 * n}, r)
+                          for n, r in enumerate(rho))
+    yield "row sums", sol["w"], (
+        LaurentPoly.from_exponents({"u": 1, "v": a0 + a2 + a2 * n}, cf.a1zero_rowsum(a0, a2, n))
+        for n in range(order + 1))
 
 
 def verify_sol_a1zero(a0: int, a2: int, order: int) -> CheckReport:
@@ -359,16 +371,7 @@ def verify_sol_a1zero(a0: int, a2: int, order: int) -> CheckReport:
     if a2 == 0:
         raise ZeroA2("the check needs a2 != 0")
     report = CheckReport(name="a1zero-solution", params={"a0": a0, "a2": a2}, order=order)
-    sol = solve_ode(_hao_system(TriangleParams(a0, 0, a2, 1, 0, 0)), order)
-    ns = range(order + 1)
-    rho = [cf.rising_step(1, a2, n) for n in ns]
-    return _compare_rows(report, (
-        ("V", sol["v"], [LaurentPoly.from_exponents({"v": 1 + a2 * n}, rho[n]) for n in ns]),
-        ("U", sol["u"], [LaurentPoly.from_exponents({"u": 1, "v": a2 * n}, rho[n]) for n in ns]),
-        ("row sums", sol["w"],
-         [LaurentPoly.from_exponents({"u": 1, "v": a0 + a2 + a2 * n}, cf.a1zero_rowsum(a0, a2, n))
-          for n in ns]),
-    ))
+    return report.first_mismatch(_compare_rows(_a1zero_rows(a0, a2, order)))
 
 
 def verify_secondorder_egf(y, order: int) -> CheckReport:
@@ -456,19 +459,19 @@ def suite_tree_function(opts: VerifyOptions) -> list[CheckReport]:
     T'(1-T) = exp(T), on t_n = n! [z^n] T and e_n = n! [z^n] exp(T)."""
     order = opts.cap_order(12)
     report = CheckReport(name="tree-function", params={}, order=order)
-    t = [normalize_scalar(c * factorial(n)) for n, c in enumerate(tree_function(order).coeffs)]
-    # exp(T)' = T' exp(T) is a binomial convolution; it needs t_0 = 0, as the
-    # functional equation does.
-    e = [1]
-    for n in range(1, order):
-        e.append(sum(comb(n - 1, k - 1) * t[k] * e[n - k] for k in range(1, n + 1)))
-    return [report.first_mismatch([
-        *((n ** (n - 1), t[n], "coefficient {}", n) for n in range(1, order + 1)),
-        ([0, *(n * e[n - 1] for n in range(1, order + 1))], t,
-         "functional equation T - z*exp(T) != 0"),
-        (e[:order], [t[n + 1] - sum(comb(n, j) * t[j + 1] * t[n - j] for j in range(n + 1))
-                     for n in range(order)], "derivative identity T'(1-T) != exp(T)"),
-    ])]
+
+    def comparisons():
+        t = [normalize_scalar(c * factorial(n)) for n, c in enumerate(tree_function(order).coeffs)]
+        yield from ((n ** (n - 1), t[n], "coefficient {}", n) for n in range(1, order + 1))
+        # exp(T)' = T' exp(T), a binomial convolution; it needs t_0 = 0, as T = z exp(T) does.
+        e = [1]
+        for n in range(1, order):
+            e.append(sum(comb(n - 1, k - 1) * t[k] * e[n - k] for k in range(1, n + 1)))
+        yield ([0, *(n * e[n - 1] for n in range(1, order + 1))], t,
+               "functional equation T - z*exp(T) != 0")
+        yield (e[:order], [t[n + 1] - sum(comb(n, j) * t[j + 1] * t[n - j] for j in range(n + 1))
+                           for n in range(order)], "derivative identity T'(1-T) != exp(T)")
+    return [report.first_mismatch(comparisons())]
 
 
 @suite("second-order-egf")
@@ -480,20 +483,17 @@ def suite_second_order_egf(opts: VerifyOptions) -> list[CheckReport]:
 
 @suite("closed-solutions")
 def suite_closed_solutions(opts: VerifyOptions) -> list[CheckReport]:
-    """Closed solutions of the two one-parameter systems."""
+    """Closed solutions of the two one-parameter systems: 18 sub-checks, to the first mismatch."""
     order = opts.cap_order(5)
-    grid = list(product((0, 1, 2), (1, 2, 3)))
-    reports = [verify_sol_a2zero(a0, a1, order) for a0, a1 in grid]
-    reports += [verify_sol_a1zero(a0, a2, order) for a0, a2 in grid]
-    failed = [r for r in reports if not r.passed]
-    merged = CheckReport(
-        name="closed-solutions",
-        params={"grid": "a0 in {0,1,2}, a1/a2 in {1,2,3}"},
-        order=order,
-    )
-    if failed:
-        merged.fail("; ".join(f"{r.name}{r.params}: {r.failure}" for r in failed))
-    return [merged]
+    report = CheckReport(name="closed-solutions",
+                         params={"grid": "a0 in {0,1,2}, a1/a2 in {1,2,3}"}, order=order)
+    checks = [(name, {"a0": a0, key: a}, triples(a0, a, order))
+              for name, key, triples in (("a2zero-solution", "a1", _a2zero_rows),
+                                         ("a1zero-solution", "a2", _a1zero_rows))
+              for a0, a in product((0, 1, 2), (1, 2, 3))]
+    return [report.first_mismatch(
+        (expected, got, "{}{}: " + locus, name, params, *args)
+        for name, params, rows in checks for expected, got, locus, *args in _compare_rows(rows))]
 
 
 # -- oracle equivalences -------------------------------------------------------------

@@ -14,8 +14,8 @@ so every polynomial is made by `LaurentPoly`'s constructor.  The ODE engine
 in fps adds int keys, so it names neither `operator.add` nor `sub`, its
 Miller streams build no Fraction, and it raises no UnknownVariable:
 `Grammar` alone checks rule letters.  Every
-check in verify reports through `CheckReport.first_mismatch`: `fail` is
-called in at most two places and no loop there breaks."""
+check in verify reports through `CheckReport.first_mismatch`: it is the one
+place that calls `fail`, and no loop there breaks."""
 
 import ast
 import os
@@ -209,12 +209,14 @@ def test_fail_site_checker_sees_method_calls_and_breaks():
 
 def test_verify_reports_through_first_mismatch():
     # Each check streams (expected, got, locus) comparisons into
-    # `first_mismatch`, which stops at the first difference; besides it, only
-    # the closed-solutions merge, which lists every failed sub-check, calls
-    # `fail`.  A loop that breaks on a mismatch of its own is a second rule.
-    sites = fail_sites((SRC / "verify.py").read_text())
-    assert [s for s in sites if s.startswith("break")] == []
-    assert len(sites) <= 2
+    # `first_mismatch`, which stops at the first difference, and nothing else
+    # calls `fail`: a suite that merges the reports of its sub-checks, or a
+    # loop that breaks on a mismatch of its own, is a second failure rule.
+    source = (SRC / "verify.py").read_text()
+    [method] = [node for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.FunctionDef) and node.name == "first_mismatch"]
+    [site] = fail_sites(source)
+    assert site.startswith("fail:") and method.lineno <= int(site[5:]) <= method.end_lineno
 
 
 def test_self_call_checker_sees_direct_and_nested_calls():

@@ -501,26 +501,38 @@ def _rowsum_bumped_at(fn, n0):
     return lambda a0, a2, n: fn(a0, a2, n) + (n == n0)
 
 
+# Each bumped closed row, its check, and the first sub-check of closed-solutions
+# that fails: its name, the parameter beside a0, its locus and its place in the
+# suite's order, which is how many systems the suite solves.
 CLOSED_SOLUTION_FAILURES = {
     "a2zero": ("touchard_row", _touchard_bumped_at, verify.verify_sol_a2zero,
-               "a2zero-solution", "a1", "U*V^a0"),
+               "a2zero-solution", "a1", "U*V^a0", 1),
     "a1zero": ("a1zero_rowsum", _rowsum_bumped_at, verify.verify_sol_a1zero,
-               "a1zero-solution", "a2", "row sums"),
+               "a1zero-solution", "a2", "row sums", 10),
 }
 
 
 @pytest.mark.parametrize("kind", CLOSED_SOLUTION_FAILURES)
 def test_closed_solutions_report_first_mismatch(monkeypatch, kind):
-    attr, bump, check, name, a, locus = CLOSED_SOLUTION_FAILURES[kind]
+    attr, bump, check, name, a, locus, _ = CLOSED_SOLUTION_FAILURES[kind]
     monkeypatch.setattr(cf, attr, bump(getattr(cf, attr), 2))
     report = check(1, 2, 5)
     assert (report.passed, report.failure) == (False, f"{locus}: first mismatch at order 2")
-    [merged] = SUITES["closed-solutions"](VerifyOptions())
-    assert merged.failure == "; ".join(
-        f"{name}{{'a0': {a0}, '{a}': {ai}}}: {locus}: first mismatch at order 2"
-        for a0 in (0, 1, 2) for ai in (1, 2, 3))
-    assert str(merged) == ("closed-solutions [grid=a0 in {0,1,2}, a1/a2 in {1,2,3}] "
-                           f"order<=5: FAIL ({merged.failure})")
+    [suite_report] = SUITES["closed-solutions"](VerifyOptions())
+    assert suite_report.failure == (
+        f"{name}{{'a0': 0, '{a}': 1}}: {locus}: first mismatch at order 2")
+    assert str(suite_report) == ("closed-solutions [grid=a0 in {0,1,2}, a1/a2 in {1,2,3}] "
+                                 f"order<=5: FAIL ({suite_report.failure})")
+
+
+@pytest.mark.parametrize("kind", CLOSED_SOLUTION_FAILURES)
+def test_closed_solutions_solve_no_system_past_the_first_mismatch(monkeypatch, kind):
+    attr, bump, *_, solves = CLOSED_SOLUTION_FAILURES[kind]
+    monkeypatch.setattr(cf, attr, bump(getattr(cf, attr), 2))
+    solve_ode, calls = verify.solve_ode, []
+    monkeypatch.setattr(verify, "solve_ode", lambda *a: calls.append(a) or solve_ode(*a))
+    [report] = SUITES["closed-solutions"](VerifyOptions())
+    assert (report.passed, len(calls)) == (False, solves)
 
 
 def _a2zero_rows(a1, order):
@@ -623,9 +635,13 @@ def test_tree_function_reports_first_coefficient(monkeypatch, k, locus):
         coeffs[k] += 1
         return TruncatedSeries(coeffs)
     monkeypatch.setattr(verify, "tree_function", off_at_k)
+    comb, combs = verify.comb, []
+    monkeypatch.setattr(verify, "comb", lambda *a: combs.append(a) or comb(*a))
     [report] = SUITES["tree-function"](VerifyOptions())
     assert report.record() == {"name": "tree-function", "params": {}, "order": 12,
                                "status": "fail", "locus": locus}
+    # A wrong coefficient fails before the exp(T) convolution is computed.
+    assert bool(combs) == (k == 0)
 
 
 def test_grammar_recurrence_reports_first_tuple(monkeypatch):
@@ -637,7 +653,8 @@ def test_grammar_recurrence_reports_first_tuple(monkeypatch):
     [report] = SUITES["grammar-recurrence"](VerifyOptions(max_n=3))
     assert report.record() == {
         "name": "grammar-recurrence",
-        "params": {"grid": "a,b in [-2,2]^6, (a1,b1) != (0,0)", "n_max": "3"},
+        "params": {"grid": "a,b in [-2,2]^6, (a1,b1) != (0,0)", "n_max": "3",
+                   "tuples": "8088"},
         "order": None, "status": "fail", "locus": "params 0,1,0,1,0,0"}
 
 
