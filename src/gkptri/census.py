@@ -99,32 +99,23 @@ def _walk(root, depth: int, children):
             stack.pop()
 
 
+def _leaves(p: LaurentPoly, what: str) -> tuple[str, ...]:
+    """The leaf letters of `p`, a coefficient-1 monomial with nonnegative exponents."""
+    terms = p.terms()
+    mono = next(iter(terms), ())
+    if terms != {mono: 1} or any(e < 0 for _, e in mono):
+        raise GrammarNotEnumerable(f"{what} must be a coefficient-1 monomial with "
+                                   f"nonnegative exponents, got {p}")
+    return tuple(v for v, e in mono for _ in range(e))
+
+
 def _monomial_replacements(g: Grammar) -> dict[str, tuple[str, ...]]:
-    """Each rule as the tuple of leaf letters it spawns; requires every rule
-    to be a single monomial with coefficient 1 and nonnegative exponents."""
-    table: dict[str, tuple[str, ...]] = {}
-    for letter in g.alphabet:
-        terms = g.rules[letter].terms()
-        if len(terms) != 1:
-            raise GrammarNotEnumerable(f"rule for {letter!r} is not a single monomial")
-        (mono, coeff), = terms.items()
-        if coeff != 1:
-            raise GrammarNotEnumerable(f"rule for {letter!r} has coefficient {coeff}")
-        if any(e < 0 for _, e in mono):
-            raise GrammarNotEnumerable(f"rule for {letter!r} has a negative exponent")
-        table[letter] = tuple(v for v, e in mono for _ in range(e))
-    return table
+    """Each rule as the tuple of leaf letters it spawns."""
+    return {x: _leaves(g.rules[x], f"rule for {x!r}") for x in g.alphabet}
 
 
 def _seed_leaves(g: Grammar, seed: LaurentPoly) -> tuple[str, ...]:
-    terms = seed.terms()
-    if len(terms) != 1:
-        raise GrammarNotEnumerable("seed must be a single monomial")
-    (mono, coeff), = terms.items()
-    if coeff != 1 or any(e < 0 for _, e in mono):
-        raise GrammarNotEnumerable("seed must be a coefficient-1 monomial with "
-                                   "nonnegative exponents")
-    leaves = tuple(v for v, e in mono for _ in range(e))
+    leaves = _leaves(seed, "seed")
     extra = set(leaves) - set(g.alphabet)
     if extra:
         raise UnknownVariable(f"seed mentions {sorted(extra)} outside the alphabet")

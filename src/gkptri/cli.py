@@ -62,8 +62,8 @@ FAMILIES = {
 
 
 def dumps_canonical(payload) -> str:
-    """The one JSON dumper used everywhere, so output round-trips
-    byte-identically through json.loads."""
+    """The compact, key-sorted JSON of `verify --format json`; it round-trips byte-identically
+    through json.loads.  `render_triangle` writes the triangle JSON in that form itself."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 

@@ -99,9 +99,7 @@ def t_b2zero_explicit(a0, a1, a2, b0, b1, n: int, k: int) -> Scalar:
     """Entry of the triangle with coefficients a2*n + a1*k + a0 and
     b1*k + b0: the rising-step prefactor (b0+b1 | b1)^(rising k) times the
     b = 1 entry, for any a2."""
-    if a1 == 0:
-        raise ZeroA1("the explicit formula needs a1 != 0")
-    return normalize_scalar(rising_step(b0 + b1, b1, k) * f_gram_explicit(a0, a1, a2, n, k))
+    return normalize_scalar(f_gram_explicit(a0, a1, a2, n, k) * rising_step(b0 + b1, b1, k))
 
 
 def f_a2zero_explicit(a0, a1, n: int, k: int) -> Scalar:

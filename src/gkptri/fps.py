@@ -10,11 +10,12 @@ A TruncatedSeries is a value with no arithmetic: the engines compute on
 packed EGF-normal levels, and every identity check in `verify` compares
 n! [t^n] coefficients, so nothing in the package adds, multiplies or
 exponentiates a series.  Its coefficients are exact rationals (int or
-Fraction) or Laurent polynomials (for series whose coefficients still carry
-the letters u, v), mixed freely, since a LaurentPoly compares and hashes
-with a scalar.  Floats are rejected with TypeError.  A series of order N
-stores the N+1 coefficients of t^0..t^N as plain t-power coefficients, and
-`coefficient` never reads beyond them.  Truncation orders are nonnegative.
+Fraction) or Laurent polynomials, mixed freely, since a LaurentPoly compares
+and hashes with a scalar; both engines return `_egf`'s LaurentPolys, constant
+ones when the initial values carry no letter.  Floats are rejected with
+TypeError.  A series of order N stores the N+1 coefficients of t^0..t^N as
+plain t-power coefficients, and `coefficient` never reads beyond them.
+Truncation orders are nonnegative.
 """
 
 from __future__ import annotations
@@ -246,14 +247,10 @@ def egf_levels(system: OdeSystem,
 
 
 def solve_ode(system: OdeSystem, order: int) -> dict[str, TruncatedSeries]:
-    """Unique formal solution to the given order: `egf_levels` divided by n!.
-    The coefficients are scalars when no initial value is a LaurentPoly, and
-    polynomials otherwise."""
+    """Unique formal solution to the given order: `_egf` of `egf_levels` for every
+    system, so LaurentPolys, constant ones when no initial value carries a letter."""
     names, ys = egf_levels(system, order)
-    sol = {v: _egf(names, ys[v]) for v in system.variables}
-    if LaurentPoly in map(type, system.initial.values()):
-        return sol
-    return {v: TruncatedSeries(p.coefficient(()) for p in y.coeffs) for v, y in sol.items()}
+    return {v: _egf(names, ys[v]) for v in system.variables}
 
 
 # -- the tree function -------------------------------------------------------------

@@ -152,13 +152,12 @@ class LaurentPoly:
         return q + (-self)
 
     def __mul__(self, other) -> LaurentPoly:
-        if isinstance(other, (int, Fraction)):
-            return LaurentPoly({m: c * other for m, c in self._terms.items()})
-        if not isinstance(other, LaurentPoly):
+        q = self._coerce(other)
+        if q is None:
             return NotImplemented
         out: dict[Monomial, Scalar] = {}
         for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
+            for m2, c2 in q._terms.items():
                 exps = dict(m1)
                 for var, e in m2:
                     exps[var] = exps.get(var, 0) + e

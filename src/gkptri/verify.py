@@ -144,6 +144,8 @@ _WHITNEY_TEXT = "m in {1,2,3}, 0 <= r <= m"
 _WHITNEY_LOCI = tuple((f"m={m}, r={r}", (m, r)) for m in (1, 2, 3) for r in range(m + 1))
 _A_TEXT = "a0 in {0,1,2}, a1,a2 in {1,2,3}"
 _A_LOCI = _loci("a=({},{},{})", (0, 1, 2), (1, 2, 3), (1, 2, 3))
+_A2ZERO_TEXT = "a0 in {0,1,2}, a1 in {1,2,3}"
+_A2ZERO_LOCI = _loci("a0={}, a1={}", (0, 1, 2), (1, 2, 3))
 
 
 # -- grammar vs recurrence -----------------------------------------------------
@@ -245,14 +247,12 @@ CLOSED_FORMS: dict[str, ClosedForm] = {
         n_max=7, grid_text=_A_TEXT + ", b0,b1 in {0,1,2}"),
     # b = 1, a2 = 0 rows as Bell-polynomial coefficients.
     "touchard": ClosedForm(
-        _loci("a0={}, a1={}", (0, 1, 2), (1, 2, 3)),
-        lambda a0, a1: TriangleParams(a0, a1, 0, 1, 0, 0), lambda *a: cf.touchard_row(*a),
-        n_max=6, grid_text="a0 in {0,1,2}, a1 in {1,2,3}", row=Triangle.row),
+        _A2ZERO_LOCI, lambda a0, a1: TriangleParams(a0, a1, 0, 1, 0, 0),
+        lambda *a: cf.touchard_row(*a), n_max=6, grid_text=_A2ZERO_TEXT, row=Triangle.row),
     # b = 1, a2 = 0 entries by the Stirling-weighted binomial formula.
     "a2zero-explicit": ClosedForm(
-        _loci("a0={}, a1={}", (0, 1, 2), (1, 2, 3)),
-        lambda a0, a1: TriangleParams(a0, a1, 0, 1, 0, 0), lambda *a: cf.f_a2zero_explicit(*a),
-        n_max=6, grid_text="a0 in {0,1,2}, a1 in {1,2,3}"),
+        _A2ZERO_LOCI, lambda a0, a1: TriangleParams(a0, a1, 0, 1, 0, 0),
+        lambda *a: cf.f_a2zero_explicit(*a), n_max=6, grid_text=_A2ZERO_TEXT),
     # b = 1, a1 = 0 row sums are rising factorials.
     "a1zero-rowsum": ClosedForm(
         _loci("a0={}, a2={}", (0, 1, 2), (1, 2, 3)),

@@ -1,5 +1,6 @@
 """Brute-force enumerators against frozen counts and the recurrence rows."""
 
+import re
 from itertools import chain, cycle, permutations, product
 from math import factorial
 
@@ -267,6 +268,19 @@ class TestVLeafCensus:
     def test_rejects_seed_that_is_no_leaf_monomial(self, seed):
         with pytest.raises(GrammarNotEnumerable, match="^seed must be"):
             census_vleaves(WHITNEY_32, parse_poly(seed), 1, "v")
+
+    @pytest.mark.parametrize("where", ["rule", "seed"])
+    @pytest.mark.parametrize("poly", ["u + v", "2*u*v", "u*v^-1"])
+    def test_rejects_every_non_leaf_monomial_with_one_message(self, where, poly):
+        # A sum, a coefficient other than 1 and a negative exponent fail alike,
+        # for a rule and for the seed.
+        rule, seed = (poly, "u") if where == "rule" else ("u*v", poly)
+        g = Grammar.from_text(f"u -> {rule}\nv -> v")
+        what = "rule for 'u'" if where == "rule" else "seed"
+        message = (f"{what} must be a coefficient-1 monomial with nonnegative exponents, "
+                   f"got {parse_poly(poly)}")
+        with pytest.raises(GrammarNotEnumerable, match=f"^{re.escape(message)}$"):
+            census_vleaves(g, parse_poly(seed), 1, "v")
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_rejects_seed_letter_outside_alphabet(self, n):

@@ -109,6 +109,15 @@ class TestSolveOde:
         sys = OdeSystem(Grammar({"x": LaurentPoly.zero()}), {"x": Fraction(5)})
         assert solve_ode(sys, 4) == {"x": constant(5, 4)}
 
+    def test_scalar_and_constant_initials_give_one_series(self):
+        # Every system's coefficients are what `_egf` makes, whatever type the
+        # initial values have: x' = x^2 from 2 gives c_n = 2^(n+1) either way.
+        g = Grammar({"x": parse_poly("x^2")})
+        a = solve_ode(OdeSystem(g, {"x": 2}), 6)["x"]
+        b = solve_ode(OdeSystem(g, {"x": LaurentPoly.constant(2)}), 6)["x"]
+        assert a == b == TruncatedSeries(2 ** (n + 1) for n in range(7))
+        assert [type(c) for c in a.coeffs] == [type(c) for c in b.coeffs]
+
     def test_rational_initials_match_evaluated_gen_series(self):
         g = Grammar.from_text("x -> x^2*y\ny -> x^2*y")
         sol = solve_ode(OdeSystem(g, {"x": 2, "y": 1}), 5)

@@ -10,12 +10,14 @@ inspect.  Also, every name in `gkptri.__all__` exists and is listed once,
 every error class but the base `GkpError` is raised somewhere in the
 package, and no module but `__init__` imports a name it never uses.  No
 module names `__new__`, and `polyring` defines one monomial canonicaliser,
-so every polynomial is made by `LaurentPoly`'s constructor.  The ODE engine
-in fps adds int keys, so it names neither `operator.add` nor `sub`, its
-Miller streams build no Fraction, and it raises no UnknownVariable:
-`Grammar` alone checks rule letters.  Every
-check in verify reports through `CheckReport.first_mismatch`: it is the one
-place that calls `fail`, and no loop there breaks."""
+so every polynomial is made by `LaurentPoly`'s constructor, whose ring
+operators and `__eq__` reach their operand only through `_coerce`.  In
+census, `_leaves` is the one function that reads a polynomial's terms.
+The ODE engine in fps adds int keys, so it names neither `operator.add`
+nor `sub`, its Miller streams build no Fraction, and it raises no
+UnknownVariable: `Grammar` alone checks rule letters.  Every check in
+verify reports through `CheckReport.first_mismatch`: it is the one place
+that calls `fail`, and no loop there breaks."""
 
 import ast
 import os
@@ -262,6 +264,54 @@ def test_no_module_names_new():
 def test_polyring_has_one_monomial_canonicaliser():
     defined = defined_names((SRC / "polyring.py").read_text())
     assert {"monomial", "monomial_mul"} & defined == {"monomial"}
+
+
+def call_sites(source: str, method: str) -> set[str]:
+    """The top-level functions and the methods of top-level classes that
+    call `.method(...)` on anything."""
+    tree = ast.parse(source)
+    funcs = [f for node in tree.body
+             for f in (node.body if isinstance(node, ast.ClassDef) else [node])
+             if isinstance(f, ast.FunctionDef)]
+    return {f.name for f in funcs for node in ast.walk(f)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == method}
+
+
+def isinstance_of_other(func: ast.FunctionDef) -> bool:
+    """Whether `func` calls isinstance(other, ...)."""
+    return any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "isinstance" and node.args
+               and isinstance(node.args[0], ast.Name) and node.args[0].id == "other"
+               for node in ast.walk(func))
+
+
+def test_call_site_and_isinstance_checkers():
+    source = ("def f(p):\n    return p.terms()\nclass C:\n    def g(self, other):\n"
+              "        return isinstance(other, int) or other.terms()\n"
+              "def h(other):\n    return isinstance(1, int)\n")
+    assert call_sites(source, "terms") == {"f", "g"}
+    funcs = {f.name: f for f in ast.walk(ast.parse(source)) if isinstance(f, ast.FunctionDef)}
+    assert [name for name, f in funcs.items() if isinstance_of_other(f)] == ["g"]
+
+
+def test_census_reads_terms_in_one_function():
+    # One reader checks that a rule or a seed is a leaf monomial, so the two
+    # give one message and cannot drift apart.
+    assert call_sites((SRC / "census.py").read_text(), "terms") == {"_leaves"}
+
+
+def test_laurent_poly_coerces_operands_in_one_place():
+    # A scalar branch in one operator would be a second product or sum path
+    # beside the polynomial one.
+    tree = ast.parse((SRC / "polyring.py").read_text())
+    cls, = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "LaurentPoly"]
+    methods = {f.name: f for f in cls.body if isinstance(f, ast.FunctionDef)}
+    operators = {"__add__", "__sub__", "__rsub__", "__mul__", "__eq__"}
+    assert [name for name in sorted(operators) if "_coerce" not in
+            names_used(ast.unparse(methods[name]))] == []
+    assert [name for name, f in methods.items()
+            if name != "_coerce" and isinstance_of_other(f)] == []
 
 
 def test_fps_adds_no_exponent_tuples():
