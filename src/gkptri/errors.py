@@ -48,10 +48,6 @@ class NonInvertibleConstantTerm(GkpError):
     nonzero term, so has no inverse."""
 
 
-class DegeneratePoint(GkpError):
-    """Evaluation point collapses the closed form (u^m = v^m)."""
-
-
 class DegenerateY(GkpError):
     """The second-order generating-function identity requires y not in {0, 1}."""
 

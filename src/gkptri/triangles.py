@@ -104,7 +104,7 @@ def stirling2_params() -> TriangleParams:
 class Triangle:
     """Computed rows of a triangular array, rows[n] = [T(n,0), ..., T(n,n)]."""
 
-    def __init__(self, params: TriangleParams | None, rows: list[list[Scalar]],
+    def __init__(self, params: TriangleParams, rows: list[list[Scalar]],
                  family: str | None = None):
         self.params = params
         self.rows = rows
@@ -120,7 +120,7 @@ class Triangle:
         return self.rows[n]
 
     def entry(self, n: int, k: int) -> Scalar:
-        """T(n,k), with out-of-range indices reading as 0."""
+        """T(n,k): 0 for n < 0 or k outside 0..n; RowOutOfRange for n past the rows."""
         if n < 0 or k < 0 or k > n:
             return 0
         return self.row(n)[k]
@@ -133,9 +133,7 @@ class Triangle:
         return normalize_scalar(sum(row[::2]) - sum(row[1::2]))
 
     def label(self) -> str:
-        if self.family:
-            return self.family
-        return f"gkp({self.params})" if self.params else "triangle"
+        return self.family or f"gkp({self.params})"
 
 
 def triangle_rows(params: TriangleParams, n_max: int, one=1) -> Iterator[list]:
@@ -242,7 +240,7 @@ def render_triangle(t: Triangle, rows: Iterable[list], fmt: str) -> Iterator[str
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r} (choose from {', '.join(FORMATS)})")
     head = '{"label":%s,"params":%s,"rows":[' % (
-        json.dumps(t.label()), json.dumps(str(t.params) if t.params else None))
+        json.dumps(t.label()), json.dumps(str(t.params)))
     for n, row in enumerate(rows):
         if fmt == "json":
             yield ("," if n else head) + "["

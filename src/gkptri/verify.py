@@ -36,7 +36,6 @@ from math import comb, factorial
 from . import census as census_mod
 from . import closedforms as cf
 from .errors import (
-    DegeneratePoint,
     DegenerateY,
     NonTriangularExpansion,
     UnknownSuite,
@@ -142,6 +141,7 @@ def _loci(label: str, *ranges) -> tuple[tuple[str, tuple], ...]:
 
 _WHITNEY_TEXT = "m in {1,2,3}, 0 <= r <= m"
 _WHITNEY_LOCI = tuple((f"m={m}, r={r}", (m, r)) for m in (1, 2, 3) for r in range(m + 1))
+_WHITNEY_POINTS = ((2, 1), (1, 2), (3, 2))  # (u, v) of whitney-egf
 _A_TEXT = "a0 in {0,1,2}, a1,a2 in {1,2,3}"
 _A_LOCI = _loci("a=({},{},{})", (0, 1, 2), (1, 2, 3), (1, 2, 3))
 _A2ZERO_TEXT = "a0 in {0,1,2}, a1 in {1,2,3}"
@@ -273,31 +273,25 @@ def _compare_rows(checks):
             for label, series, rows in checks for n, row in enumerate(rows))
 
 
-def verify_closed_form_whitney(m: int, r: int, order: int,
-                               points=((2, 1), (1, 2), (3, 2))) -> CheckReport:
-    """Check, at exact rational points, that the bivariate EGF of the
+def verify_closed_form_whitney(m: int, r: int, order: int) -> CheckReport:
+    """Check, at three integer points (u, v), that the bivariate EGF of the
     (mk+r)/(mn-mk+m-r) triangle equals
     (u^m - v^m) e^((u^m - v^m) r t) / (u^m - v^m e^((u^m - v^m) m t)), cleared:
-    with R_n = sum_k T(n,k) u^(m(n-k)) v^(mk) and c = u^m - v^m,
+    with R_n = sum_k T(n,k) u^(m(n-k)) v^(mk) and c = u^m - v^m != 0 (m >= 1),
     u^m R_n - v^m sum_j C(n,j) R_j (cm)^(n-j) = c (cr)^n for every n, with
     the powers of u^m, v^m, cm and cr read from one table each per point."""
     report = CheckReport(
         name="whitney-egf",
-        params={"m": m, "r": r, "points": tuple(points)},
+        params={"m": m, "r": r, "points": _WHITNEY_POINTS},
         order=order,
     )
     if order < 0:
         raise ValueError("order must be nonnegative")
     tri = whitney_eulerian(m, r, order)
-    scaled = []
-    for point in points:
-        um, vm = (normalize_scalar(x) ** m for x in point)
-        if um == vm:
-            raise DegeneratePoint(f"u^m = v^m at point {point}")
-        scaled.append((point, um, vm))
 
     def comparisons():
-        for point, um, vm in scaled:
+        for point in _WHITNEY_POINTS:
+            um, vm = (x ** m for x in point)
             c = um - vm
             u_pow, v_pow, cm_pow, cr_pow = ([x ** i for i in range(order + 1)]
                                             for x in (um, vm, c * m, c * r))
@@ -417,9 +411,19 @@ def verify_secondorder_egf(y, order: int) -> CheckReport:
 
 @suite("whitney-egf")
 def suite_whitney_egf(opts: VerifyOptions) -> list[CheckReport]:
-    """Closed bivariate EGF at exact rational points."""
+    """Closed bivariate EGF at three integer points."""
     order = opts.cap_order(6)
     return [verify_closed_form_whitney(m, r, order) for _, (m, r) in _WHITNEY_LOCI]
+
+
+# Named grammars that are no hao rule: one and three letters, rational rule
+# coefficients, and x -> y - z (cyclic), whose derivatives cancel terms.
+_ODE_GEN_NAMED = (
+    "x -> x^2*y\ny -> x^2*y", "u -> u*v^3\nv -> v", "u -> u*v^4\nv -> v^4",
+    "u -> u*v^5\nv -> v^4", "u -> u*v^4\nv -> v^2", "u -> u*v^5\nv -> v^3",
+    "u -> u*v^6\nv -> v^4", "x -> x^2", "x -> x^-1 + 2", "x -> y - z\ny -> z - x\nz -> x - y",
+    "x -> y*z\ny -> x*z\nz -> x*y", "u -> 1/2*u^2*v\nv -> 1/3*u*v^-1",
+    "x -> x^2*y^-1*z\ny -> y^3 + 1/2*x*z^-2\nz -> x^-1*y*z")
 
 
 @suite("ode-gen")
@@ -437,11 +441,7 @@ def suite_ode_gen(opts: VerifyOptions) -> list[CheckReport]:
     span = range(-2, 3)
     grammars = [hao_grammar(TriangleParams(0, a1, a2, 0, b1, b2))
                 for a1, a2, b1, b2 in product(span, repeat=4) if a1 or b1]
-    grammars.append(Grammar.from_text("x -> x^2*y\ny -> x^2*y"))
-    for a1 in (1, 2, 3):
-        grammars.append(Grammar.from_text(f"u -> u*v^{a1}\nv -> v"))
-    for a1, a2 in product((1, 2, 3), (1, 2, 3)):
-        grammars.append(Grammar.from_text(f"u -> u*v^{a1 + a2}\nv -> v^{a2 + 1}"))
+    grammars += map(Grammar.from_text, _ODE_GEN_NAMED)
     report.params["grammars"] = len(grammars)
 
     def comparisons():

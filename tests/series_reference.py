@@ -14,7 +14,7 @@ from math import comb, factorial, prod
 from operator import add, sub
 
 from gkptri import verify
-from gkptri.errors import DegeneratePoint, DegenerateY, NonInvertibleConstantTerm
+from gkptri.errors import DegenerateY, NonInvertibleConstantTerm
 from gkptri.fps import OdeSystem, TruncatedSeries
 from gkptri.polyring import LaurentPoly, monomial, normalize_scalar
 
@@ -255,20 +255,19 @@ def reference_secondorder_egf(y, order):
     return report
 
 
-def reference_closed_form_whitney(m, r, order, points=((2, 1), (1, 2), (3, 2))):
-    """`verify.verify_closed_form_whitney` with a `**` per term: with
-    R_n = sum_k T(n,k) u^(m(n-k)) v^(mk) and c = u^m - v^m,
+def reference_closed_form_whitney(m, r, order):
+    """`verify.verify_closed_form_whitney` with a `**` per term, in Fractions:
+    with R_n = sum_k T(n,k) u^(m(n-k)) v^(mk) and c = u^m - v^m,
     u^m R_n - v^m sum_j C(n,j) R_j (cm)^(n-j) = c (cr)^n."""
+    points = ((2, 1), (1, 2), (3, 2))
     report = verify.CheckReport(
-        name="whitney-egf", params={"m": m, "r": r, "points": tuple(points)}, order=order)
+        name="whitney-egf", params={"m": m, "r": r, "points": points}, order=order)
     if order < 0:
         raise ValueError("order must be nonnegative")
     tri = verify.whitney_eulerian(m, r, order)
     for point in points:
-        u, v = map(normalize_scalar, point)
+        u, v = map(Fraction, point)
         um, vm = u ** m, v ** m
-        if um == vm:
-            raise DegeneratePoint(f"u^m = v^m at point {point}")
         c = um - vm
         rows = []
         for n in range(order + 1):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from gkptri import fps
 from gkptri.errors import (
-    DegeneratePoint,
     DegenerateY,
     NonInvertibleConstantTerm,
     UnknownVariable,
@@ -436,10 +435,6 @@ class TestVerifications:
         for m, r in ((1, 1), (3, 2), (2, 0)):
             assert verify_closed_form_whitney(m, r, 6).passed
 
-    def test_whitney_egf_degenerate_point(self):
-        with pytest.raises(DegeneratePoint):
-            verify_closed_form_whitney(2, 1, 4, points=((1, 1),))
-
     def test_a2zero_solution_passes(self):
         report = verify_sol_a2zero(2, 2, 4)
         assert report.passed
@@ -485,5 +480,3 @@ class TestVerifications:
         # Fraction(0.5) would silently pass a binary fraction into an exact check.
         with pytest.raises(TypeError, match="got float"):
             verify_secondorder_egf(0.5, 3)
-        with pytest.raises(TypeError, match="got float"):
-            verify_closed_form_whitney(1, 1, 3, points=((0.5, 2),))

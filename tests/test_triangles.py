@@ -293,7 +293,7 @@ def one_piece_per_row(t, rows, fmt):
         return row[:end]
 
     head = '{"label":%s,"params":%s,"rows":[' % (
-        json.dumps(t.label()), json.dumps(str(t.params) if t.params else None))
+        json.dumps(t.label()), json.dumps(str(t.params)))
     for n, row in enumerate(rows):
         if fmt == "json":
             line = ",".join(f'"{v}"' if type(v) is Fraction else text(v) for v in row)
