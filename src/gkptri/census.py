@@ -18,7 +18,7 @@ the words of every size, and has no other size cap.
 
 from __future__ import annotations
 
-from itertools import chain, permutations, repeat
+from itertools import chain, permutations
 from math import factorial
 from operator import ge
 
@@ -83,14 +83,18 @@ class _Budget:
 
 def _walk(root, depth: int, children):
     """Walk the tree below `root` depth first on a stack of child iterators,
-    yielding the sibling families `depth` - 1 levels down: the iterator over
-    the children of each node one level above them, which the caller loops
-    over and pays for in one budget spend.  Depth 1 yields the root's
-    one-element family; depth 0 yields nothing."""
+    yielding the sibling families `depth` - 1 levels down, which the caller
+    loops over and pays for in one budget spend.  `children(node)` returns
+    an iterator, never a tuple, which the stack would re-read from its start;
+    the nodes one level above the families are mapped through it straight
+    off the stack.  Depth 1 yields the root's one-element family; depth 0
+    yields nothing."""
     stack = [iter((root,))] if depth else []
+    if depth == 1:
+        yield stack.pop()
     while stack:
-        if len(stack) == depth:
-            yield stack.pop()
+        if len(stack) == depth - 1:
+            yield from map(children, stack.pop())
             continue
         for node in stack[-1]:
             stack.append(children(node))
@@ -149,8 +153,9 @@ def census_vleaves(g: Grammar, seed: LaurentPoly, n: int, leaf_letter: str,
         for leaves in family:
             spent += len(leaves)
             count = leaves.count(leaf_letter)
-            for x in set(leaves):
-                counts[count + delta[x]] = counts.get(count + delta[x], 0) + leaves.count(x)
+            for x, d in delta.items():
+                if c := leaves.count(x):
+                    counts[count + d] = counts.get(count + d, 0) + c
         tracker.spend(spent)
     return StructureCensus(f"{leaf_letter}-leaves", counts)
 
@@ -185,8 +190,8 @@ def census_components(a0: int, a1: int, a2: int, n: int,
     def children(node: tuple[int, int]):
         # (v-leaves, u-rewrites): rewrite the u-leaf, or one of the v-leaves
         v_count, u_rewrites = node
-        return chain(((v_count + a1 + a2, u_rewrites + 1),),
-                     repeat((v_count + a2, u_rewrites), v_count))
+        return iter(((v_count + a1 + a2, u_rewrites + 1),)
+                    + ((v_count + a2, u_rewrites),) * v_count)
 
     for family in _walk((a0 + a2, 0), n, children):
         spent = 0
@@ -263,12 +268,11 @@ def r_excedance_census(n: int, r: int,
     if n < 0 or r < 0:
         raise ValueError("need n >= 0 and r >= 0")
     _Budget(budget).spend(factorial(n))
-    counts: dict[int, int] = {}
+    tally = [0] * (n + 1)  # tally[k]: permutations with k r-excedances
     thresholds = range(1 + r, n + 1 + r)  # sigma(j) >= j + r, for j = 1..n
     for sigma in permutations(range(1, n + 1)):
-        k = sum(map(ge, sigma, thresholds))
-        counts[k] = counts.get(k, 0) + 1
-    return StructureCensus(f"{r}-excedances", counts)
+        tally[sum(map(ge, sigma, thresholds))] += 1
+    return StructureCensus(f"{r}-excedances", {k: c for k, c in enumerate(tally) if c})
 
 
 def set_partition_census(n: int, budget: int = DEFAULT_BUDGET) -> StructureCensus:
@@ -280,7 +284,7 @@ def set_partition_census(n: int, budget: int = DEFAULT_BUDGET) -> StructureCensu
 
     # Restricted-growth walk from the empty partition: the next element
     # opens a new block or joins one of the `blocks` blocks.
-    for family in _walk(0, n, lambda blocks: chain((blocks + 1,), repeat(blocks, blocks))):
+    for family in _walk(0, n, lambda blocks: iter((blocks + 1,) + (blocks,) * blocks)):
         spent = 0
         for blocks in family:
             spent += blocks + 1

@@ -1,8 +1,13 @@
 """Brute-force enumerators against frozen counts and the recurrence rows."""
 
+import os
 import re
+import subprocess
+import sys
+from collections import Counter
 from itertools import chain, cycle, permutations, product
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -155,6 +160,24 @@ class TestWalkParity:
         families = _walk((), depth, children)
         assert list(chain.from_iterable(families)) == list(flat_walk((), depth, children))
 
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=40), st.integers(0, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_each_internal_node_is_expanded_once(self, fanouts, depth):
+        children, calls = random_tree(fanouts), Counter()
+
+        def counted(node):
+            calls[node] += 1
+            return children(node)
+
+        families = [list(family) for family in _walk((), depth, counted)]
+        if depth < 2:
+            expected = [[()]] * depth
+        else:
+            expected = [list(children(node)) for node in flat_walk((), depth - 1, children)]
+        assert families == expected
+        internal = [node for d in range(1, depth) for node in flat_walk((), d, children)]
+        assert calls == Counter(internal)
+
     def test_shallow_walks(self):
         def children(node):
             raise AssertionError("a walk of depth 0 or 1 expands no node")
@@ -186,6 +209,21 @@ class TestWalkParity:
         assert census.counts == recursive_components(a0, a1, a2, 6)
         assert_budget_is_total(
             lambda budget: census_components(a0, a1, a2, 6, budget=budget), census.total)
+
+    def test_vleaf_counts_keep_their_order_across_hash_seeds(self):
+        code = ("from gkptri.census import census_vleaves\n"
+                "from gkptri.grammar import hao_grammar, hao_seed\n"
+                "from gkptri.triangles import whitney_params\n"
+                "p = whitney_params(2, 1)\n"
+                "print(list(census_vleaves(hao_grammar(p), hao_seed(p), 3, 'v').counts.items()))")
+        p = whitney_params(2, 1)
+        here = list(census_vleaves(hao_grammar(p), hao_seed(p), 3, "v").counts.items())
+        src = str(Path(census.__file__).resolve().parents[1])
+        outputs = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  check=True, timeout=60,
+                                  env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+                                  ).stdout for seed in ("1", "2")}
+        assert outputs == {f"{here}\n"}
 
     def test_partitions_match_recursion(self):
         for n in range(1, 11):
