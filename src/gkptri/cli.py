@@ -1,5 +1,7 @@
 """Command-line surface: generate triangles, expand grammars, print series,
 run verification suites, and diff brute-force censuses against rows.
+`grammar` and `series` print the packed levels of `fps.gen_levels` through
+`polyring.render_packed`, `series` dividing level n by n! as it prints.
 
 `oracle KIND` is a thin layer over `verify.ORACLES`, the table that also
 drives the `*-oracle` suites: the kinds, their option, census, reference
@@ -26,12 +28,13 @@ import os
 import re
 import sys
 import time
+from math import factorial
 
 from . import census as census_mod
 from .errors import BudgetExceeded, GkpError, PolyParseError
-from .fps import gen_series, tree_function
-from .grammar import Grammar, hao_grammar, hao_seed, iterate_D
-from .polyring import LaurentPoly, parse_poly, parse_rational
+from .fps import gen_levels, tree_function
+from .grammar import Grammar, hao_grammar, hao_seed
+from .polyring import LaurentPoly, parse_poly, parse_rational, render_packed
 from .triangles import (
     FORMATS,
     Triangle,
@@ -142,8 +145,11 @@ def _grammar_from_args(args) -> tuple[Grammar, LaurentPoly]:
 
 def cmd_grammar(args) -> int:
     g, seed = _grammar_from_args(args)
-    for level in iterate_D(g, seed, args.n):
-        print(level)
+    if args.n < 0:
+        raise ValueError("n must be nonnegative")
+    names = sorted(g.alphabet)
+    for level in gen_levels(g, seed, args.n):
+        print(render_packed(names, level))
     return EXIT_OK
 
 
@@ -153,9 +159,9 @@ def cmd_series(args) -> int:
         print(tree_function(args.order))
         return EXIT_OK
     g, seed = _grammar_from_args(args)
-    series = gen_series(g, seed, args.order)
-    for n in range(args.order + 1):
-        print(f"t^{n}: {series.coefficient(n)}")
+    names = sorted(g.alphabet)
+    for n, level in enumerate(gen_levels(g, seed, args.order)):
+        print(f"t^{n}: {render_packed(names, level, factorial(n))}")
     return EXIT_OK
 
 

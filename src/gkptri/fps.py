@@ -2,9 +2,10 @@
 generating series of a grammar (`gen_series`) and the exact ODE engine
 (`solve_ode`) for a grammar plus initial values, each a wrapper over its
 producer of packed EGF-normal levels (`gen_levels`, and `egf_levels`, whose
-one product loop adds Kronecker int keys for every alphabet).  The identity
-checks built on them live in `verify`; this module imports nothing above
-the grammar layer.
+one product loop adds Kronecker int keys for every alphabet).  The CLI's
+`series` prints `gen_levels` itself, dividing by n! only as it prints.  The
+identity checks live in `verify`; this module imports nothing above the
+grammar layer.
 
 A TruncatedSeries is a value with no arithmetic: the engines compute on
 packed EGF-normal levels, and every identity check in `verify` compares

@@ -33,7 +33,7 @@ from fractions import Fraction
 from operator import add, itemgetter
 
 from .errors import NonTriangularExpansion, UnknownVariable
-from .polyring import LaurentPoly, Scalar, parse_poly
+from .polyring import LaurentPoly, Scalar, parse_poly, render_packed
 from .triangles import Triangle, TriangleParams
 
 
@@ -197,7 +197,8 @@ def extract_triangle(p: TriangleParams, n_max: int) -> Triangle:
             k = (x - u) // b1 if b1 else (y - v) // (a1 or 1)  # a1 = b1 = 0 needs n = 0
             if not 0 <= k <= n or x != u + b1 * k or y != v + a1 * k:
                 raise NonTriangularExpansion(
-                    f"D^{n} = {_unpack(('u', 'v'), level)} has monomials off the row-{n} lattice"
+                    f"D^{n} = {render_packed(('u', 'v'), level)} has monomials"
+                    f" off the row-{n} lattice"
                 )
             row[k] = c
         rows.append(row)

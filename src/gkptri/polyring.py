@@ -12,8 +12,11 @@ structural equality is mathematical equality.  The constructor is the one
 place that normalises coefficients and drops zero terms, and it raises
 ValueError on a monomial key that `monomial` would not return: each ring
 operation builds its result's term map and passes it to `LaurentPoly`.
-The operators are conveniences at the boundary (parsing, rules, printing,
-tests); the engines in `grammar` and `fps` compute on packed levels.
+The operators are conveniences at the boundary (parsing, rules, tests);
+the engines in `grammar` and `fps` compute on packed levels.  One renderer,
+`render_packed`, prints a packed level, each coefficient divided by an
+optional divisor: `LaurentPoly.__str__` packs and calls it, and the CLI
+prints the engines' levels with it directly.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from fractions import Fraction
+from math import gcd
 
 from .errors import PolyParseError
 
@@ -170,35 +174,11 @@ class LaurentPoly:
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
-        """Terms in graded-lex order: total degree descending, then the
-        exponent vector (variables sorted by name) ascending."""
-        if not self._terms:
-            return "0"
+        """`render_packed` over the sorted letters."""
         names = sorted(self.variables())
         zeros = [0] * len(names)
-
-        def key(item):
-            vec = tuple(map(dict(item[0]).get, names, zeros))
-            return -sum(vec), vec
-
-        parts: list[str] = []
-        for mono, coeff in sorted(self._terms.items(), key=key):
-            factors = []
-            for var, e in mono:
-                factors.append(var if e == 1 else f"{var}^{e}")
-            body = "*".join(factors)
-            mag = abs(coeff)
-            if not body:
-                text = str(mag)
-            elif mag == 1:
-                text = body
-            else:
-                text = f"{mag}*{body}"
-            if not parts:
-                parts.append(text if coeff > 0 else f"-{text}")
-            else:
-                parts.append(f"+ {text}" if coeff > 0 else f"- {text}")
-        return " ".join(parts)
+        return render_packed(names, {tuple(map(dict(mono).get, names, zeros)): c
+                                     for mono, c in self._terms.items()})
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"
@@ -216,6 +196,29 @@ class LaurentPoly:
         if not self._terms.keys() - {EMPTY_MONOMIAL}:
             return hash(self._terms.get(EMPTY_MONOMIAL, 0))
         return hash(frozenset(self._terms.items()))
+
+
+def render_packed(names, packed: Mapping[tuple[int, ...], Scalar], divisor: int = 1) -> str:
+    """The one polynomial renderer: the terms of a polynomial packed as exponent
+    vectors over the sorted `names`, each coefficient divided by `divisor`, in
+    graded-lex order (total degree descending, then the vector ascending)."""
+    parts: list[str] = []
+    for vec in sorted(packed, key=lambda vec: (-sum(vec), vec)):
+        c = packed[vec]
+        if type(c) is int:
+            g = gcd(c, divisor)
+            num, den = (c, divisor) if g == 1 else (c // g, divisor // g)
+        else:
+            q = Fraction(c, divisor)
+            num, den = q.numerator, q.denominator
+        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+        body = "*".join(x if e == 1 else f"{x}^{e}" for x, e in zip(names, vec) if e)
+        text = f"{mag}*{body}" if body and mag != "1" else body or mag
+        if parts:
+            parts.append(f"- {text}" if num < 0 else f"+ {text}")
+        else:
+            parts.append(f"-{text}" if num < 0 else text)
+    return " ".join(parts) or "0"
 
 
 # -- parsing -----------------------------------------------------------------

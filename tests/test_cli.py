@@ -2,6 +2,7 @@
 
 import contextlib
 import decimal
+import hashlib
 import io
 import json
 import os
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from gkptri import cli
 from gkptri.cli import BUDGET_HELP, dumps_canonical, main
+from gkptri.polyring import LaurentPoly
 from gkptri.triangles import (
     FORMATS,
     TriangleParams,
@@ -269,6 +271,75 @@ class TestSeriesCommand:
     def test_negative_length_names_its_flag(self, capsys, command, flag, name):
         code, out, err = run(capsys, command, "--hao", "2,3,0,1,-3,3", flag, "-1")
         assert (code, out, err) == (2, "", f"error: {name} must be nonnegative\n")
+
+
+# Rules files of the golden expansions: the last named `ode-gen` grammar, three
+# letters with rational rules and negative exponents, and a rule to a constant.
+GOLDEN_RULES = {
+    "three": "x -> x^2*y^-1*z\ny -> y^3 + 1/2*x*z^-2\nz -> x^-1*y*z\n",
+    "one": "x -> 1\n",
+}
+NEGATIVE_SEED = "3/4*u^-2*v+v^-3-2*u"
+
+
+class TestGoldenExpansions:
+    """sha256 of `grammar` and `series` outputs on shapes that the benchmark
+    pins leave out, pinned from the term-map renderer that `render_packed`
+    replaced."""
+
+    @pytest.mark.parametrize("argv, size, digest", [
+        (("grammar", "--rules", "three", "--seed", "x*z", "--n", "5"), 1540,
+         "f7b3ff8f52f7363777b5d0cf1fdb63dd0b7f6e50252cffbc01acd5285837b9fe"),
+        (("series", "--rules", "three", "--seed", "y", "--order", "6"), 2269,
+         "54332aac289c05fefb7c835295d41ce44b0b56d5f3ac35f3076e6170a3a82cab"),
+        (("grammar", "--hao", "2,3,0,1,-3,3", "--seed", NEGATIVE_SEED, "--n", "8"), 1792,
+         "7eb0442adfea30fca54ba5a42dd87d41e5ea43af31b4ae050ea9d184a9e0ac11"),
+        (("series", "--hao", "2,3,0,1,-3,3", "--seed", NEGATIVE_SEED, "--order", "8"), 2042,
+         "832ed05022c9d98fde29bc41e61bdc3455a1a874627d9868a799352910bf7404"),
+        (("grammar", "--rules", "one", "--seed", "x", "--n", "3"), 8,
+         "b6a15af2230481e856c1a1bab50dd28b503bdd39a4de298e8f82ea4e4ac0e9d9"),
+        (("series", "--rules", "one", "--seed", "x", "--order", "3"), 28,
+         "f10193dd12959aca4ffb64c56754dbf3717f33d8abb1a9dedd01a20b8a8cfacc"),
+        (("series", "--tree-function", "--order", "30"), 827,
+         "d207a58075456bcabfb49f46fa864a17abda81e4da89ab110c63715e97e936be"),
+    ], ids=["grammar-three-letters", "series-three-letters", "grammar-negative-seed",
+            "series-negative-seed", "grammar-to-zero", "series-to-zero", "tree-function"])
+    def test_output_digest(self, capsys, tmp_path, argv, size, digest):
+        argv = list(argv)
+        if "--rules" in argv:
+            at = argv.index("--rules") + 1
+            rules = tmp_path / f"{argv[at]}.txt"
+            rules.write_text(GOLDEN_RULES[argv[at]])
+            argv[at] = str(rules)
+        code, out, err = run(capsys, *argv)
+        data = out.encode()
+        assert (code, err, len(data), hashlib.sha256(data).hexdigest()) == (0, "", size, digest)
+
+
+
+def constructor_calls(monkeypatch, capsys, *argv) -> int:
+    """How many LaurentPolys one successful CLI call builds."""
+    calls = 0
+    build = LaurentPoly.__init__
+
+    def counting(self, terms=None):
+        nonlocal calls
+        calls += 1
+        build(self, terms)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(LaurentPoly, "__init__", counting)
+        assert run(capsys, *argv)[0] == 0
+    return calls
+
+
+@pytest.mark.parametrize("command, flag", [("grammar", "--n"), ("series", "--order")])
+def test_expansions_print_without_building_polynomials(monkeypatch, capsys, command, flag):
+    # The levels are rendered packed: parsing and the grammar build a fixed
+    # number of LaurentPolys, and no level adds one.
+    counts = [constructor_calls(monkeypatch, capsys, command, "--hao", "2,3,0,1,-3,3",
+                                flag, str(size)) for size in (5, 50)]
+    assert counts[0] == counts[1]
 
 
 class TestVerifyCommand:

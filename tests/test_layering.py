@@ -11,7 +11,10 @@ every error class but the base `GkpError` is raised somewhere in the
 package, and no module but `__init__` imports a name it never uses.  No
 module names `__new__`, and `polyring` defines one monomial canonicaliser,
 so every polynomial is made by `LaurentPoly`'s constructor, whose ring
-operators and `__eq__` reach their operand only through `_coerce`.  In
+operators and `__eq__` reach their operand only through `_coerce`, and
+one polynomial renderer, `render_packed`: no other function writes an
+exponent as `^`, and `cli` prints packed levels through it, with no
+`gen_series` or `iterate_D`.  In
 census, `_leaves` is the one function that reads a polynomial's terms.
 The ODE engine in fps adds int keys, so it names neither `operator.add`
 nor `sub`, its Miller streams build no Fraction, and it raises no
@@ -264,6 +267,34 @@ def test_no_module_names_new():
 def test_polyring_has_one_monomial_canonicaliser():
     defined = defined_names((SRC / "polyring.py").read_text())
     assert {"monomial", "monomial_mul"} & defined == {"monomial"}
+
+
+def exponent_writers(source: str) -> set[str]:
+    """The functions with an f-string that writes a formatted base, then `^`
+    and an exponent, as in `f"{x}^{e}"`; `f"t^{n}"` has a literal base."""
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found |= {func.name for node in ast.walk(func) if isinstance(node, ast.JoinedStr)
+                      for base, caret in zip(node.values, node.values[1:])
+                      if isinstance(base, ast.FormattedValue) and isinstance(caret, ast.Constant)
+                      and caret.value.startswith("^")}
+    return found
+
+
+def test_exponent_writer_checker_sees_formatted_bases_only():
+    source = ('def f(x, e):\n    return f"{x}^{e}"\ndef g(n):\n    return f"t^{n}: {n}"\n'
+              'def h(p):\n    return [f"({q})^2" for q in p]\n')
+    assert exponent_writers(source) == {"f"}
+
+
+def test_polyring_has_one_polynomial_renderer():
+    # A second writer of `x^e` terms could drift from `render_packed`'s order
+    # or coefficient text; `LaurentPoly.__str__` and the CLI go through it.
+    writers = {f"{path.name}:{name}" for path in sorted(SRC.glob("*.py"))
+               for name in exponent_writers(path.read_text())}
+    assert writers == {"polyring.py:render_packed"}
+    assert names_used((SRC / "cli.py").read_text()) & {"gen_series", "iterate_D"} == set()
 
 
 def call_sites(source: str, method: str) -> set[str]:

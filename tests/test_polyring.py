@@ -1,15 +1,17 @@
-"""Laurent polynomial arithmetic, rendering, parsing, and ring laws."""
+"""Laurent polynomial arithmetic, rendering, parsing, and ring laws; the
+parser and the renderer each against the code they replaced."""
 
 import re
 from fractions import Fraction
+from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gkptri.errors import PolyParseError
 from gkptri.fps import TruncatedSeries
-from gkptri.polyring import LaurentPoly, monomial, parse_poly
+from gkptri.polyring import LaurentPoly, monomial, parse_poly, render_packed
 from gkptri.triangles import TriangleParams
 from series_reference import add_terms, evaluate, mul_terms, partial
 
@@ -380,6 +382,73 @@ def test_ring_operations_match_the_reference(p, q, s):
         p + 0.5
     with pytest.raises(TypeError):
         p * 0.5
+
+
+# -- the term-map renderer, kept as the reference for render_packed --------------
+
+
+def reference_str(self) -> str:
+    """Terms in graded-lex order: total degree descending, then the
+    exponent vector (variables sorted by name) ascending."""
+    if not self._terms:
+        return "0"
+    names = sorted(self.variables())
+    zeros = [0] * len(names)
+
+    def key(item):
+        vec = tuple(map(dict(item[0]).get, names, zeros))
+        return -sum(vec), vec
+
+    parts: list[str] = []
+    for mono, coeff in sorted(self._terms.items(), key=key):
+        factors = []
+        for var, e in mono:
+            factors.append(var if e == 1 else f"{var}^{e}")
+        body = "*".join(factors)
+        mag = abs(coeff)
+        if not body:
+            text = str(mag)
+        elif mag == 1:
+            text = body
+        else:
+            text = f"{mag}*{body}"
+        if not parts:
+            parts.append(text if coeff > 0 else f"-{text}")
+        else:
+            parts.append(f"+ {text}" if coeff > 0 else f"- {text}")
+    return " ".join(parts)
+
+
+def packed_over(names, p: LaurentPoly) -> dict:
+    """p's terms keyed by exponent vectors over `names`, as the engines pack them."""
+    return {tuple(dict(mono).get(x, 0) for x in names): c for mono, c in p.terms().items()}
+
+
+# Letters the packed levels may carry beyond a polynomial's own: a grammar's
+# alphabet packs every level over all of its letters.
+extra_letters = st.sets(st.sampled_from(["a", "u", "w", "x"]), max_size=2)
+
+
+@given(term_polys, extra_letters)
+@settings(max_examples=200)
+def test_render_packed_matches_the_reference(p, extra):
+    assert str(p) == reference_str(p)
+    for names in (sorted(p.variables()), sorted(p.variables() | extra)):
+        assert render_packed(names, packed_over(names, p)) == reference_str(p)
+
+
+@given(term_polys, extra_letters, st.sampled_from([1, 2, 6, factorial(8)]))
+@example(LaurentPoly.zero(), set(), 6)
+@example(LaurentPoly.constant(-6), set(), 4)
+@example(LaurentPoly.constant(Fraction(-3, 4)), {"u"}, 6)
+@example(mono(-1, u=-1), set(), 1)
+@example(mono(Fraction(7, 3), u=2, v=-1) - mono(5, v=3) + 4, {"a"}, factorial(8))
+@settings(max_examples=200)
+def test_render_packed_divides_as_the_reference(p, extra, divisor):
+    # The CLI's `series` prints D^n(x) / n! this way, with no Fraction per int term.
+    divided = LaurentPoly({m: Fraction(c, divisor) for m, c in p.terms().items()})
+    names = sorted(p.variables() | extra)
+    assert render_packed(names, packed_over(names, p), divisor) == reference_str(divided)
 
 
 @pytest.mark.parametrize("render, text", [
