@@ -3,9 +3,9 @@ run verification suites, and diff brute-force censuses against rows.
 `grammar` and `series` print the packed levels of `fps.gen_levels` through
 `polyring.render_packed`, `series` dividing level n by n! as it prints.
 
-`oracle KIND` is a thin layer over `verify.ORACLES`, the table that also
-drives the `*-oracle` suites: the kinds, their option, census, reference
-row and buckets all come from it.
+`oracle KIND` is a thin layer over `verify.ORACLES`, the census rows of
+`verify.ROUTES`: the kinds, their option, census, reference row and
+buckets all come from it, and `--diff` reads the row as the suite does.
 
 Exit codes: 0 everything passed or stdout was closed early (`| head`), 1 a
 check failed, 2 usage or parse error, 3 an enumeration budget was exceeded,

@@ -19,9 +19,10 @@ Each suite runs one identity battery over a documented default grid and
 returns a list of CheckReport records; the grids can be shrunk with the
 `max_n` / `order` options so CI runs stay deterministic and fast.  Suites
 are registered under kebab-case names and always executed in name order.
-The closed-form suites are the rows of CLOSED_FORMS, one runner comparing
-each closed form with the recurrence; the `*-oracle` suites are generated
-from ORACLES, which `gkptri oracle` reads.
+The route suites are the rows of ROUTES: the grammar, each closed form and
+each census is a route to the triangle, and one runner, `Route.run`,
+compares it with the recurrence.  The census rows, the `*-oracle` suites,
+are the ORACLES, which `gkptri oracle` reads.
 """
 
 from __future__ import annotations
@@ -148,25 +149,7 @@ _A2ZERO_TEXT = "a0 in {0,1,2}, a1 in {1,2,3}"
 _A2ZERO_LOCI = _loci("a0={}, a1={}", (0, 1, 2), (1, 2, 3))
 
 
-# -- grammar vs recurrence -----------------------------------------------------
-
-
-@suite("grammar-recurrence")
-def suite_grammar_recurrence(opts: VerifyOptions) -> list[CheckReport]:
-    """Triangle extraction from D^n equals the direct recurrence for every
-    integer six-tuple in [-2,2]^6 with a nondegenerate lattice."""
-    n_max = opts.cap_n(6)
-    report = CheckReport(name="grammar-recurrence", params={
-        "grid": "a,b in [-2,2]^6, (a1,b1) != (0,0)", "n_max": n_max, "tuples": 0})
-
-    def comparisons():
-        for six in product(range(-2, 3), repeat=6):
-            if six[1] or six[4]:
-                params = TriangleParams(*six)
-                report.params["tuples"] += 1
-                yield (recurrence_triangle(params, n_max).rows,
-                       extract_triangle(params, n_max).rows, "params {}", params)
-    return [report.first_mismatch(comparisons())]
+# -- grammar expansions ---------------------------------------------------------
 
 
 @suite("expansion-golden")
@@ -183,85 +166,105 @@ def suite_expansion_golden(opts: VerifyOptions) -> list[CheckReport]:
         for n, want, got in zip((1, 2), wants, iterate_D(Grammar.from_text(rules), seed, 2)[1:]))]
 
 
-# -- closed forms ----------------------------------------------------------------
+# -- routes ---------------------------------------------------------------------
 
 
-class ClosedForm:
-    """A closed form and the recurrence triangle it must equal.  For each
-    `(label, args)` in `grid`, the triangle with six-tuple `params(*args)` is
-    filled to row `n_max`.  With no `row` reader, `form(*args, n, k)` must
-    equal entry (n, k) and be an int; with one, `form(*args, n)` must equal
-    `row(triangle, n)`.  The report prints the grid as `grid_text`.
+class Route:
+    """A route to the triangle, checked on `grid` to the first mismatch: for
+    each `(label, arg)`, the recurrence triangle of six-tuple `params(arg)`,
+    filled to row `n_max`, against `read` at one grain.  "row":
+    `read(arg, n, budget)` equals `reference(triangle, n)`.  "entry":
+    `read(arg, n, k)` equals entry (n, k) and is an int.  "triangle":
+    `read(arg, n_max, budget)` is the triangle; `grid()` yields the args
+    alone (locus `params {arg}`), and the report counts them as `tuples`.
     """
 
-    def __init__(self, grid: tuple[tuple[str, tuple], ...], params: Callable, form: Callable,
-                 n_max: int, grid_text: str, row: Callable | None = None):
-        self.grid, self.grid_text, self.n_max = grid, grid_text, n_max
-        self.params, self.form, self.row = params, form, row
+    def __init__(self, grid, params: Callable, read: Callable, n_max: int, report: dict,
+                 grain: str = "row", reference: Callable = Triangle.row):
+        self.grid, self.params, self.read, self.n_max = grid, params, read, n_max
+        self.report, self.grain, self.reference = report, grain, reference
 
     def run(self, name: str, opts: VerifyOptions) -> list[CheckReport]:
-        """The verify suite `name`: every grid point, rows 0..n_max."""
+        """The verify suite `name`, reporting `report`, then `n_max`."""
         n_max = opts.cap_n(self.n_max)
-        report = CheckReport(name=name, params={"grid": self.grid_text, "n_max": n_max})
-        return [report.first_mismatch(self._comparisons(n_max))]
+        report = CheckReport(name=name, params={**self.report, "n_max": n_max})
+        comparisons = (self._triangle if self.grain == "triangle" else self._rows)(
+            report, n_max, opts.budget)
+        report.first_mismatch(comparisons)
+        comparisons.close()  # the triangle grain writes its count as it closes
+        return [report]
 
-    def _comparisons(self, n_max: int):
-        for label, args in self.grid:
-            tri = recurrence_triangle(self.params(*args), n_max)
+    def _triangle(self, report: CheckReport, n_max: int, budget: int):
+        params, read, tuples = self.params, self.read, 0
+        try:
+            for tuples, arg in enumerate(self.grid(), 1):
+                yield (recurrence_triangle(params(arg), n_max).rows, read(arg, n_max, budget),
+                       "params {}", arg)
+        finally:
+            report.params["tuples"] = tuples
+
+    def _rows(self, report: CheckReport, n_max: int, budget: int):
+        for label, arg in self.grid:
+            tri, at = recurrence_triangle(self.params(arg), n_max), f"{label}, " if label else ""
             for n in range(n_max + 1):
-                if self.row is not None:
-                    yield self.row(tri, n), self.form(*args, n), "{}, n={}", label, n
+                if self.grain == "row":
+                    yield self.reference(tri, n), self.read(arg, n, budget), "{}n={}", at, n
                     continue
                 for k in range(n + 1):
-                    value = self.form(*args, n, k)
-                    yield tri.entry(n, k), value, "{}, n={}, k={}", label, n, k
-                    yield True, isinstance(value, int), "non-integral {}, n={}, k={}", label, n, k
+                    value = self.read(arg, n, k)
+                    yield tri.entry(n, k), value, "{}n={}, k={}", at, n, k
+                    yield True, isinstance(value, int), "non-integral {}n={}, k={}", at, n, k
 
 
-# Each row calls `cf.*` when it runs, not when the table is built, so that a
-# traced or patched closed form is the one that is checked.
-CLOSED_FORMS: dict[str, ClosedForm] = {
+# A row looks up `cf.*` and the engines as it runs, so a traced or patched one is checked.
+ROUTES: dict[str, Route] = {
+    # The grammar: D^n(u^P v^Q) at each six-tuple of [-2,2]^6 with a nondegenerate lattice.
+    "grammar-recurrence": Route(
+        lambda: (TriangleParams(*six) for six in product(range(-2, 3), repeat=6)
+                 if six[1] or six[4]),
+        lambda p: p, lambda p, n, _: extract_triangle(p, n).rows, n_max=6,
+        report={"grid": "a,b in [-2,2]^6, (a1,b1) != (0,0)"}, grain="triangle"),
     # Rows of the (mk+r)/(mn-mk+m-r) triangles sum to m^n n!.
-    "row-sums": ClosedForm(
-        _WHITNEY_LOCI, whitney_params, lambda m, r, n: m ** n * factorial(n),
-        n_max=7, grid_text=_WHITNEY_TEXT, row=Triangle.row_sum),
+    "row-sums": Route(
+        _WHITNEY_LOCI, lambda mr: whitney_params(*mr), lambda mr, n, _: mr[0] ** n * factorial(n),
+        n_max=7, report={"grid": _WHITNEY_TEXT}, reference=Triangle.row_sum),
     # Their alternating row sums are 2^n sum_k C(n,k) m^k E_k(0) r^(n-k).
-    "alternating-sums": ClosedForm(
-        _WHITNEY_LOCI, whitney_params,
-        lambda m, r, n: 2 ** n * sum(comb(n, k) * Fraction(m) ** k * cf.euler_at_zero(k)
-                                     * Fraction(r) ** (n - k) for k in range(n + 1)),
-        n_max=7, grid_text=_WHITNEY_TEXT, row=Triangle.alternating_row_sum),
+    "alternating-sums": Route(
+        _WHITNEY_LOCI, lambda mr: whitney_params(*mr),
+        lambda mr, n, _: 2 ** n * sum(comb(n, k) * Fraction(mr[0]) ** k * cf.euler_at_zero(k)
+                                      * Fraction(mr[1]) ** (n - k) for k in range(n + 1)),
+        n_max=7, report={"grid": _WHITNEY_TEXT}, reference=Triangle.alternating_row_sum),
     # Their entries by the alternating binomial formula.
-    "whitney-explicit": ClosedForm(
-        _WHITNEY_LOCI, whitney_params, lambda *a: cf.a_mr_explicit(*a),
-        n_max=7, grid_text=_WHITNEY_TEXT),
+    "whitney-explicit": Route(
+        _WHITNEY_LOCI, lambda mr: whitney_params(*mr),
+        lambda mr, n, k: cf.a_mr_explicit(*mr, n, k),
+        n_max=7, report={"grid": _WHITNEY_TEXT}, grain="entry"),
     # b = 1 entries by the finite-difference product formula, integral despite
     # its 1/(a1^k k!) prefactor.
-    "b1-explicit": ClosedForm(
-        _A_LOCI, lambda *a: TriangleParams(*a, 1, 0, 0), lambda *a: cf.f_gram_explicit(*a),
-        n_max=7, grid_text=_A_TEXT),
+    "b1-explicit": Route(
+        _A_LOCI, lambda a: TriangleParams(*a, 1, 0, 0),
+        lambda a, n, k: cf.f_gram_explicit(*a, n, k),
+        n_max=7, report={"grid": _A_TEXT}, grain="entry"),
     # b2 = 0 entries by the rising-step prefactor formula.
-    "b2zero-explicit": ClosedForm(
+    "b2zero-explicit": Route(
         _loci("a=({},{},{}), b=({},{})", (0, 1, 2), (1, 2, 3), (1, 2, 3), (0, 1, 2), (0, 1, 2)),
-        lambda *a: TriangleParams(*a, 0), lambda *a: cf.t_b2zero_explicit(*a),
-        n_max=7, grid_text=_A_TEXT + ", b0,b1 in {0,1,2}"),
+        lambda a: TriangleParams(*a, 0), lambda a, n, k: cf.t_b2zero_explicit(*a, n, k),
+        n_max=7, report={"grid": _A_TEXT + ", b0,b1 in {0,1,2}"}, grain="entry"),
     # b = 1, a2 = 0 rows as Bell-polynomial coefficients.
-    "touchard": ClosedForm(
-        _A2ZERO_LOCI, lambda a0, a1: TriangleParams(a0, a1, 0, 1, 0, 0),
-        lambda *a: cf.touchard_row(*a), n_max=6, grid_text=_A2ZERO_TEXT, row=Triangle.row),
+    "touchard": Route(
+        _A2ZERO_LOCI, lambda a: TriangleParams(*a, 0, 1, 0, 0),
+        lambda a, n, _: cf.touchard_row(*a, n), n_max=6, report={"grid": _A2ZERO_TEXT}),
     # b = 1, a2 = 0 entries by the Stirling-weighted binomial formula.
-    "a2zero-explicit": ClosedForm(
-        _A2ZERO_LOCI, lambda a0, a1: TriangleParams(a0, a1, 0, 1, 0, 0),
-        lambda *a: cf.f_a2zero_explicit(*a), n_max=6, grid_text=_A2ZERO_TEXT),
+    "a2zero-explicit": Route(
+        _A2ZERO_LOCI, lambda a: TriangleParams(*a, 0, 1, 0, 0),
+        lambda a, n, k: cf.f_a2zero_explicit(*a, n, k),
+        n_max=6, report={"grid": _A2ZERO_TEXT}, grain="entry"),
     # b = 1, a1 = 0 row sums are rising factorials.
-    "a1zero-rowsum": ClosedForm(
+    "a1zero-rowsum": Route(
         _loci("a0={}, a2={}", (0, 1, 2), (1, 2, 3)),
-        lambda a0, a2: TriangleParams(a0, 0, a2, 1, 0, 0), lambda *a: cf.a1zero_rowsum(*a),
-        n_max=7, grid_text="a0 in {0,1,2}, a2 in {1,2,3}", row=Triangle.row_sum),
+        lambda a: TriangleParams(a[0], 0, a[1], 1, 0, 0), lambda a, n, _: cf.a1zero_rowsum(*a, n),
+        n_max=7, report={"grid": "a0 in {0,1,2}, a2 in {1,2,3}"}, reference=Triangle.row_sum),
 }
-
-
-SUITES.update((name, partial(form.run, name)) for name, form in CLOSED_FORMS.items())
 
 
 # -- generating functions ---------------------------------------------------------
@@ -499,39 +502,24 @@ def suite_closed_solutions(opts: VerifyOptions) -> list[CheckReport]:
 # -- oracle equivalences -------------------------------------------------------------
 
 
-class Oracle:
-    """A brute-force census and the triangle row it must equal: entry k of
-    row n of the triangle with six-tuple `params(arg)` is the count in bucket
-    `bucket(arg, n, k)` of `census(arg, n, budget)`.  `arg` is `parse` of the
-    CLI option `--<option>` (written `usage` when it is missing); the verify
-    suite `suite` runs over `grid`, pairs of (locus prefix, option text), to
-    row `n_max` and reports `report`.
+class Oracle(Route):
+    """A brute-force census as a route, the verify suite `suite`: entry k of
+    row n is the count in bucket `bucket(arg, n, k)` of `census(arg, n,
+    budget)`.  `gkptri oracle` reads `arg` as `parse` of its option
+    `--<option>` (written `usage` when it is missing).
     """
 
     def __init__(self, census: Callable, params: Callable, option: str | None, suite: str,
-                 grid: tuple[tuple[str, str], ...], n_max: int, report: dict, usage: str = "",
+                 grid: tuple[tuple[str, object], ...], n_max: int, report: dict, usage: str = "",
                  parse: Callable = int, bucket: Callable = lambda arg, n, k: k):
-        self.census, self.params, self.bucket = census, params, bucket
-        self.option, self.usage, self.parse = option, usage, parse
-        self.suite, self.grid, self.n_max, self.report = suite, grid, n_max, report
+        super().__init__(grid, params, lambda arg, n, budget: self.census_row(
+            self.census(arg, n, budget), arg, n), n_max, report)
+        self.census, self.bucket, self.option, self.usage = census, bucket, option, usage
+        self.parse, self.suite = parse, suite
 
     def census_row(self, census, arg, n: int) -> list[int]:
         """The census read as row n, for comparison with the triangle's."""
         return census.as_row(n + 1, bucket_of_index=lambda k: self.bucket(arg, n, k))
-
-    def run(self, opts: VerifyOptions) -> list[CheckReport]:
-        """The verify suite: every grid argument, rows 0..n_max."""
-        n_max = opts.cap_n(self.n_max)
-        report = CheckReport(name=self.suite, params={**self.report, "n_max": n_max})
-        return [report.first_mismatch(self._comparisons(n_max, opts.budget))]
-
-    def _comparisons(self, n_max: int, budget: int):
-        for label, text in self.grid:
-            arg = self.parse(text)
-            tri = recurrence_triangle(self.params(arg), n_max)
-            for n in range(n_max + 1):
-                row = self.census_row(self.census(arg, n, budget), arg, n)
-                yield tri.rows[n], row, "{}, n={}" if label else "{}n={}", label, n
 
 
 def _parse_a_triple(text: str) -> tuple[int, ...]:
@@ -552,12 +540,12 @@ ORACLES: dict[str, Oracle] = {
     "descents": Oracle(
         lambda r, n, budget: census_mod.stirling_descent_census(n, r, budget=budget),
         second_order_params, option="r", suite="descent-oracle", n_max=4,
-        grid=tuple((f"r={r}", str(r)) for r in (1, 2, 3)), report={"grid": "r in {1,2,3}"}),
+        grid=tuple((f"r={r}", r) for r in (1, 2, 3)), report={"grid": "r in {1,2,3}"}),
     # Permutations by r-excedances: the (k+r)/(n-k+1-r) rows (red at r = 2).
     "excedances": Oracle(
         lambda r, n, budget: census_mod.r_excedance_census(n, r, budget=budget),
         r_eulerian_params, option="r", suite="excedance-oracle", n_max=6,
-        grid=tuple((f"r={r}", str(r)) for r in (0, 1, 2)), report={"grid": "r in {0,1,2}"}),
+        grid=tuple((f"r={r}", r) for r in (0, 1, 2)), report={"grid": "r in {0,1,2}"}),
     # Set partitions by block count: the Stirling subset triangle.
     "partitions": Oracle(
         lambda _, n, budget: census_mod.set_partition_census(n, budget=budget),
@@ -567,26 +555,26 @@ ORACLES: dict[str, Oracle] = {
     "cadets": Oracle(
         lambda r, n, budget: census_mod.cadet_leaf_census(n, r, budget=budget),
         second_order_params, option="r", bucket=lambda r, n, k: k + 1,
-        suite="cadet-oracle", n_max=4, grid=(("", "2"),), report={"r": 2}),
+        suite="cadet-oracle", n_max=4, grid=(("", 2),), report={"r": 2}),
     # Spine points of type-(E) histories: the b = 1 rows.
     "components": Oracle(
         lambda a, n, budget: census_mod.census_components(*a, n, budget=budget),
         lambda a: TriangleParams(*a, 1, 0, 0), option="params", parse=_parse_a_triple,
         usage="--params a0,a1,a2 (comma-separated)", suite="component-oracle", n_max=4,
-        grid=tuple((label, ",".join(map(str, a))) for label, a in _A_LOCI),
-        report={"grid": _A_TEXT}),
+        grid=_A_LOCI, report={"grid": _A_TEXT}),
     # Grammar histories by v-leaves: the rows of any integer six-tuple.
     "vleaves": Oracle(
         lambda p, n, budget: census_mod.census_vleaves(hao_grammar(p), hao_seed(p), n, "v",
                                                        budget=budget),
         lambda p: p, option="hao", parse=TriangleParams.parse, bucket=_vleaf_bucket,
         usage="--hao a0,a1,a2,b0,b1,b2", suite="vleaf-oracle", n_max=4,
-        grid=tuple((label, str(whitney_params(*mr))) for label, mr in _WHITNEY_LOCI),
+        grid=tuple((label, whitney_params(*mr)) for label, mr in _WHITNEY_LOCI),
         report={"grid": _WHITNEY_TEXT}),
 }
 
 
-SUITES.update((oracle.suite, oracle.run) for oracle in ORACLES.values())
+ROUTES.update((oracle.suite, oracle) for oracle in ORACLES.values())
+SUITES.update((name, partial(route.run, name)) for name, route in ROUTES.items())
 
 
 @suite("history-counts")

@@ -316,6 +316,17 @@ class TestGoldenExpansions:
         assert (code, err, len(data), hashlib.sha256(data).hexdigest()) == (0, "", size, digest)
 
 
+def test_verify_plain_digest(capsys):
+    # sha256 of the plain `verify all` lines but the last, which holds the time.
+    # The JSON records sort their params, so only these lines pin their order,
+    # e.g. `tuples` after `n_max`.
+    code, out, err = run(capsys, "verify", "all", "--max-n", "3", "--order", "3")
+    *lines, last = out.splitlines(keepends=True)
+    data = "".join(lines).encode()
+    assert (code, err, len(data), hashlib.sha256(data).hexdigest()) == (
+        1, "", 1961, "1b246f542e90d917c57e0ad65a78403bdc8508d6c8f8ac49b728ae82f063ed2b")
+    assert last.startswith("31 check(s) in ") and last.endswith(" ms: FAILURES above\n")
+
 
 def constructor_calls(monkeypatch, capsys, *argv) -> int:
     """How many LaurentPolys one successful CLI call builds."""

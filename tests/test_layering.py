@@ -20,7 +20,9 @@ The ODE engine in fps adds int keys, so it names neither `operator.add`
 nor `sub`, its Miller streams build no Fraction, and it raises no
 UnknownVariable: `Grammar` alone checks rule letters.  Every check in
 verify reports through `CheckReport.first_mismatch`: it is the one place
-that calls `fail`, and no loop there breaks."""
+that calls `fail`, and no loop there breaks.  In verify only `Route` calls
+`recurrence_triangle`, so every route to the triangle is checked by its one
+runner and a second runner cannot creep back."""
 
 import ast
 import os
@@ -222,6 +224,26 @@ def test_verify_reports_through_first_mismatch():
                 if isinstance(node, ast.FunctionDef) and node.name == "first_mismatch"]
     [site] = fail_sites(source)
     assert site.startswith("fail:") and method.lineno <= int(site[5:]) <= method.end_lineno
+
+
+def call_owners(source: str, name: str) -> list[str]:
+    """For each call of `name(...)` by name, the top-level function or class
+    it is in, or `line N` for a call in any other top-level statement."""
+    return [getattr(stmt, "name", f"line {node.lineno}") for stmt in ast.parse(source).body
+            for node in ast.walk(stmt) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == name]
+
+
+def test_call_owner_checker_sees_classes_functions_and_tables():
+    source = ("class R:\n    def run(self):\n        return f(1)\n"
+              "def g():\n    return [f(2), h.f(3)]\n"
+              "TABLE = {'x': lambda: f(4)}\n")
+    assert call_owners(source, "f") == ["R", "g", "line 6"]
+
+
+def test_verify_fills_the_recurrence_only_in_route():
+    # A suite that fills the reference triangle itself is a second runner.
+    assert set(call_owners((SRC / "verify.py").read_text(), "recurrence_triangle")) == {"Route"}
 
 
 def test_self_call_checker_sees_direct_and_nested_calls():

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import factorial
 from pathlib import Path
@@ -28,7 +29,7 @@ from gkptri.fps import OdeSystem, TruncatedSeries, egf_levels, gen_levels
 from gkptri.grammar import hao_grammar, hao_seed
 from gkptri.polyring import LaurentPoly, monomial
 from gkptri.triangles import Triangle, TriangleParams
-from gkptri.verify import CLOSED_FORMS, ORACLES, SUITES, VerifyOptions
+from gkptri.verify import ORACLES, ROUTES, SUITES, VerifyOptions
 from series_reference import (
     constant,
     exp_t,
@@ -156,7 +157,8 @@ def test_oracle_registry_parity(capsys, kind):
     oracle = ORACLES[kind]
     assert oracle.suite in SUITES
     assert kind in oracle_kind_choices(capsys)
-    _, text = oracle.grid[0]
+    _, arg = oracle.grid[0]
+    text = ",".join(map(str, arg)) if isinstance(arg, tuple) else str(arg)
     option = [f"--{oracle.option}", text] if oracle.option else []
     assert main(["oracle", kind, "--n", "3", *option, "--diff"]) == 0
     assert "diff: matches row n=3" in capsys.readouterr().out
@@ -181,6 +183,21 @@ def test_oracle_suite_stops_at_first_mismatch(monkeypatch):
     [report] = SUITES["descent-oracle"](VerifyOptions())
     assert (report.passed, report.failure) == (False, "r=1, n=0")
     assert calls == [(0, 1)]
+
+
+def test_partition_oracle_reports_a_bare_locus(monkeypatch):
+    # Its one grid point has an empty label, so the locus is `n=<n>` alone.
+    set_partition_census = verify.census_mod.set_partition_census
+
+    def extra_partition(n, budget):
+        census = set_partition_census(n, budget=budget)
+        if n == 3:
+            census.counts[1] += 1
+        return census
+    monkeypatch.setattr(verify.census_mod, "set_partition_census", extra_partition)
+    [report] = SUITES["partition-oracle"](VerifyOptions())
+    assert report.record() == {"name": "partition-oracle", "params": {"n_max": "7"},
+                               "order": None, "status": "fail", "locus": "n=3"}
 
 
 def test_components_params_needs_three_values(capsys):
@@ -269,6 +286,23 @@ def test_closed_form_suite_reports_first_failure(monkeypatch, name):
     monkeypatch.setattr(cf, attr, patch(getattr(cf, attr)))
     reports = SUITES[name](VerifyOptions())
     assert [(r.name, r.passed, r.failure) for r in reports] == [(name, False, locus)]
+
+
+def test_a_route_is_one_table_row(capsys, monkeypatch):
+    # A new route and its grid are one row of ROUTES, run by the one runner:
+    # here S(n,k) read entry by entry on the Stirling subset triangle.
+    route = verify.Route((("", None),), lambda _: verify.stirling2_params(),
+                         lambda _, n, k: cf.stirling2(n, k), n_max=6,
+                         report={"grid": "stirling2"}, grain="entry")
+    monkeypatch.setitem(ROUTES, "stirling2-explicit", route)
+    monkeypatch.setitem(SUITES, "stirling2-explicit", partial(route.run, "stirling2-explicit"))
+    record = {"name": "stirling2-explicit", "params": {"grid": "stirling2", "n_max": "6"},
+              "order": None, "status": "pass", "locus": None}
+    code, payload = verify_json(capsys, "stirling2-explicit")
+    assert (code, payload["checks"]) == (0, [record])
+    monkeypatch.setattr(cf, "stirling2", _off_by_one_at(cf.stirling2, (4, 2)))
+    code, payload = verify_json(capsys, "stirling2-explicit")
+    assert (code, payload["checks"]) == (1, [{**record, "status": "fail", "locus": "n=4, k=2"}])
 
 
 def test_closed_form_suite_stops_at_first_mismatch(monkeypatch):
@@ -369,16 +403,16 @@ def test_closed_form_registry_parity(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "1000")  # no wrapping inside suite names
     assert main(["verify", "--help"]) == 0
     available = capsys.readouterr().out.split("available: ")[1].splitlines()[0]
-    assert set(CLOSED_FORMS) <= set(SUITES)
-    assert set(CLOSED_FORMS) <= set(available.split(", "))
+    assert set(ROUTES) <= set(SUITES)
+    assert set(ROUTES) <= set(available.split(", "))
 
 
 def test_no_suite_shadows_another():
     hand_written = [fn for name, fn in inspect.getmembers(verify, inspect.isfunction)
                     if name.startswith("suite_")]
-    oracle_suites = [oracle.suite for oracle in ORACLES.values()]
     assert all(fn in SUITES.values() for fn in hand_written)
-    assert len(SUITES) == len(hand_written) + len(oracle_suites) + len(CLOSED_FORMS)
+    assert all(ROUTES[oracle.suite] is oracle for oracle in ORACLES.values())
+    assert len(SUITES) == len(hand_written) + len(ROUTES)
 
 
 def test_readme_closed_form_table_lists_the_table():
@@ -388,7 +422,8 @@ def test_readme_closed_form_table_lists_the_table():
     for line in section.splitlines():
         if m := re.match(r"\| `([a-z0-9-]+)` .*\| `([^`]*)` +\| (\d+) +\|$", line):
             rows[m[1]] = (m[2], int(m[3]))
-    assert rows == {name: (form.grid_text, form.n_max) for name, form in CLOSED_FORMS.items()}
+    assert rows == {name: (route.report["grid"], route.n_max) for name, route in ROUTES.items()
+                    if route.grain != "triangle" and not isinstance(route, verify.Oracle)}
 
 
 def test_readme_quick_tour_values():
