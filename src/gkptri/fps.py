@@ -9,11 +9,12 @@ grammar layer.
 
 A TruncatedSeries is a value with no arithmetic: the engines compute on
 packed EGF-normal levels, and every identity check in `verify` compares
-n! [t^n] coefficients, so nothing in the package adds, multiplies or
-exponentiates a series.  Its coefficients are exact rationals (int or
+n! [t^n] coefficients, most of them on those levels, so nothing in the
+package adds, multiplies or exponentiates a series.  Its coefficients are exact rationals (int or
 Fraction) or Laurent polynomials, mixed freely, since a LaurentPoly compares
 and hashes with a scalar; both engines return `_egf`'s LaurentPolys, constant
-ones when the initial values carry no letter.  Floats are rejected with
+ones when the initial values carry no letter (`egf_levels` lifts a scalar
+one with `LaurentPoly.constant`).  Floats are rejected with
 TypeError.  A series of order N stores the N+1 coefficients of t^0..t^N as
 plain t-power coefficients, and `coefficient` never reads beyond them.
 Truncation orders are nonnegative.
@@ -159,8 +160,8 @@ def egf_levels(system: OdeSystem,
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    # Adding to the zero polynomial lifts a scalar initial value to a constant.
-    initial = {v: LaurentPoly.zero() + _coerce(system.initial[v]) for v in system.variables}
+    initial = {v: p if isinstance(p := system.initial[v], LaurentPoly) else LaurentPoly.constant(p)
+               for v in system.variables}
     names = tuple(sorted(set().union(*(p.variables() for p in initial.values()))))
     # Exponent vectors e over `names` become Kronecker keys sum_i e_i 2^(bits i):
     # a product's key is the sum of its factors' keys, and keys stay distinct

@@ -10,13 +10,13 @@ fast int arithmetic.  The zero polynomial has no terms.
 Canonical form is unique: no zero coefficients, no zero exponents, so
 structural equality is mathematical equality.  The constructor is the one
 place that normalises coefficients and drops zero terms, and it raises
-ValueError on a monomial key that `monomial` would not return: each ring
-operation builds its result's term map and passes it to `LaurentPoly`.
-The operators are conveniences at the boundary (parsing, rules, tests);
-the engines in `grammar` and `fps` compute on packed levels.  One renderer,
-`render_packed`, prints a packed level, each coefficient divided by an
-optional divisor: `LaurentPoly.__str__` packs and calls it, and the CLI
-prints the engines' levels with it directly.
+ValueError on a monomial key that `monomial` would not return.  A
+LaurentPoly is a value with no arithmetic (no `+`, `-` or `*`): the engines
+in `grammar` and `fps` compute on packed levels, and a caller that sums
+terms builds one term map; a constant equals and hashes as its scalar.  One
+renderer, `render_packed`, prints a packed level, each coefficient divided
+by an optional divisor: `LaurentPoly.__str__` packs and calls it, and the
+CLI prints the engines' levels with it directly.
 """
 
 from __future__ import annotations
@@ -119,58 +119,6 @@ class LaurentPoly:
     def __len__(self) -> int:
         return len(self._terms)
 
-    # -- ring operations ---------------------------------------------------
-
-    @staticmethod
-    def _coerce(other) -> "LaurentPoly | None":
-        if isinstance(other, LaurentPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return LaurentPoly({EMPTY_MONOMIAL: other})
-        return None
-
-    def __add__(self, other) -> LaurentPoly:
-        q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        out = dict(self._terms)
-        for mono, coeff in q._terms.items():
-            out[mono] = out.get(mono, 0) + coeff
-        return LaurentPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> LaurentPoly:
-        return self * -1
-
-    def __sub__(self, other) -> LaurentPoly:
-        q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        return self + (-q)
-
-    def __rsub__(self, other) -> LaurentPoly:
-        q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        return q + (-self)
-
-    def __mul__(self, other) -> LaurentPoly:
-        q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        out: dict[Monomial, Scalar] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in q._terms.items():
-                exps = dict(m1)
-                for var, e in m2:
-                    exps[var] = exps.get(var, 0) + e
-                mono = monomial(exps)
-                out[mono] = out.get(mono, 0) + c1 * c2
-        return LaurentPoly(out)
-
-    __rmul__ = __mul__
-
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
@@ -186,10 +134,11 @@ class LaurentPoly:
     # -- equality ------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        q = self._coerce(other)
-        if q is None:
+        if isinstance(other, (int, Fraction)):
+            return self._terms == ({EMPTY_MONOMIAL: other} if other else {})
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._terms == q._terms
+        return self._terms == other._terms
 
     def __hash__(self) -> int:
         # Constants (and zero) compare equal to their scalar, so hash as it.

@@ -5,15 +5,16 @@ A CheckReport is one check's outcome; its `record()` is the entry that
 the Whitney EGF, the two closed ODE solutions, the second-order EGF) are
 defined here, next to the suites that run them; they compare EGF-normal
 coefficients (n! [t^n]) with denominators cleared, so none inverts a series
-or divides by n!; the `tree-function` suite checks its identities on the
-same integers.
+or divides by n!; the closed solutions read the packed levels of
+`egf_levels`, and `tree-function` checks its identities on such integers.
 
 Every check is a stream of `(expected, got, locus, *args)` comparisons
 that `CheckReport.first_mismatch` runs in turn: it reports the first
 difference and stops there, so nothing after it is computed and a locus is
-formatted only when it fails.  `closed-solutions` chains the streams of its
-18 sub-checks, each solving its ODE system only when read, and reports the
-first failure as `{name}{params}: {locus}`.
+formatted only when it fails; an engine error raised inside the stream
+fails it too.  `closed-solutions` chains the streams of its 18 sub-checks,
+each solving its ODE system only when read, and reports the first failure
+as `{name}{params}: {locus}`.
 
 Each suite runs one identity battery over a documented default grid and
 returns a list of CheckReport records; the grids can be shrunk with the
@@ -28,6 +29,7 @@ are the ORACLES, which `gkptri oracle` reads.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from collections.abc import Callable
 from fractions import Fraction
 from functools import partial
@@ -37,20 +39,15 @@ from math import comb, factorial
 from . import census as census_mod
 from . import closedforms as cf
 from .errors import (
+    BudgetExceeded,
     DegenerateY,
+    GkpError,
     NonTriangularExpansion,
     UnknownSuite,
     ZeroA1,
     ZeroA2,
 )
-from .fps import (
-    OdeSystem,
-    egf_levels,
-    gen_levels,
-    grammar_ode,
-    solve_ode,
-    tree_function,
-)
+from .fps import OdeSystem, egf_levels, gen_levels, grammar_ode, tree_function
 from .grammar import Grammar, extract_triangle, hao_grammar, hao_seed, iterate_D
 from .polyring import LaurentPoly, monomial, normalize_scalar, parse_poly
 from .triangles import (
@@ -84,8 +81,9 @@ class CheckReport:
 
     def first_mismatch(self, comparisons) -> "CheckReport":
         """Fail on `locus.format(*args)` at the first `(expected, got, locus,
-        *args)` of `comparisons` with expected != got, and stop there."""
-        for c in comparisons:  # indexed: a starred unpack costs more than the loop
+        *args)` of `comparisons` with expected != got, and stop there; an
+        engine error while they are computed is one more mismatch."""
+        for c in _errors_as_mismatch(comparisons):  # indexed: cheaper than a starred unpack
             if c[0] != c[1]:
                 return self.fail(c[2].format(*c[3:]))
         return self
@@ -105,6 +103,20 @@ class CheckReport:
         extras = ", ".join(f"{k}={v}" for k, v in self.params.items())
         order = f" order<={self.order}" if self.order is not None else ""
         return f"{self.name} [{extras}]{order}: {status}"
+
+
+def _errors_as_mismatch(comparisons):
+    """`comparisons`, then, if a `GkpError` other than `BudgetExceeded` is
+    raised while they are computed, a mismatch at `{Class}: {message}` that
+    ends in ` after {locus}` of the last comparison read, if there is one."""
+    c = (None, None, "")  # no comparison read yet
+    try:
+        for c in comparisons:
+            yield c
+    except BudgetExceeded:
+        raise
+    except GkpError as exc:
+        yield False, True, "{}: {}" + (c[2] and " after " + c[2]), type(exc).__name__, exc, *c[3:]
 
 
 class VerifyOptions:
@@ -147,6 +159,7 @@ _A_TEXT = "a0 in {0,1,2}, a1,a2 in {1,2,3}"
 _A_LOCI = _loci("a=({},{},{})", (0, 1, 2), (1, 2, 3), (1, 2, 3))
 _A2ZERO_TEXT = "a0 in {0,1,2}, a1 in {1,2,3}"
 _A2ZERO_LOCI = _loci("a0={}, a1={}", (0, 1, 2), (1, 2, 3))
+_AT_ORDER = "{}: first mismatch at order {}"
 
 
 # -- grammar expansions ---------------------------------------------------------
@@ -270,12 +283,6 @@ ROUTES: dict[str, Route] = {
 # -- generating functions ---------------------------------------------------------
 
 
-def _compare_rows(checks):
-    """n! [t^n] series against rows[n], for each (label, series, rows) of `checks` in turn."""
-    return ((row, series.coefficient(n) * factorial(n), "{}: first mismatch at order {}", label, n)
-            for label, series, rows in checks for n, row in enumerate(rows))
-
-
 def verify_closed_form_whitney(m: int, r: int, order: int) -> CheckReport:
     """Check, at three integer points (u, v), that the bivariate EGF of the
     (mk+r)/(mn-mk+m-r) triangle equals
@@ -315,24 +322,26 @@ def _hao_system(p: TriangleParams) -> OdeSystem:
     levels are the D^n(u^P v^Q) that carry the rows of the triangle."""
     a0, a1, a2, b0, b1, b2 = p.as_tuple()
     ode = grammar_ode(hao_grammar(p))
-    log_d = (LaurentPoly.from_exponents({"u": b1 + b2, "v": a1 + a2}, b0 + b1 + b2)
-             + LaurentPoly.from_exponents({"u": b2, "v": a2}, a0 + a2))
-    return OdeSystem(Grammar({**ode.rhs, "w": LaurentPoly.variable("w") * log_d}),
+    w_rule = Counter()  # its two terms are one monomial when a1 = b1 = 0
+    for u, v, c in ((b1 + b2, a1 + a2, b0 + b1 + b2), (b2, a2, a0 + a2)):
+        w_rule[monomial({"u": u, "v": v, "w": 1})] += c
+    return OdeSystem(Grammar({**ode.rhs, "w": LaurentPoly(w_rule)}),
                      {**ode.initial, "w": hao_seed(p)})
 
 
 def _a2zero_rows(a0: int, a1: int, order: int):
-    """The (label, series, rows) triples of `verify_sol_a2zero`: the system
-    is solved when the first is read, and each row is built when compared."""
-    sol = solve_ode(_hao_system(TriangleParams(a0, a1, 0, 1, 0, 0)), order)
-    ns = range(order + 1)
-    yield "U", sol["u"], (LaurentPoly({monomial({"u": 1, "v": a1 * j}): a1 ** (n - j)
-                                       * cf.stirling2(n, j) for j in range(n + 1)}) for n in ns)
-    yield "V", sol["v"], [LaurentPoly.variable("v")] * len(ns)
+    """The comparisons of `verify_sol_a2zero`, solving the system when the first
+    is read: closed-form rows packed over (u, v), zero coefficients dropped."""
+    _, ys = egf_levels(_hao_system(TriangleParams(a0, a1, 0, 1, 0, 0)), order)
     # Row n of U V^a0 is u v^a0 times the Bell-polynomial row at alpha = v^a1.
-    yield "U*V^a0", sol["w"], (LaurentPoly({monomial({"u": 1, "v": a0 + a1 * j}): c
-                                            for j, c in enumerate(cf.touchard_row(a0, a1, n))})
-                               for n in ns)
+    for label, x, terms in (
+            ("U", "u", lambda n: (((1, a1 * j), a1 ** (n - j) * cf.stirling2(n, j))
+                                  for j in range(n + 1))),
+            ("V", "v", lambda n: [((0, 1), 1)]),
+            ("U*V^a0", "w", lambda n: (((1, a0 + a1 * j), c)
+                                       for j, c in enumerate(cf.touchard_row(a0, a1, n))))):
+        yield from (({vec: c for vec, c in terms(n) if c}, level, _AT_ORDER, label, n)
+                    for n, level in enumerate(ys[x]))
 
 
 def verify_sol_a2zero(a0: int, a1: int, order: int) -> CheckReport:
@@ -344,20 +353,19 @@ def verify_sol_a2zero(a0: int, a1: int, order: int) -> CheckReport:
     if a1 == 0:
         raise ZeroA1("the check needs a1 != 0")
     report = CheckReport(name="a2zero-solution", params={"a0": a0, "a1": a1}, order=order)
-    return report.first_mismatch(_compare_rows(_a2zero_rows(a0, a1, order)))
+    return report.first_mismatch(_a2zero_rows(a0, a1, order))
 
 
 def _a1zero_rows(a0: int, a2: int, order: int):
-    """Like `_a2zero_rows`, the lazy (label, series, rows) triples of `verify_sol_a1zero`."""
-    sol = solve_ode(_hao_system(TriangleParams(a0, 0, a2, 1, 0, 0)), order)
+    """Like `_a2zero_rows`, the lazy comparisons of `verify_sol_a1zero`."""
+    _, ys = egf_levels(_hao_system(TriangleParams(a0, 0, a2, 1, 0, 0)), order)
     rho = [cf.rising_step(1, a2, n) for n in range(order + 1)]
-    yield "V", sol["v"], (LaurentPoly.from_exponents({"v": 1 + a2 * n}, r)
-                          for n, r in enumerate(rho))
-    yield "U", sol["u"], (LaurentPoly.from_exponents({"u": 1, "v": a2 * n}, r)
-                          for n, r in enumerate(rho))
-    yield "row sums", sol["w"], (
-        LaurentPoly.from_exponents({"u": 1, "v": a0 + a2 + a2 * n}, cf.a1zero_rowsum(a0, a2, n))
-        for n in range(order + 1))
+    for label, x, terms in (
+            ("V", "v", lambda n: [((0, 1 + a2 * n), rho[n])]),
+            ("U", "u", lambda n: [((1, a2 * n), rho[n])]),
+            ("row sums", "w", lambda n: [((1, a0 + a2 + a2 * n), cf.a1zero_rowsum(a0, a2, n))])):
+        yield from (({vec: c for vec, c in terms(n) if c}, level, _AT_ORDER, label, n)
+                    for n, level in enumerate(ys[x]))
 
 
 def verify_sol_a1zero(a0: int, a2: int, order: int) -> CheckReport:
@@ -368,7 +376,7 @@ def verify_sol_a1zero(a0: int, a2: int, order: int) -> CheckReport:
     if a2 == 0:
         raise ZeroA2("the check needs a2 != 0")
     report = CheckReport(name="a1zero-solution", params={"a0": a0, "a2": a2}, order=order)
-    return report.first_mismatch(_compare_rows(_a1zero_rows(a0, a2, order)))
+    return report.first_mismatch(_a1zero_rows(a0, a2, order))
 
 
 def verify_secondorder_egf(y, order: int) -> CheckReport:
@@ -490,13 +498,13 @@ def suite_closed_solutions(opts: VerifyOptions) -> list[CheckReport]:
     order = opts.cap_order(5)
     report = CheckReport(name="closed-solutions",
                          params={"grid": "a0 in {0,1,2}, a1/a2 in {1,2,3}"}, order=order)
-    checks = [(name, {"a0": a0, key: a}, triples(a0, a, order))
-              for name, key, triples in (("a2zero-solution", "a1", _a2zero_rows),
-                                         ("a1zero-solution", "a2", _a1zero_rows))
+    checks = [(name, {"a0": a0, key: a}, rows(a0, a, order))
+              for name, key, rows in (("a2zero-solution", "a1", _a2zero_rows),
+                                      ("a1zero-solution", "a2", _a1zero_rows))
               for a0, a in product((0, 1, 2), (1, 2, 3))]
     return [report.first_mismatch(
         (expected, got, "{}{}: " + locus, name, params, *args)
-        for name, params, rows in checks for expected, got, locus, *args in _compare_rows(rows))]
+        for name, params, rows in checks for expected, got, locus, *args in rows)]
 
 
 # -- oracle equivalences -------------------------------------------------------------

@@ -7,11 +7,14 @@ they were before the first-insert kernels, and the Laurent polynomial's
 power-rule derivative (`partial`), its value at a rational point
 (`evaluate`), the inverse of a single term (inside `inverse`), and its sum
 and product as they were built past the constructor (`add_terms`,
-`mul_terms` and `monomial_mul`)."""
+`mul_terms` and `monomial_mul`), which `poly_add` and `poly_mul` lift to
+the Laurent polynomials and scalars that series coefficients are: the
+package's `LaurentPoly` has no arithmetic of its own."""
 
 from fractions import Fraction
+from functools import reduce
 from math import comb, factorial, prod
-from operator import add, sub
+from operator import add
 
 from gkptri import verify
 from gkptri.errors import DegenerateY, NonInvertibleConstantTerm
@@ -81,6 +84,25 @@ def mul_terms(a, b):
     return {m: normalize_scalar(c) for m, c in out.items()}
 
 
+def _terms(x):
+    """The term map of a LaurentPoly or an exact scalar."""
+    return x.terms() if isinstance(x, LaurentPoly) else LaurentPoly.constant(x).terms()
+
+
+def poly_add(*xs):
+    """The sum of exact scalars, or of LaurentPolys and scalars by `add_terms`."""
+    if not any(isinstance(x, LaurentPoly) for x in xs):
+        return sum(xs)
+    return LaurentPoly(reduce(add_terms, map(_terms, xs), {}))
+
+
+def poly_mul(*xs):
+    """The product of exact scalars, or of LaurentPolys and scalars by `mul_terms`."""
+    if not any(isinstance(x, LaurentPoly) for x in xs):
+        return prod(xs)
+    return LaurentPoly(reduce(mul_terms, map(_terms, xs), {(): 1}))
+
+
 def constant(c, order):
     """The series c, truncated at the given order."""
     return TruncatedSeries([c] + [0] * order)
@@ -92,16 +114,16 @@ def t_term(scale, order):
 
 
 def series_add(f, g):
-    return TruncatedSeries(map(add, f.coeffs, g.coeffs))
+    return TruncatedSeries(map(poly_add, f.coeffs, g.coeffs))
 
 
 def series_sub(f, g):
-    return TruncatedSeries(map(sub, f.coeffs, g.coeffs))
+    return TruncatedSeries(poly_add(a, poly_mul(-1, b)) for a, b in zip(f.coeffs, g.coeffs))
 
 
 def series_mul(f, g):
     a, b = f.coeffs, g.coeffs
-    return TruncatedSeries(sum((a[j] * b[m - j] for j in range(m + 1)), 0)
+    return TruncatedSeries(poly_add(*(poly_mul(a[j], b[m - j]) for j in range(m + 1)))
                            for m in range(min(f.order, g.order) + 1))
 
 
@@ -111,13 +133,14 @@ def series_exp(f):
     if c[0] != 0:
         raise ValueError("exp needs constant coefficient 0")
     for n in range(1, f.order + 1):
-        out.append(sum((c[j] * j * out[n - j] for j in range(1, n + 1)), 0) * Fraction(1, n))
+        out.append(poly_mul(poly_add(*(poly_mul(c[j], j, out[n - j]) for j in range(1, n + 1))),
+                            Fraction(1, n)))
     return TruncatedSeries(out)
 
 
 def series_derivative(f):
     """d/dt, honest to order f.order - 1."""
-    return TruncatedSeries(c * n for n, c in enumerate(f.coeffs) if n)
+    return TruncatedSeries(poly_mul(c, n) for n, c in enumerate(f.coeffs) if n)
 
 
 def exp_t(scale, order):
@@ -139,7 +162,8 @@ def inverse(f):
     else:
         raise NonInvertibleConstantTerm(f"not invertible in the Laurent ring: {c}")
     for n in range(1, f.order + 1):
-        out.append(-(out[0] * sum((f.coeffs[j] * out[n - j] for j in range(1, n + 1)), 0)))
+        out.append(poly_mul(-1, out[0], poly_add(*(poly_mul(f.coeffs[j], out[n - j])
+                                                   for j in range(1, n + 1)))))
     return TruncatedSeries(out)
 
 
@@ -216,7 +240,7 @@ def reference_solve(system: OdeSystem, order: int) -> dict[str, TruncatedSeries]
                 for x, e in mono:
                     term = series_mul(term, series_pow(partial[x], e))
                 acc = series_add(acc, term)
-            step[v] = acc.coefficient(n) * Fraction(1, n + 1)
+            step[v] = poly_mul(acc.coefficient(n), Fraction(1, n + 1))
         for v in system.variables:
             coeffs[v].append(step[v])
     return {v: TruncatedSeries(coeffs[v]) for v in system.variables}

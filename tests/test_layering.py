@@ -10,9 +10,9 @@ inspect.  Also, every name in `gkptri.__all__` exists and is listed once,
 every error class but the base `GkpError` is raised somewhere in the
 package, and no module but `__init__` imports a name it never uses.  No
 module names `__new__`, and `polyring` defines one monomial canonicaliser,
-so every polynomial is made by `LaurentPoly`'s constructor, whose ring
-operators and `__eq__` reach their operand only through `_coerce`, and
-one polynomial renderer, `render_packed`: no other function writes an
+so every polynomial is made by `LaurentPoly`'s constructor, which has no
+ring operators, only an `__eq__` that takes a scalar, and one polynomial
+renderer, `render_packed`: no other function writes an
 exponent as `^`, and `cli` prints packed levels through it, with no
 `gen_series` or `iterate_D`.  In
 census, `_leaves` is the one function that reads a polynomial's terms.
@@ -29,6 +29,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -354,17 +355,21 @@ def test_census_reads_terms_in_one_function():
     assert call_sites((SRC / "census.py").read_text(), "terms") == {"_leaves"}
 
 
-def test_laurent_poly_coerces_operands_in_one_place():
-    # A scalar branch in one operator would be a second product or sum path
-    # beside the polynomial one.
-    tree = ast.parse((SRC / "polyring.py").read_text())
-    cls, = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "LaurentPoly"]
-    methods = {f.name: f for f in cls.body if isinstance(f, ast.FunctionDef)}
-    operators = {"__add__", "__sub__", "__rsub__", "__mul__", "__eq__"}
-    assert [name for name in sorted(operators) if "_coerce" not in
-            names_used(ast.unparse(methods[name]))] == []
-    assert [name for name, f in methods.items()
-            if name != "_coerce" and isinstance_of_other(f)] == []
+def test_laurent_poly_has_no_ring_operators():
+    # LaurentPoly is a value: the engines compute on packed levels, and the
+    # tests' ring arithmetic is series_reference's.  Only __eq__ looks at a
+    # scalar operand, so a constant still equals and hashes as its scalar.
+    source = (SRC / "polyring.py").read_text()
+    cls, = [n for n in ast.parse(source).body
+            if isinstance(n, ast.ClassDef) and n.name == "LaurentPoly"]
+    operators = {"__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__"}
+    assert operators & set(vars(gkptri.LaurentPoly)) == set()
+    assert "_coerce" not in names_used(source) | defined_names(source)
+    assert [f.name for f in cls.body
+            if isinstance(f, ast.FunctionDef) and isinstance_of_other(f)] == ["__eq__"]
+    assert gkptri.LaurentPoly.constant(3) == 3
+    assert gkptri.LaurentPoly.zero() == 0
+    assert hash(gkptri.LaurentPoly.constant(Fraction(1, 2))) == hash(Fraction(1, 2))
 
 
 def test_fps_adds_no_exponent_tuples():

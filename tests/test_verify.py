@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from gkptri import closedforms as cf
 from gkptri import verify
 from gkptri.cli import main
-from gkptri.errors import BudgetExceeded
+from gkptri.errors import BudgetExceeded, NonTriangularExpansion, ZeroA1
 from gkptri.fps import OdeSystem, TruncatedSeries, egf_levels, gen_levels
 from gkptri.grammar import hao_grammar, hao_seed
 from gkptri.polyring import LaurentPoly, monomial
@@ -33,6 +33,8 @@ from gkptri.verify import ORACLES, ROUTES, SUITES, VerifyOptions
 from series_reference import (
     constant,
     exp_t,
+    poly_add,
+    poly_mul,
     reference_closed_form_whitney,
     reference_secondorder_egf,
     reference_secondorder_w,
@@ -69,6 +71,22 @@ def test_first_mismatch_stops_there_and_formats_only_its_locus():
     report = verify.CheckReport("x").first_mismatch(comparisons())
     assert (report.passed, report.failure, made) == (False, "item at 3", [0, 1, 2, 3])
     assert verify.CheckReport("y").first_mismatch([(1, 1, "{}")]).passed
+
+
+def test_engine_error_fails_the_report_after_the_last_match():
+    def comparisons(error, matched):
+        for n in range(matched):
+            yield n, n, "{never formatted}" if n < matched - 1 else "n={}", n
+        raise error
+    report = verify.CheckReport("x").first_mismatch(
+        comparisons(NonTriangularExpansion("off the lattice"), 3))
+    assert (report.passed, report.failure) == (
+        False, "NonTriangularExpansion: off the lattice after n=2")
+    report = verify.CheckReport("y").first_mismatch(comparisons(ZeroA1("a1 = 0"), 0))
+    assert report.failure == "ZeroA1: a1 = 0"
+    for error in (BudgetExceeded("over"), ValueError("order must be nonnegative")):
+        with pytest.raises(type(error)):
+            verify.CheckReport("z").first_mismatch(comparisons(error, 2))
 
 
 def test_verify_options_defaults():
@@ -343,7 +361,7 @@ def test_ode_gen_reports_first_failure(monkeypatch):
 
     def doubled_u(g):
         system = grammar_ode(g)
-        return OdeSystem(g, {**system.initial, "u": system.initial["u"] * 2})
+        return OdeSystem(g, {**system.initial, "u": poly_mul(system.initial["u"], 2)})
     monkeypatch.setattr(verify, "grammar_ode", doubled_u)
     [report] = SUITES["ode-gen"](VerifyOptions())
     assert report.record() == {
@@ -381,9 +399,10 @@ ODE_GEN_MUTANTS = {
 }
 
 
-@pytest.mark.parametrize("mutant", sorted(ODE_GEN_MUTANTS))
-def test_ode_gen_catches_mutant(tmp_path, mutant):
-    module, mutate, locus = ODE_GEN_MUTANTS[mutant]
+def run_mutant(tmp_path, module, mutate, *suites):
+    """The exit code and records of `gkptri verify <suites> --format json`, run
+    in a subprocess on a copy of `src/` whose `gkptri/<module>` is `mutate`d.
+    A mutant is reported as a failed check, never as an error exit."""
     src = tmp_path / "src"
     shutil.copytree(Path(verify.__file__).resolve().parents[1], src,
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -391,12 +410,32 @@ def test_ode_gen_catches_mutant(tmp_path, mutant):
     text = path.read_text()
     path.write_text(mutate(text))
     assert path.read_text() != text
-    proc = subprocess.run([sys.executable, "-m", "gkptri", "verify", "ode-gen", "--format", "json"],
+    proc = subprocess.run([sys.executable, "-m", "gkptri", "verify", *suites, "--format", "json"],
                           capture_output=True, text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=str(src)))
-    assert proc.returncode == 1, proc.stderr
-    [check] = json.loads(proc.stdout)["checks"]
-    assert (check["status"], check["locus"]) == ("fail", locus)
+    assert proc.returncode in (0, 1), proc.stderr
+    return proc.returncode, json.loads(proc.stdout)["checks"]
+
+
+@pytest.mark.parametrize("mutant", sorted(ODE_GEN_MUTANTS))
+def test_ode_gen_catches_mutant(tmp_path, mutant):
+    module, mutate, locus = ODE_GEN_MUTANTS[mutant]
+    code, [check] = run_mutant(tmp_path, module, mutate, "ode-gen")
+    assert (code, check["status"], check["locus"]) == (1, "fail", locus)
+
+
+def test_wrong_shift_mutant_fails_grammar_recurrence_and_every_suite_runs(tmp_path):
+    # The v step's u shift off by one in _derive's two-letter branch: the
+    # lattice reader raises inside grammar-recurrence, which fails, and the
+    # other suites still run and report.
+    code, checks = run_mutant(
+        tmp_path, "grammar.py", lambda text: text.replace("(not i, s0, s1, rc)",
+                                                          "(not i, s0 + i, s1, rc)"), "all")
+    assert (code, len(checks)) == (1, 31)
+    [check] = [c for c in checks if c["name"] == "grammar-recurrence"]
+    assert (check["status"], check["locus"]) == (
+        "fail", "NonTriangularExpansion: D^1 = -4*u^-7*v^-6 - 6*u^-10*v^-8"
+                " has monomials off the row-1 lattice")
 
 
 def test_closed_form_registry_parity(capsys, monkeypatch):
@@ -600,8 +639,8 @@ def test_closed_solutions_report_first_mismatch(monkeypatch, kind):
 def test_closed_solutions_solve_no_system_past_the_first_mismatch(monkeypatch, kind):
     attr, bump, *_, solves = CLOSED_SOLUTION_FAILURES[kind]
     monkeypatch.setattr(cf, attr, bump(getattr(cf, attr), 2))
-    solve_ode, calls = verify.solve_ode, []
-    monkeypatch.setattr(verify, "solve_ode", lambda *a: calls.append(a) or solve_ode(*a))
+    egf_levels, calls = verify.egf_levels, []
+    monkeypatch.setattr(verify, "egf_levels", lambda *a: calls.append(a) or egf_levels(*a))
     [report] = SUITES["closed-solutions"](VerifyOptions())
     assert (report.passed, len(calls)) == (False, solves)
 
@@ -623,7 +662,7 @@ def _a1zero_rows(a2, order):
 
 
 def _series_of_rows(rows):
-    return TruncatedSeries([row * Fraction(1, factorial(n)) for n, row in enumerate(rows)])
+    return TruncatedSeries([poly_mul(row, Fraction(1, factorial(n))) for n, row in enumerate(rows)])
 
 
 @pytest.mark.parametrize("a1", [-2, 1, 2, 3])
@@ -633,7 +672,7 @@ def test_a2zero_rows_match_the_closed_series(a1):
     u, v = LaurentPoly.variable("u"), LaurentPoly.variable("v")
     v_a1 = LaurentPoly.from_exponents({"v": a1})
     arg = series_mul(series_sub(exp_t(a1, order), constant(1, order)),
-                     constant(v_a1 * Fraction(1, a1), order))
+                     constant(poly_mul(v_a1, Fraction(1, a1)), order))
     u_rows, v_rows = _a2zero_rows(a1, order)
     assert series_mul(constant(u, order), series_exp(arg)) == _series_of_rows(u_rows)
     assert series_mul(constant(v, order), exp_t(1, order)) == _series_of_rows(v_rows)
@@ -647,21 +686,22 @@ def test_a1zero_rows_satisfy_the_relations(a2):
     u, v = LaurentPoly.variable("u"), LaurentPoly.variable("v")
     v_a2 = LaurentPoly.from_exponents({"v": a2})
     us, vs = map(_series_of_rows, _a1zero_rows(a2, order))
-    linear = series_sub(constant(1, order), t_term(v_a2 * a2, order))
+    linear = series_sub(constant(1, order), t_term(poly_mul(v_a2, a2), order))
     assert series_mul(series_pow(vs, a2), linear) == constant(v_a2, order)
     assert series_mul(us, constant(v, order)) == series_mul(vs, constant(u, order))
     assert all(verify.verify_sol_a1zero(a0, a2, o).passed for a0 in (0, 2) for o in (0, order))
 
 
-def _solution_bumped_at(letter, k):
-    """`solve_ode` with u*v added to coefficient k of the solution's `letter`."""
-    solve_ode = verify.solve_ode
+def _levels_bumped_at(letter, k):
+    """`egf_levels` with u*v added to level k of `letter`'s, packed over (u, v)."""
+    egf_levels = verify.egf_levels
 
     def patched(system, order):
-        sol = solve_ode(system, order)
-        coeffs = list(sol[letter].coeffs)
-        coeffs[k] += LaurentPoly.from_exponents({"u": 1, "v": 1})
-        return {**sol, letter: TruncatedSeries(coeffs)}
+        names, ys = egf_levels(system, order)
+        assert names == ("u", "v")
+        level = ys[letter][k]
+        ys[letter][k] = {**level, (1, 1): level.get((1, 1), 0) + 1}
+        return names, ys
     return patched
 
 
@@ -677,7 +717,7 @@ SOLUTION_CHECKS = {
 @pytest.mark.parametrize("kind", SOLUTION_CHECKS)
 def test_closed_solution_reports_first_perturbed_order(monkeypatch, kind, letter, k):
     check, grid, w_locus = SOLUTION_CHECKS[kind]
-    monkeypatch.setattr(verify, "solve_ode", _solution_bumped_at(letter, k))
+    monkeypatch.setattr(verify, "egf_levels", _levels_bumped_at(letter, k))
     locus = w_locus if letter == "w" else letter.upper()
     for a0, a in grid:
         report = check(a0, a, 5)
@@ -734,7 +774,7 @@ def test_expansion_golden_reports_first_level(monkeypatch):
 
     def second_level_off(g, seed, n):
         levels = iterate_D(g, seed, n)
-        return [*levels[:2], levels[2] + verify.parse_poly("u")]
+        return [*levels[:2], poly_add(levels[2], verify.parse_poly("u"))]
     monkeypatch.setattr(verify, "iterate_D", second_level_off)
     [report] = SUITES["expansion-golden"](VerifyOptions())
     assert report.record() == {
