@@ -1,7 +1,7 @@
 """Command-line surface: generate triangles, expand grammars, print series,
 run verification suites, and diff brute-force censuses against rows.
-`grammar` and `series` print the packed levels of `fps.gen_levels` through
-`polyring.render_packed`, `series` dividing level n by n! as it prints.
+`grammar` and `series` print packed levels and the tree function's integers
+through `polyring.render_packed`, `series` dividing term n by n! as it prints.
 
 `oracle KIND` is a thin layer over `verify.ORACLES`, the census rows of
 `verify.ROUTES`: the kinds, their option, census, reference row and
@@ -156,7 +156,8 @@ def cmd_grammar(args) -> int:
 def cmd_series(args) -> int:
     if args.tree_function:
         _reject_unread(args, "--tree-function", ("hao", "rules", "seed"))
-        print(tree_function(args.order))
+        print(", ".join(render_packed((), {(): t}, factorial(n))
+                        for n, t in enumerate(tree_function(args.order))))
         return EXIT_OK
     g, seed = _grammar_from_args(args)
     names = sorted(g.alphabet)
@@ -206,6 +207,8 @@ def cmd_oracle(args) -> int:
     _reject_unread(args, f"oracle {args.kind}",
                    [o for o in ("r", "params", "hao") if o != oracle.option])
     arg = oracle.parse(text)
+    if args.diff:  # a row the buckets cannot read is refused before the census is walked
+        oracle.bucket(arg, args.n, 0)
     census = oracle.census(arg, args.n, budget)
     print(census)
     if not args.diff:

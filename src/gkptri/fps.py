@@ -1,23 +1,23 @@
 """Truncated formal power series in t with exact coefficients, the
 generating series of a grammar (`gen_series`) and the exact ODE engine
-(`solve_ode`) for a grammar plus initial values, each a wrapper over its
-producer of packed EGF-normal levels (`gen_levels`, and `egf_levels`, whose
-one product loop adds Kronecker int keys for every alphabet).  The CLI's
-`series` prints `gen_levels` itself, dividing by n! only as it prints.  The
-identity checks live in `verify`; this module imports nothing above the
-grammar layer.
+(`solve_ode`), each a wrapper over its producer of packed EGF-normal levels
+(`gen_levels`, and `egf_levels`, whose one product loop adds Kronecker int
+keys for every alphabet), and the tree function's EGF-normal integers
+(`tree_function`).  The CLI's `series` prints levels and integers, dividing
+by n! only as it prints.  The identity checks live in `verify`; this module
+imports nothing above the grammar layer.
 
 A TruncatedSeries is a value with no arithmetic: the engines compute on
 packed EGF-normal levels, and every identity check in `verify` compares
-n! [t^n] coefficients, most of them on those levels, so nothing in the
-package adds, multiplies or exponentiates a series.  Its coefficients are exact rationals (int or
-Fraction) or Laurent polynomials, mixed freely, since a LaurentPoly compares
-and hashes with a scalar; both engines return `_egf`'s LaurentPolys, constant
-ones when the initial values carry no letter (`egf_levels` lifts a scalar
-one with `LaurentPoly.constant`).  Floats are rejected with
-TypeError.  A series of order N stores the N+1 coefficients of t^0..t^N as
-plain t-power coefficients, and `coefficient` never reads beyond them.
-Truncation orders are nonnegative.
+n! [t^n] coefficients on those levels or on integers, so nothing in the
+package adds, multiplies or exponentiates a series.  Its coefficients are
+exact rationals (int or Fraction) or Laurent polynomials, mixed freely,
+since a LaurentPoly compares and hashes with a scalar; both builders return
+`_egf`'s LaurentPolys, constant ones when the initial values carry no
+letter (`egf_levels` lifts a scalar one with `LaurentPoly.constant`).
+Floats are rejected with TypeError.  A series of order N stores the N+1
+coefficients of t^0..t^N as plain t-power coefficients, and `coefficient`
+never reads beyond them.  Truncation orders are nonnegative.
 """
 
 from __future__ import annotations
@@ -258,10 +258,8 @@ def solve_ode(system: OdeSystem, order: int) -> dict[str, TruncatedSeries]:
 # -- the tree function -------------------------------------------------------------
 
 
-def tree_function(order: int) -> TruncatedSeries:
-    """Sum of n^(n-1) z^n / n! for n >= 1; satisfies T = z*exp(T)."""
+def tree_function(order: int) -> list[int]:
+    """t_n = n! [z^n] T for n <= order, T = z exp(T) the tree function: t_0 = 0, t_n = n^(n-1)."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    coeffs = [Fraction(0)]
-    coeffs.extend(Fraction(n ** (n - 1), factorial(n)) for n in range(1, order + 1))
-    return TruncatedSeries(coeffs)
+    return [0, *(n ** (n - 1) for n in range(1, order + 1))]

@@ -5,18 +5,19 @@ A monomial is a tuple of (variable, exponent) pairs, sorted by variable
 name, with nonzero (possibly negative) integer exponents; the empty tuple
 is the monomial 1.  Coefficients are exact rationals, normalised to plain
 ints whenever the denominator is 1, so integer-only computations stay on
-fast int arithmetic.  The zero polynomial has no terms.
+fast int arithmetic.  The zero polynomial, `LaurentPoly()`, has no terms.
 
 Canonical form is unique: no zero coefficients, no zero exponents, so
 structural equality is mathematical equality.  The constructor is the one
 place that normalises coefficients and drops zero terms, and it raises
 ValueError on a monomial key that `monomial` would not return.  A
-LaurentPoly is a value with no arithmetic (no `+`, `-` or `*`): the engines
-in `grammar` and `fps` compute on packed levels, and a caller that sums
-terms builds one term map; a constant equals and hashes as its scalar.  One
-renderer, `render_packed`, prints a packed level, each coefficient divided
-by an optional divisor: `LaurentPoly.__str__` packs and calls it, and the
-CLI prints the engines' levels with it directly.
+LaurentPoly is built, parsed, printed, compared and hashed, with no `+`,
+`-` or `*`: the engines in `grammar` and `fps` compute on packed levels,
+and a caller that sums terms builds one term map; a constant equals and
+hashes as its scalar.  One renderer, `render_packed`, prints a packed
+level, each coefficient divided by an optional divisor:
+`LaurentPoly.__str__` packs and calls it, and the CLI prints the engines'
+levels and the tree function's integers with it directly.
 """
 
 from __future__ import annotations
@@ -80,14 +81,6 @@ class LaurentPoly:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> LaurentPoly:
-        return cls()
-
-    @classmethod
-    def one(cls) -> LaurentPoly:
-        return cls({EMPTY_MONOMIAL: 1})
-
-    @classmethod
     def constant(cls, value) -> LaurentPoly:
         return cls({EMPTY_MONOMIAL: value})
 
@@ -107,14 +100,8 @@ class LaurentPoly:
     def terms(self) -> dict[Monomial, Scalar]:
         return dict(self._terms)
 
-    def coefficient(self, mono: Monomial) -> Scalar:
-        return self._terms.get(mono, 0)
-
     def variables(self) -> frozenset[str]:
         return frozenset(v for mono in self._terms for v, _ in mono)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
 
     def __len__(self) -> int:
         return len(self._terms)

@@ -5,8 +5,8 @@ A CheckReport is one check's outcome; its `record()` is the entry that
 the Whitney EGF, the two closed ODE solutions, the second-order EGF) are
 defined here, next to the suites that run them; they compare EGF-normal
 coefficients (n! [t^n]) with denominators cleared, so none inverts a series
-or divides by n!; the closed solutions read the packed levels of
-`egf_levels`, and `tree-function` checks its identities on such integers.
+or divides by n!; each reads packed levels (`expansion-golden` renders them)
+or the integers of `tree_function`, never an unpacked value.
 
 Every check is a stream of `(expected, got, locus, *args)` comparisons
 that `CheckReport.first_mismatch` runs in turn: it reports the first
@@ -48,8 +48,8 @@ from .errors import (
     ZeroA2,
 )
 from .fps import OdeSystem, egf_levels, gen_levels, grammar_ode, tree_function
-from .grammar import Grammar, extract_triangle, hao_grammar, hao_seed, iterate_D
-from .polyring import LaurentPoly, monomial, normalize_scalar, parse_poly
+from .grammar import Grammar, extract_triangle, hao_grammar, hao_seed
+from .polyring import LaurentPoly, monomial, normalize_scalar, parse_poly, render_packed
 from .triangles import (
     Triangle,
     TriangleParams,
@@ -174,9 +174,10 @@ def suite_expansion_golden(opts: VerifyOptions) -> list[CheckReport]:
               "u*v^8 + 13*u^4*v^5 + 4*u^7*v^2"),
              ("second", "u -> u*v^2\nv -> v", "u*v^4 + 2*u*v^2", "u*v^6 + 6*u*v^4 + 4*u*v^2"))
     return [report.first_mismatch(
-        (parse_poly(want), got, "{} grammar, D^{} = {}", which, n, got)
+        (want, got, "{} grammar, D^{} = {}", which, n, got)
         for which, rules, *wants in cases
-        for n, want, got in zip((1, 2), wants, iterate_D(Grammar.from_text(rules), seed, 2)[1:]))]
+        for n, want, level in zip((1, 2), wants, gen_levels(Grammar.from_text(rules), seed, 2)[1:])
+        for got in [render_packed(("u", "v"), level)])]
 
 
 # -- routes ---------------------------------------------------------------------
@@ -472,7 +473,7 @@ def suite_tree_function(opts: VerifyOptions) -> list[CheckReport]:
     report = CheckReport(name="tree-function", params={}, order=order)
 
     def comparisons():
-        t = [normalize_scalar(c * factorial(n)) for n, c in enumerate(tree_function(order).coeffs)]
+        t = tree_function(order)
         yield from ((n ** (n - 1), t[n], "coefficient {}", n) for n in range(1, order + 1))
         # exp(T)' = T' exp(T), a binomial convolution; it needs t_0 = 0, as T = z exp(T) does.
         e = [1]

@@ -108,6 +108,11 @@ def constant(c, order):
     return TruncatedSeries([c] + [0] * order)
 
 
+def egf_series(levels):
+    """The series sum levels[n] t^n / n! of EGF-normal coefficients."""
+    return TruncatedSeries(poly_mul(c, Fraction(1, factorial(n))) for n, c in enumerate(levels))
+
+
 def t_term(scale, order):
     """The series scale * t, truncated at the given order."""
     return TruncatedSeries([0, scale, *[0] * order][:order + 1])

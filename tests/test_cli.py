@@ -592,15 +592,22 @@ class TestInputErrors:
 
 
 class TestOracleRegistry:
-    @pytest.mark.parametrize("hao, n", [("0,0,0,1,0,0", "3"), ("0,0,1,1,1,0", "2")])
+    @pytest.mark.parametrize("hao, n", [("0,0,0,1,0,0", "3"), ("0,0,1,1,1,0", "2"),
+                                        ("1,0,0,1,1,0", "9")])
     def test_vleaves_degenerate_lattice_exits_two(self, capsys, hao, n):
         # With a1 = 0 every entry of the row lands in the same v-leaf
-        # bucket, so the census cannot be compared with the row.
+        # bucket, so the census cannot be compared with the row: --diff
+        # refuses it before the census is walked, and spends no budget
+        # (row 9 of 1,0,0,1,1,0 has far more than 100 histories).
         code, out, err = run(capsys, "oracle", "vleaves", "--hao", hao, "--n", n,
-                             "--diff")
-        assert code == 2
-        assert out.startswith("v-leaves\tcount") and "diff:" not in out
+                             "--diff", "--budget", "100")
+        assert (code, out) == (2, "")
         assert err.startswith("error: a1 = 0") and len(err.splitlines()) == 1
+
+    def test_vleaves_degenerate_lattice_census_without_diff(self, capsys):
+        code, out, _ = run(capsys, "oracle", "vleaves", "--hao", "1,0,0,1,1,0", "--n", "2")
+        assert code == 0
+        assert out.startswith("v-leaves\tcount") and out.splitlines()[-1] == "total\t11"
 
     def test_vleaves_degenerate_lattice_row_zero(self, capsys):
         code, out, _ = run(capsys, "oracle", "vleaves", "--hao", "0,0,0,1,0,0",

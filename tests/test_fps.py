@@ -39,6 +39,7 @@ from gkptri.verify import (
 from series_reference import (
     accumulate_by_get,
     constant,
+    egf_series,
     evaluate,
     poly_add,
     poly_mul,
@@ -75,7 +76,7 @@ class TestGenSeries:
             assert str(g.coefficient(n)) == str(want)
 
     def test_constant_argument(self):
-        g = gen_series(WHITNEY_32, LaurentPoly.one(), 4)
+        g = gen_series(WHITNEY_32, LaurentPoly.constant(1), 4)
         assert g == constant(1, 4)
 
     def test_multiplicative_on_arguments(self):
@@ -106,7 +107,7 @@ class TestSolveOde:
         assert sol["u"] == gen_series(g, LaurentPoly.variable("u"), 3)
 
     def test_zero_rhs(self):
-        sys = OdeSystem(Grammar({"x": LaurentPoly.zero()}), {"x": Fraction(5)})
+        sys = OdeSystem(Grammar({"x": LaurentPoly()}), {"x": Fraction(5)})
         assert solve_ode(sys, 4) == {"x": constant(5, 4)}
 
     def test_scalar_and_constant_initials_give_one_series(self):
@@ -161,7 +162,7 @@ class TestSolveOde:
         sys = OdeSystem(Grammar({"x": parse_poly("x^900")}), {"x": parse_poly("u + v")})
         c1 = solve_ode(sys, 1)["x"].coeffs[1]
         assert len(c1) == 901
-        assert c1.coefficient(monomial({"u": 450, "v": 450})) == comb(900, 450)
+        assert c1.terms().get(monomial({"u": 450, "v": 450}), 0) == comb(900, 450)
 
     def test_negative_power_of_binomial_initial(self):
         sys = OdeSystem(Grammar({"x": parse_poly("x^-1")}), {"x": parse_poly("u + v")})
@@ -238,8 +239,8 @@ def ode_systems(draw):
         exact_coeffs,
     )
     rhs = {
-        x: poly_add(LaurentPoly.zero(), *(LaurentPoly.from_exponents(m, c)
-                                          for m, c in draw(st.lists(terms, max_size=2))))
+        x: poly_add(LaurentPoly(), *(LaurentPoly.from_exponents(m, c)
+                                     for m, c in draw(st.lists(terms, max_size=2))))
         for x in variables
     }
     return OdeSystem(Grammar(rhs), initial)
@@ -413,21 +414,15 @@ class TestNegativeOrder:
 
 class TestTreeFunction:
     def test_first_coefficients(self):
-        T = tree_function(4)
-        assert [T.coefficient(n) for n in range(5)] == [
-            0,
-            1,
-            1,
-            Fraction(3, 2),
-            Fraction(8, 3),
-        ]
+        assert tree_function(4) == [0, 1, 2, 9, 64]
+        assert egf_series(tree_function(4)) == series(0, 1, 1, Fraction(3, 2), Fraction(8, 3))
 
     def test_functional_equation(self):
-        T = tree_function(12)
+        T = egf_series(tree_function(12))
         assert series_sub(T, series_mul(t_term(1, 12), series_exp(T))) == constant(0, 12)
 
     def test_derivative_identity(self):
-        T = tree_function(9)
+        T = egf_series(tree_function(9))
         lhs = series_mul(series_derivative(T), series_sub(constant(1, 9), T))
         assert lhs == TruncatedSeries(series_exp(T).coeffs[:9])
 

@@ -13,8 +13,11 @@ module names `__new__`, and `polyring` defines one monomial canonicaliser,
 so every polynomial is made by `LaurentPoly`'s constructor, which has no
 ring operators, only an `__eq__` that takes a scalar, and one polynomial
 renderer, `render_packed`: no other function writes an
-exponent as `^`, and `cli` prints packed levels through it, with no
-`gen_series` or `iterate_D`.  In
+exponent as `^`.  `LaurentPoly` has no `zero`, `one`, `coefficient` or
+`__bool__`, which its constructor, `constant`, `terms()` and `__len__` do.
+Only `fps._egf` builds a TruncatedSeries, only it and `grammar.iterate_D`
+unpack a packed level, and verify and cli name none of the unpacking
+functions, so no check or command reads an unpacked value back.  In
 census, `_leaves` is the one function that reads a polynomial's terms.
 The ODE engine in fps adds int keys, so it names neither `operator.add`
 nor `sub`, its Miller streams build no Fraction, and it raises no
@@ -317,7 +320,6 @@ def test_polyring_has_one_polynomial_renderer():
     writers = {f"{path.name}:{name}" for path in sorted(SRC.glob("*.py"))
                for name in exponent_writers(path.read_text())}
     assert writers == {"polyring.py:render_packed"}
-    assert names_used((SRC / "cli.py").read_text()) & {"gen_series", "iterate_D"} == set()
 
 
 def call_sites(source: str, method: str) -> set[str]:
@@ -368,8 +370,31 @@ def test_laurent_poly_has_no_ring_operators():
     assert [f.name for f in cls.body
             if isinstance(f, ast.FunctionDef) and isinstance_of_other(f)] == ["__eq__"]
     assert gkptri.LaurentPoly.constant(3) == 3
-    assert gkptri.LaurentPoly.zero() == 0
+    assert gkptri.LaurentPoly() == 0
     assert hash(gkptri.LaurentPoly.constant(Fraction(1, 2))) == hash(Fraction(1, 2))
+
+
+def test_laurent_poly_has_no_shortcuts():
+    # `LaurentPoly()`, `LaurentPoly.constant(1)` and `terms().get(m, 0)` say the
+    # same, and truth falls back to `__len__`.
+    assert {"zero", "one", "coefficient", "__bool__"} & set(vars(gkptri.LaurentPoly)) == set()
+    assert (bool(gkptri.LaurentPoly()), bool(gkptri.LaurentPoly.constant(2))) == (False, True)
+
+
+def test_unpacking_stays_at_the_library_boundary():
+    # The checks and the CLI read packed levels and integers: `_egf` (behind
+    # `gen_series` and `solve_ode`) and `iterate_D` (behind `apply_D`) are the
+    # library's only unpacking calls, and neither verify nor cli names them.
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+
+    def owners(name):
+        return {(module, owner) for module, source in sources.items()
+                for owner in call_owners(source, name)}
+    assert owners("TruncatedSeries") == {("fps.py", "_egf")}
+    assert owners("_unpack") == {("fps.py", "_egf"), ("grammar.py", "iterate_D")}
+    boundary = {"iterate_D", "apply_D", "gen_series", "solve_ode"}
+    assert [module for module in ("verify.py", "cli.py")
+            if names_used(sources[module]) & boundary] == []
 
 
 def test_fps_adds_no_exponent_tuples():
