@@ -26,6 +26,7 @@ from .errors import (
     BudgetExceeded,
     GrammarNotEnumerable,
     NegativeLeafMultiplicity,
+    NonTriangularExpansion,
     UnknownVariable,
 )
 from .grammar import Grammar, hao_grammar, hao_seed
@@ -58,7 +59,7 @@ class StructureCensus:
         buckets = [bucket_of_index(k) for k in range(length)]
         missing = set(self.counts) - set(buckets)
         if missing:
-            raise ValueError(f"census has buckets outside the row: {sorted(missing)}")
+            raise NonTriangularExpansion(f"census has buckets outside the row: {sorted(missing)}")
         return [self.counts.get(b, 0) for b in buckets]
 
     def __str__(self):
@@ -255,7 +256,8 @@ def stirling_descent_census(n: int, r: int,
     for word in chain.from_iterable(walk):
         for child in _stirling_children(word, n, r):
             if not is_stirling_word(child):
-                raise AssertionError(f"insertion made {child}, which is not a Stirling word")
+                raise NonTriangularExpansion(
+                    f"insertion made {child}, which is not a Stirling word")
             d = descent_count(child)
             counts[d] = counts.get(d, 0) + 1
     return StructureCensus("descents", counts)

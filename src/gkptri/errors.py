@@ -27,7 +27,8 @@ class NonTriangularExpansion(GkpError):
 
     Raised when the exponent lattice degenerates (distinct column indices
     map to the same monomial) or a monomial falls outside the expected
-    lattice entirely.
+    lattice entirely; also when a census has buckets outside the row or its
+    walk makes an object outside the family it counts.
     """
 
 

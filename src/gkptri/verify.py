@@ -12,9 +12,10 @@ Every check is a stream of `(expected, got, locus, *args)` comparisons
 that `CheckReport.first_mismatch` runs in turn: it reports the first
 difference and stops there, so nothing after it is computed and a locus is
 formatted only when it fails; an engine error raised inside the stream
-fails it too.  `closed-solutions` chains the streams of its 18 sub-checks,
-each solving its ODE system only when read, and reports the first failure
-as `{name}{params}: {locus}`.
+fails it too.  `closed-solutions` runs its 18 sub-checks (the two closed
+solution checks) one at a time, each solving its ODE system only when
+reached, and reports the first that fails as `{name}{params}: {failure}`,
+so an engine error is laid at the sub-check that raised it.
 
 Each suite runs one identity battery over a documented default grid and
 returns a list of CheckReport records; the grids can be shrunk with the
@@ -22,8 +23,9 @@ returns a list of CheckReport records; the grids can be shrunk with the
 are registered under kebab-case names and always executed in name order.
 The route suites are the rows of ROUTES: the grammar, each closed form and
 each census is a route to the triangle, and one runner, `Route.run`,
-compares it with the recurrence.  The census rows, the `*-oracle` suites,
-are the ORACLES, which `gkptri oracle` reads.
+compares it with the recurrence; the triangle grain counts its six-tuples
+as it reads them.  The census rows, the `*-oracle` suites, are the
+ORACLES, which `gkptri oracle` reads.
 """
 
 from __future__ import annotations
@@ -190,7 +192,7 @@ class Route:
     `read(arg, n, budget)` equals `reference(triangle, n)`.  "entry":
     `read(arg, n, k)` equals entry (n, k) and is an int.  "triangle":
     `read(arg, n_max, budget)` is the triangle; `grid()` yields the args
-    alone (locus `params {arg}`), and the report counts them as `tuples`.
+    alone (locus `params {arg}`), and the report's `tuples` counts those read.
     """
 
     def __init__(self, grid, params: Callable, read: Callable, n_max: int, report: dict,
@@ -202,20 +204,14 @@ class Route:
         """The verify suite `name`, reporting `report`, then `n_max`."""
         n_max = opts.cap_n(self.n_max)
         report = CheckReport(name=name, params={**self.report, "n_max": n_max})
-        comparisons = (self._triangle if self.grain == "triangle" else self._rows)(
-            report, n_max, opts.budget)
-        report.first_mismatch(comparisons)
-        comparisons.close()  # the triangle grain writes its count as it closes
-        return [report]
+        stream = self._triangle if self.grain == "triangle" else self._rows
+        return [report.first_mismatch(stream(report, n_max, opts.budget))]
 
     def _triangle(self, report: CheckReport, n_max: int, budget: int):
-        params, read, tuples = self.params, self.read, 0
-        try:
-            for tuples, arg in enumerate(self.grid(), 1):
-                yield (recurrence_triangle(params(arg), n_max).rows, read(arg, n_max, budget),
-                       "params {}", arg)
-        finally:
-            report.params["tuples"] = tuples
+        params, read, counts = self.params, self.read, report.params
+        for counts["tuples"], arg in enumerate(self.grid(), 1):  # counted as each is read
+            yield (recurrence_triangle(params(arg), n_max).rows, read(arg, n_max, budget),
+                   "params {}", arg)
 
     def _rows(self, report: CheckReport, n_max: int, budget: int):
         for label, arg in self.grid:
@@ -330,21 +326,6 @@ def _hao_system(p: TriangleParams) -> OdeSystem:
                      {**ode.initial, "w": hao_seed(p)})
 
 
-def _a2zero_rows(a0: int, a1: int, order: int):
-    """The comparisons of `verify_sol_a2zero`, solving the system when the first
-    is read: closed-form rows packed over (u, v), zero coefficients dropped."""
-    _, ys = egf_levels(_hao_system(TriangleParams(a0, a1, 0, 1, 0, 0)), order)
-    # Row n of U V^a0 is u v^a0 times the Bell-polynomial row at alpha = v^a1.
-    for label, x, terms in (
-            ("U", "u", lambda n: (((1, a1 * j), a1 ** (n - j) * cf.stirling2(n, j))
-                                  for j in range(n + 1))),
-            ("V", "v", lambda n: [((0, 1), 1)]),
-            ("U*V^a0", "w", lambda n: (((1, a0 + a1 * j), c)
-                                       for j, c in enumerate(cf.touchard_row(a0, a1, n))))):
-        yield from (({vec: c for vec, c in terms(n) if c}, level, _AT_ORDER, label, n)
-                    for n, level in enumerate(ys[x]))
-
-
 def verify_sol_a2zero(a0: int, a1: int, order: int) -> CheckReport:
     """Check the closed solution U = u exp(v^a1 (e^(a1 t) - 1)/a1), V = v e^t
     of U' = U V^a1, V' = V through its EGF-normal rows (Bell/Touchard):
@@ -354,19 +335,19 @@ def verify_sol_a2zero(a0: int, a1: int, order: int) -> CheckReport:
     if a1 == 0:
         raise ZeroA1("the check needs a1 != 0")
     report = CheckReport(name="a2zero-solution", params={"a0": a0, "a1": a1}, order=order)
-    return report.first_mismatch(_a2zero_rows(a0, a1, order))
 
-
-def _a1zero_rows(a0: int, a2: int, order: int):
-    """Like `_a2zero_rows`, the lazy comparisons of `verify_sol_a1zero`."""
-    _, ys = egf_levels(_hao_system(TriangleParams(a0, 0, a2, 1, 0, 0)), order)
-    rho = [cf.rising_step(1, a2, n) for n in range(order + 1)]
-    for label, x, terms in (
-            ("V", "v", lambda n: [((0, 1 + a2 * n), rho[n])]),
-            ("U", "u", lambda n: [((1, a2 * n), rho[n])]),
-            ("row sums", "w", lambda n: [((1, a0 + a2 + a2 * n), cf.a1zero_rowsum(a0, a2, n))])):
-        yield from (({vec: c for vec, c in terms(n) if c}, level, _AT_ORDER, label, n)
-                    for n, level in enumerate(ys[x]))
+    def comparisons():  # closed-form rows packed over (u, v), zero coefficients dropped
+        _, ys = egf_levels(_hao_system(TriangleParams(a0, a1, 0, 1, 0, 0)), order)
+        # Row n of U V^a0 is u v^a0 times the Bell-polynomial row at alpha = v^a1.
+        for label, x, terms in (
+                ("U", "u", lambda n: (((1, a1 * j), a1 ** (n - j) * cf.stirling2(n, j))
+                                      for j in range(n + 1))),
+                ("V", "v", lambda n: [((0, 1), 1)]),
+                ("U*V^a0", "w", lambda n: (((1, a0 + a1 * j), c)
+                                           for j, c in enumerate(cf.touchard_row(a0, a1, n))))):
+            yield from (({vec: c for vec, c in terms(n) if c}, level, _AT_ORDER, label, n)
+                        for n, level in enumerate(ys[x]))
+    return report.first_mismatch(comparisons())
 
 
 def verify_sol_a1zero(a0: int, a2: int, order: int) -> CheckReport:
@@ -377,7 +358,18 @@ def verify_sol_a1zero(a0: int, a2: int, order: int) -> CheckReport:
     if a2 == 0:
         raise ZeroA2("the check needs a2 != 0")
     report = CheckReport(name="a1zero-solution", params={"a0": a0, "a2": a2}, order=order)
-    return report.first_mismatch(_a1zero_rows(a0, a2, order))
+
+    def comparisons():  # as in verify_sol_a2zero
+        _, ys = egf_levels(_hao_system(TriangleParams(a0, 0, a2, 1, 0, 0)), order)
+        rho = [cf.rising_step(1, a2, n) for n in range(order + 1)]
+        for label, x, terms in (
+                ("V", "v", lambda n: [((0, 1 + a2 * n), rho[n])]),
+                ("U", "u", lambda n: [((1, a2 * n), rho[n])]),
+                ("row sums", "w",
+                 lambda n: [((1, a0 + a2 + a2 * n), cf.a1zero_rowsum(a0, a2, n))])):
+            yield from (({vec: c for vec, c in terms(n) if c}, level, _AT_ORDER, label, n)
+                        for n, level in enumerate(ys[x]))
+    return report.first_mismatch(comparisons())
 
 
 def verify_secondorder_egf(y, order: int) -> CheckReport:
@@ -495,17 +487,14 @@ def suite_second_order_egf(opts: VerifyOptions) -> list[CheckReport]:
 
 @suite("closed-solutions")
 def suite_closed_solutions(opts: VerifyOptions) -> list[CheckReport]:
-    """Closed solutions of the two one-parameter systems: 18 sub-checks, to the first mismatch."""
+    """Closed solutions of the two one-parameter systems: 18 sub-checks, to the first that fails."""
     order = opts.cap_order(5)
     report = CheckReport(name="closed-solutions",
                          params={"grid": "a0 in {0,1,2}, a1/a2 in {1,2,3}"}, order=order)
-    checks = [(name, {"a0": a0, key: a}, rows(a0, a, order))
-              for name, key, rows in (("a2zero-solution", "a1", _a2zero_rows),
-                                      ("a1zero-solution", "a2", _a1zero_rows))
-              for a0, a in product((0, 1, 2), (1, 2, 3))]
-    return [report.first_mismatch(
-        (expected, got, "{}{}: " + locus, name, params, *args)
-        for name, params, rows in checks for expected, got, locus, *args in rows)]
+    subs = (check(a0, a, order) for check in (verify_sol_a2zero, verify_sol_a1zero)
+            for a0, a in product((0, 1, 2), (1, 2, 3)))
+    return [report.first_mismatch((True, sub.passed, "{}{}: {}", sub.name, sub.params, sub.failure)
+                                  for sub in subs)]
 
 
 # -- oracle equivalences -------------------------------------------------------------

@@ -8,7 +8,8 @@ the closed forms or the censuses calls itself.  No module imports
 dataclasses or typing, and `import gkptri, gkptri.cli` loads neither, nor
 inspect.  Also, every name in `gkptri.__all__` exists and is listed once,
 every error class but the base `GkpError` is raised somewhere in the
-package, and no module but `__init__` imports a name it never uses.  No
+package, and no module but `__init__`, nor any test file, imports a name
+it never uses.  No
 module names `__new__`, and `polyring` defines one monomial canonicaliser,
 so every polynomial is made by `LaurentPoly`'s constructor, which has no
 ring operators, only an `__eq__` that takes a scalar, and one polynomial
@@ -41,6 +42,7 @@ import gkptri
 from gkptri import errors
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gkptri"
+TESTS = Path(__file__).resolve().parent
 ABOVE_FPS = {"closedforms", "triangles", "verify", "cli"}
 PACKED_HELPERS = {"_pack", "_unpack", "_derive"}
 ENGINES = {SRC / "grammar.py", SRC / "fps.py"}
@@ -276,8 +278,9 @@ def test_unused_import_checker_sees_aliases_dotted_names_and_future():
     assert unused_imports(source) == ["monomial:4", "c:5"]
 
 
-@pytest.mark.parametrize("path", sorted(set(SRC.glob("*.py")) - {SRC / "__init__.py"}),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(set(SRC.glob("*.py")) - {SRC / "__init__.py"}) + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name)
 def test_no_unused_imports(path):
     # `__init__` imports what it re-exports.
     assert unused_imports(path.read_text()) == []

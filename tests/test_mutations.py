@@ -1,7 +1,8 @@
 """Mutants of the engines against `gkptri verify`: each is a one-line source
 patch on a copy of `src/`, run in a subprocess.  A mutant in `MUTANTS` fails
-its named check at a locus with the given prefix, as a failed check (exit 1)
-and never as an error exit; one run with `all` also prints every record.
+its named check at a locus with the given prefix (and with any params
+given), as a failed check (exit 1) and never as an error exit; one run with
+`all` also prints every record.
 `ESCAPES` lists the mutants that `verify all` misses, each with the tier-1
 test that catches it: that test is named, not rerun.  A suite that closes
 an escape moves it into `MUTANTS`."""
@@ -40,18 +41,26 @@ def run_mutant(tmp_path, module, mutate, *suites):
     return proc.returncode, json.loads(proc.stdout)["checks"]
 
 
+def _replace(old, new):
+    """The patch that makes the first `old` in a module's text `new`."""
+    return lambda text: text.replace(old, new, 1)
+
+
 def _general_branch_keeps_zero_sums(text):
     head, loop, tail = text.partition("for i, shift, rc in steps:")
     return head + loop + tail.replace("del out[key]", "out[key] = s", 1)
 
 
-# name: (module, patch, suite run, check that fails, locus prefix of its failure)
+_HAO_LOCUS = "grammar [Grammar(u -> u^-3*v^-4; v -> u^-2*v^-1)], letter u"
+
+# name: (module, patch, suite run, check that fails, locus prefix of its
+# failure[, params its record carries])
 MUTANTS = {
     # The v step's u shift off by one in _derive's two-letter branch: the
     # lattice reader raises inside grammar-recurrence, and the other suites
     # still run and report.
     "derive-wrong-u-shift": (
-        "grammar.py", lambda text: text.replace("(not i, s0, s1, rc)", "(not i, s0 + i, s1, rc)"),
+        "grammar.py", _replace("(not i, s0, s1, rc)", "(not i, s0 + i, s1, rc)"),
         "all", "grammar-recurrence",
         "NonTriangularExpansion: D^1 = -4*u^-7*v^-6 - 6*u^-10*v^-8 has monomials off the row-1"
         " lattice"),
@@ -60,25 +69,60 @@ MUTANTS = {
         "grammar.py", _general_branch_keeps_zero_sums, "ode-gen", "ode-gen",
         "grammar [Grammar(x -> -z + y; y -> z - x; z -> -y + x)], letter x"),
     "egf-levels-unscales-by-d-squared": (
-        "fps.py", lambda text: text.replace("d ** n)", "d ** min(n, 2))"), "ode-gen", "ode-gen",
+        "fps.py", _replace("d ** n)", "d ** min(n, 2))"), "ode-gen", "ode-gen",
         "grammar [Grammar(u -> 1/2*u^2*v; v -> 1/3*u*v^-1)], letter u"),
+    # Miller's factor e + 1 read as e for y^-1, and products of weight 2 left
+    # unweighted: the same Hao grammar of ode-gen fails first for both.
+    "miller-drops-the-one-at-e-minus-1": (
+        "fps.py", _replace("(e + 1) * comb", "(e + 1 if e != -1 else e) * comb"),
+        "ode-gen", "ode-gen", _HAO_LOCUS),
+    "accumulate-ignores-weight-2": (
+        "fps.py", _replace("cw = ca * w", "cw = ca * (w if w != 2 else 1)"),
+        "ode-gen", "ode-gen", _HAO_LOCUS),
+    # The recurrence's last entry of row 4 off by one: the first six-tuple fails.
+    "recurrence-last-entry-at-row-4": (
+        "triangles.py", _replace("* prev[n - 1])\n", "* prev[n - 1] + (n == 4))\n"),
+        "grammar-recurrence", "grammar-recurrence", "params -2,-2,-2,-2,-2,-2", {"tuples": "1"}),
+    # One census kernel each, wrong at one size.
+    "partitions-new-block-twice-at-2": (
+        "census.py", _replace("tally[blocks + 1] += 1", "tally[blocks + 1] += 1 + (blocks == 2)"),
+        "partition-oracle", "partition-oracle", "n=3"),
+    "components-extra-at-3-v-leaves": (
+        "census.py", _replace("0) + v_count", "0) + v_count + (v_count == 3)"),
+        "component-oracle", "component-oracle", "a=(0,1,1), n=2"),
+    "stirling-drops-the-last-gap-for-3": (
+        "census.py", _replace("range(len(word) + 1)", "range(len(word) + (i != 3))"),
+        "descent-oracle", "descent-oracle", "r=1, n=3"),
+    "excedance-thresholds-shifted-at-3": (
+        "census.py", _replace("range(1 + r,", "range(1 + r + (n == 3),"),
+        "excedance-oracle", "excedance-oracle", "r=0, n=3"),
+    # A census with a bucket outside the row, and a Stirling walk that makes a
+    # word outside the family: failed checks, not error exits.
+    "vleaf-delta-counts-other-letters": (
+        "census.py", _replace("- (x == leaf_letter)", "- (x == leaf_letter) + (x != leaf_letter)"),
+        "all", "vleaf-oracle",
+        "NonTriangularExpansion: census has buckets outside the row: [2] after m=1, r=0, n=0"),
+    "stirling-block-split-by-the-word": (
+        "census.py", _replace("block + word[gap:]", "block[:1] + word[gap:] + block[1:]"),
+        "all", "descent-oracle", "NonTriangularExpansion: insertion made (2, 1, 1, 2)"),
 }
 
 # name: (module, patch, the tier-1 test that catches it)
 ESCAPES = {
     # Rows from row 2 on divided by d, not d^n: no suite runs a rational six-tuple.
     "unscaled-rows-by-d-from-row-2": (
-        "triangles.py", lambda text: text.replace("scale *= d", "scale *= d if scale == 1 else 1"),
+        "triangles.py", _replace("scale *= d", "scale *= d if scale == 1 else 1"),
         "tests/test_triangles.py::TestRecurrenceParity::test_matches_entrywise_fill"),
 }
 
 
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_verify_reports_mutant(tmp_path, mutant):
-    module, patch, suite, name, prefix = MUTANTS[mutant]
+    module, patch, suite, name, prefix, *params = MUTANTS[mutant]
     code, checks = run_mutant(tmp_path, module, patch, suite)
     [check] = [c for c in checks if c["name"] == name]
     assert (code, check["status"]) == (1, "fail") and check["locus"].startswith(prefix)
+    assert check["params"].items() >= dict(*params).items()
     assert len(checks) == (RECORDS if suite == "all" else 1)
 
 

@@ -14,7 +14,6 @@ from gkptri.errors import RowOutOfRange
 from gkptri.polyring import normalize_scalar
 from gkptri.triangles import (
     FORMATS,
-    Triangle,
     TriangleParams,
     format_triangle,
     r_eulerian,

@@ -19,7 +19,12 @@ from hypothesis import strategies as st
 from gkptri import closedforms as cf
 from gkptri import verify
 from gkptri.cli import main
-from gkptri.errors import BudgetExceeded, NonTriangularExpansion, ZeroA1
+from gkptri.errors import (
+    BudgetExceeded,
+    NonInvertibleConstantTerm,
+    NonTriangularExpansion,
+    ZeroA1,
+)
 from gkptri.fps import OdeSystem, egf_levels, gen_levels
 from gkptri.grammar import hao_grammar, hao_seed
 from gkptri.polyring import LaurentPoly, monomial
@@ -584,6 +589,31 @@ def test_closed_solutions_solve_no_system_past_the_first_mismatch(monkeypatch, k
     assert (report.passed, len(calls)) == (False, solves)
 
 
+def _raising_on_second_call(error):
+    """`egf_levels` that raises `error` on its second call."""
+    egf_levels, calls = verify.egf_levels, []
+
+    def patched(system, order):
+        calls.append(system)
+        if len(calls) == 2:
+            raise error
+        return egf_levels(system, order)
+    return patched
+
+
+def test_closed_solutions_lay_an_engine_error_at_its_sub_check(monkeypatch):
+    # The second system fails to solve: its sub-check fails, not the first
+    # one, which passed.
+    monkeypatch.setattr(verify, "egf_levels",
+                        _raising_on_second_call(NonInvertibleConstantTerm("no inverse")))
+    [report] = SUITES["closed-solutions"](VerifyOptions())
+    assert (report.passed, report.failure) == (
+        False, "a2zero-solution{'a0': 0, 'a1': 2}: NonInvertibleConstantTerm: no inverse")
+    monkeypatch.setattr(verify, "egf_levels", _raising_on_second_call(BudgetExceeded("over")))
+    with pytest.raises(BudgetExceeded):
+        SUITES["closed-solutions"](VerifyOptions())
+
+
 def _a2zero_rows(a1, order):
     """n! [t^n] of U and V solving U' = U V^a1, V' = V from (u, v):
     u sum_j a1^(n-j) S(n,j) v^(a1 j), and v."""
@@ -702,6 +732,23 @@ def test_grammar_recurrence_reports_first_tuple(monkeypatch):
         "params": {"grid": "a,b in [-2,2]^6, (a1,b1) != (0,0)", "n_max": "3",
                    "tuples": "8088"},
         "order": None, "status": "fail", "locus": "params 0,1,0,1,0,0"}
+
+
+def test_grammar_recurrence_counts_the_tuples_it_reads(monkeypatch):
+    # Tuples past the first mismatch are not read, so not counted.
+    extract_triangle, calls = verify.extract_triangle, []
+
+    def hundredth_bumped(params, n):
+        calls.append(params)
+        return (_entry_bumped(extract_triangle, 1, 0) if len(calls) == 100
+                else extract_triangle)(params, n)
+    monkeypatch.setattr(verify, "extract_triangle", hundredth_bumped)
+    [report] = SUITES["grammar-recurrence"](VerifyOptions(max_n=2))
+    assert (report.passed, report.params["tuples"], len(calls)) == (False, 100, 100)
+    assert report.failure == f"params {calls[-1]}"
+    monkeypatch.undo()
+    [report] = SUITES["grammar-recurrence"](VerifyOptions(max_n=2))
+    assert (report.passed, report.params["tuples"]) == (True, 15000)
 
 
 def test_expansion_golden_reports_first_level(monkeypatch):
