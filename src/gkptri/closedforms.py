@@ -8,14 +8,17 @@ at the end.  The integrality of its result is a statement to test, not an
 assumption, so callers that expect integers should assert them.
 Empty products are 1 throughout, and 0^0 = 1 (forced by row 0 of every
 triangle).  `f_a2zero_explicit` and `touchard_row` evaluate one Stirling
-sum, per entry and as a row.  This module imports nothing from the
-recurrence (`triangles`) or the series engine (`fps`) that its forms are
-checked against.
+sum, per entry and as a row.  `stirling2` and `euler_at_zero` keep their
+tables, and `f_gram_explicit` its entries, for the life of the process:
+`t_b2zero_explicit` reads each b = 1 entry once per prefactor.  This
+module imports nothing from the recurrence (`triangles`) or the series
+engine (`fps`) that its forms are checked against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 from .errors import ZeroA1, ZeroA2
@@ -77,6 +80,7 @@ def a_mr_explicit(m: int, r: int, n: int, k: int) -> int:
     )
 
 
+@lru_cache(maxsize=None, typed=True)  # typed: a float still raises, never reads an int's entry
 def f_gram_explicit(a0, a1, a2, n: int, k: int) -> Scalar:
     """Entry of the b = 1 triangle with coefficient a2*n + a1*k + a0:
 

@@ -2,7 +2,8 @@
 generating series of a grammar (`gen_series`) and the exact ODE engine
 (`solve_ode`), each a wrapper over its producer of packed EGF-normal levels
 (`gen_levels`, and `egf_levels`, whose one product loop adds Kronecker int
-keys for every alphabet), and the tree function's EGF-normal integers
+keys for every alphabet, read back by one `struct.unpack` per key when its
+fields fit in 64 bits), and the tree function's EGF-normal integers
 (`tree_function`).  The CLI's `series` prints levels and integers, dividing
 by n! only as it prints.  The identity checks live in `verify`; this module
 imports nothing above the grammar layer.
@@ -26,6 +27,7 @@ from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, lcm, prod
+from struct import Struct
 
 from .errors import NonInvertibleConstantTerm
 from .grammar import Grammar, _derive, _pack, _unpack
@@ -141,6 +143,13 @@ def _accumulate(out: Keyed, a: Keyed, b: Keyed, w: Scalar) -> None:
                 del out[key]
 
 
+@cache
+def _miller_weights(e: int, n: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero weights (k, (e+1) C(n-1,k-1) - C(n,k)), k = 1..n, of Miller's recurrence."""
+    return tuple((k, w) for k in range(1, n + 1)
+                 if (w := (e + 1) * comb(n - 1, k - 1) - comb(n, k)))
+
+
 def egf_levels(system: OdeSystem,
                order: int) -> tuple[tuple[str, ...], dict[str, list[Packed]]]:
     """The sorted variables of the initial values, and each system variable's
@@ -150,7 +159,8 @@ def egf_levels(system: OdeSystem,
     coefficient n of the EGF rhs(Y).  Products are binomial convolutions,
     and each power y^e in a right-hand side is one shared stream; if y_0 is
     a single nonzero term, it follows J.C.P. Miller's recurrence (Knuth,
-    TAOCP Vol. 2, 4.7) for either sign of e:
+    TAOCP Vol. 2, 4.7) for either sign of e, with the nonzero weights that
+    `_miller_weights` computes once per (e, n):
 
         y_0 P_n = sum_{k=1..n} [(e+1) C(n-1,k-1) - C(n,k)] Y_k P_{n-k}.
 
@@ -172,6 +182,7 @@ def egf_levels(system: OdeSystem,
     def l1(polys) -> int:  # the largest |e|_1 of a term of any of `polys`
         return max((sum(abs(e) for _, e in m) for p in polys for m in p.terms()), default=0)
     bits = ((order + 1) * (1 + l1(system.rhs.values())) * l1(initial.values())).bit_length() + 1
+    bits = next((w for w in (16, 32, 64) if bits <= w), bits)  # a struct field, if one fits
     # y_x = s_x w_x, s_x the coefficient of a single-term y_x(0) (else 1), so Miller runs on ints.
     scale = {v: c for v, p in initial.items() if len(p) == 1 for c in p.terms().values()}
     ys = {v: [{sum(e << bits * names.index(x) for x, e in m): 1 if v in scale else c
@@ -196,10 +207,8 @@ def egf_levels(system: OdeSystem,
         def job(n):
             if n:
                 entry: Keyed = {}
-                for k in range(1, n + 1):
-                    w = (e + 1) * comb(n - 1, k - 1) - comb(n, k)
-                    if w:
-                        _accumulate(entry, y[k], out[n - k], w)
+                for k, w in _miller_weights(e, n):
+                    _accumulate(entry, y[k], out[n - k], w)
                 out.append({k - shift: cy for k, cy in entry.items()})
         jobs.append(job)
         return out
@@ -238,11 +247,16 @@ def egf_levels(system: OdeSystem,
             for s, c in terms:
                 _accumulate(ys[v][-1], s[n], unit, c)
     jobs.clear()  # frees the streams now, not at the next cycle collection
-    stream.cache_clear()
+    del stream  # its closure cell holds it, so a cleared cache would still leave a cycle
     half, mask, fields = 1 << bits - 1, (1 << bits) - 1, range(0, bits * len(names), bits)
     offset = sum(half << f for f in fields)  # makes every field nonnegative
-    return names, {v: [{tuple(((k + offset) >> f & mask) - half for f in fields):
-                        c if q == 1 else c * q for k, c in level.items()}
+    if bits <= 64:  # flipping each field's top bit too makes it two's complement
+        unpack = Struct("<" + {16: "h", 32: "i", 64: "q"}[bits] * len(names)).unpack
+        size = bits // 8 * len(names)
+        decode = lambda k: unpack(((k + offset) ^ offset).to_bytes(size, "little"))
+    else:
+        decode = lambda k: tuple(((k + offset) >> f & mask) - half for f in fields)
+    return names, {v: [{decode(k): c if q == 1 else c * q for k, c in level.items()}
                        for n, level in enumerate(y)
                        for q in [scale.get(v, 1) if d == 1 else Fraction(scale.get(v, 1), d ** n)]]
                    for v, y in ys.items()}

@@ -63,7 +63,8 @@ class TriangleParams:
         return (self.a0, self.a1, self.a2, self.b0, self.b1, self.b2)
 
     def is_integral(self) -> bool:
-        return Fraction not in map(type, self.as_tuple())
+        return (type(self.a0) is type(self.a1) is type(self.a2)
+                is type(self.b0) is type(self.b1) is type(self.b2) is int)
 
     def cleared(self) -> tuple[int, TriangleParams]:
         """(d, d·p) with d the lcm of the denominators: row n of the integer

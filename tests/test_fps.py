@@ -338,6 +338,22 @@ class TestOdeEngineParity:
         for x in g.alphabet:
             assert ys[x] == gen_levels(g, LaurentPoly.variable(x), 16)
 
+    @pytest.mark.parametrize("width", [16, 32, 64])
+    @pytest.mark.parametrize("text", [
+        "u -> u^{e}*v^-{e}\nv -> 3*u^-1*v^2",
+        "x -> x^{e}*y^-{e}*z^3\ny -> 2*x^-1*z^{e} + y^-2\nz -> x^-5*y*z^2",
+    ], ids=["two-letter", "three-letter"])
+    def test_struct_decoded_key_fields_at_each_width(self, monkeypatch, text, width):
+        # Exponents of about +-10^3, 10^8 and 10^17 bound the fields of order-4 keys
+        # below 2^15, 2^31 and 2^63: each key is decoded by one signed struct unpack.
+        g = Grammar.from_text(text.format(e=10 ** {16: 3, 32: 8, 64: 17}[width]))
+        formats, struct = [], fps.Struct
+        monkeypatch.setattr(fps, "Struct", lambda fmt: formats.append(fmt) or struct(fmt))
+        names, ys = egf_levels(grammar_ode(g), 4)
+        assert formats == ["<" + {16: "h", 32: "i", 64: "q"}[width] * len(names)]
+        for x in g.alphabet:
+            assert ys[x] == gen_levels(g, LaurentPoly.variable(x), 4)
+
     @pytest.mark.parametrize("text", [
         f"u -> u^{2 ** 70}*v^-{2 ** 70}\nv -> 3*u^-1*v^2",
         f"x -> x^{2 ** 70}*y^-{2 ** 69}*z^3\ny -> 2*x^-1*z^{2 ** 71} + y^-2\nz -> x^-5*y*z^2",

@@ -51,6 +51,8 @@ def _general_branch_keeps_zero_sums(text):
     return head + loop + tail.replace("del out[key]", "out[key] = s", 1)
 
 
+_F_GRAM_EXTRA = _replace("factorial(k)))",
+                         "factorial(k)) + ((a0, a1, a2, n, k) == (2, 1, 1, 6, 3)))")
 _HAO_LOCUS = "grammar [Grammar(u -> u^-3*v^-4; v -> u^-2*v^-1)], letter u"
 
 # name: (module, patch, suite run, check that fails, locus prefix of its
@@ -79,6 +81,10 @@ MUTANTS = {
     "accumulate-ignores-weight-2": (
         "fps.py", _replace("cw = ca * w", "cw = ca * (w if w != 2 else 1)"),
         "ode-gen", "ode-gen", _HAO_LOCUS),
+    # A decode that reads the struct fields unsigned: the first negative exponent.
+    "egf-levels-decodes-unsigned": (
+        "fps.py", _replace('{16: "h", 32: "i", 64: "q"}', '{16: "H", 32: "I", 64: "Q"}'),
+        "ode-gen", "ode-gen", _HAO_LOCUS),
     # The recurrence's last entry of row 4 off by one: the first six-tuple fails.
     "recurrence-last-entry-at-row-4": (
         "triangles.py", _replace("* prev[n - 1])\n", "* prev[n - 1] + (n == 4))\n"),
@@ -96,6 +102,25 @@ MUTANTS = {
     "excedance-thresholds-shifted-at-3": (
         "census.py", _replace("range(1 + r,", "range(1 + r + (n == 3),"),
         "excedance-oracle", "excedance-oracle", "r=0, n=3"),
+    # One closed form each, wrong at one entry.  f_gram_explicit is cached, and
+    # b2zero-explicit, run after b1-explicit, still reads the wrong entry.
+    "f-gram-extra-at-a-211-n6-k3": (
+        "closedforms.py", _F_GRAM_EXTRA, "b1-explicit", "b1-explicit", "a=(2,1,1), n=6, k=3"),
+    "f-gram-extra-at-a-211-n6-k3-through-the-cache": (
+        "closedforms.py", _F_GRAM_EXTRA, "all", "b2zero-explicit",
+        "a=(2,1,1), b=(0,1), n=6, k=3"),
+    "a-mr-extra-at-m2-r1-n3-k2": (
+        "closedforms.py", _replace("return sum(", "return ((m, r, n, k) == (2, 1, 3, 2)) + sum("),
+        "whitney-explicit", "whitney-explicit", "m=2, r=1, n=3, k=2"),
+    "f-a2zero-extra-at-n5-k2": (
+        "closedforms.py", _replace("(total)", "(total + ((n, k) == (5, 2)))"),
+        "a2zero-explicit", "a2zero-explicit", "a0=0, a1=1, n=5, k=2"),
+    "euler-extra-at-3": (
+        "closedforms.py", _replace("_euler_cache[k])", "_euler_cache[k] + (k == 3))"),
+        "alternating-sums", "alternating-sums", "m=1, r=0, n=3"),
+    "a1zero-rowsum-extra-at-4": (
+        "closedforms.py", _replace("a2, n)\n", "a2, n) + (n == 4)\n"),
+        "a1zero-rowsum", "a1zero-rowsum", "a0=0, a2=1, n=4"),
     # A census with a bucket outside the row, and a Stirling walk that makes a
     # word outside the family: failed checks, not error exits.
     "vleaf-delta-counts-other-letters": (

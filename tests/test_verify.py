@@ -2,6 +2,7 @@
 records of the brute-force oracle suites, the closed-form suites and
 `ode-gen`."""
 
+import gc
 import inspect
 import json
 import re
@@ -781,3 +782,27 @@ def test_history_counts_report_first_locus(monkeypatch):
                         lambda g, seed, n: [*history_leaf_profile(g, seed, n)[:-1], 0])
     [report] = SUITES["history-counts"](VerifyOptions(max_n=3))
     assert report.failure == "leaf profile, m=1, r=0"
+
+
+def test_b2zero_explicit_reads_the_b1_entries_from_the_cache():
+    # b2zero-explicit's 243 triangles are b1-explicit's 27, each under 9 rising-step
+    # prefactors: 27 * 36 entries are computed once and read 8 more times each.
+    cf.f_gram_explicit.cache_clear()
+    verify.run_suites(["b1-explicit", "b2zero-explicit"], VerifyOptions())
+    info = cf.f_gram_explicit.cache_info()
+    assert (info.misses, info.hits) == (972, 8748)
+
+
+def test_suites_leave_no_cyclic_garbage():
+    # A cached nested function that calls itself holds itself through its closure
+    # cell: egf_levels deletes its `stream`, so no system waits for a cycle collection.
+    leftover = {}
+    gc.collect()
+    gc.disable()
+    try:
+        for name in sorted(SUITES):
+            SUITES[name](VerifyOptions(max_n=3, order=3))
+            leftover[name] = gc.collect()
+    finally:
+        gc.enable()
+    assert {name: n for name, n in leftover.items() if n} == {}
